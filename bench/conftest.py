@@ -1,0 +1,8 @@
+"""Self-tests of the benchmark import the package from this checkout's src/."""
+
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
