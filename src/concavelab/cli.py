@@ -5,6 +5,13 @@ JSON for reports, written into ``--out``.  Every artifact embeds the
 tool version and a SHA-256 hash of the canonical config so reruns can be
 diffed byte for byte; nothing time- or machine-dependent is emitted.
 
+A subcommand runs in two stages.  :func:`_parse` reads every value the
+experiment uses through its ``SCHEMA`` entry and builds the grid, reactions
+and transforms, before any directory is made or any solve starts; a key the
+experiment does not read, a missing key or a malformed value is a
+:class:`ConfigError`.  The runner then returns the exit code and the
+artifacts, and :func:`run` writes them.
+
 Exit codes: 0 when every configured assertion passes, 1 on a numerical
 or assertion failure (a diagnostic JSON is still written), 2 on an
 invalid config.
@@ -16,9 +23,11 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -26,7 +35,7 @@ import yaml
 from . import __version__, concavity, oned, reactions, solver
 from .grid import Domain, ball, box, interval, make_grid
 from .linops import apply_laplacian, principal_eigenpair
-from .reactions import Reaction, Transform
+from .reactions import Reaction
 from .solver import (
     InitialGuessError,
     continuation_branch,
@@ -44,8 +53,88 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULT_TOLERANCES = {"newton": 1e-10, "eigen": 1e-12, "quad": 1e-10}
+# ---------------------------------------------------------------------------
+# readers: each takes one config value and returns it parsed, or raises
+
+REQUIRED = object()  # the default of a key the config must set
+PARSE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 DEFAULT_RESOLUTION = {"interval": 401, "box": 81, "ball": 401}
+
+
+def _read(section, schema: dict, what: str) -> dict:
+    """The values of the mapping ``section``, read by ``schema`` (key ->
+    ``(reader, default)``).  An absent or null key takes its default, which
+    is read like a config value; ``None`` leaves it unset and ``REQUIRED``
+    makes it an error."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{what}: expected a mapping, got {section!r}")
+    unknown = [key for key in section if key not in schema]
+    if unknown:
+        raise ConfigError(f"{what}: unknown key {', '.join(map(repr, unknown))}")
+    values = {}
+    for key, (reader, default) in schema.items():
+        value = section.get(key)
+        if value is None:
+            if default is REQUIRED:
+                raise ConfigError(f"{what}: missing key {key!r}")
+            value = default
+        try:
+            values[key] = None if value is None else reader(value)
+        except PARSE_ERRORS as exc:
+            raise ConfigError(f"{what}.{key}: {exc}") from exc
+    return values
+
+
+def _float(value) -> float:
+    """A finite number; numeric strings count (YAML 1.1 reads ``1e-30`` as one)."""
+    number = float(value)
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
+def _int(value) -> int:
+    if isinstance(value, bool) or int(value) != _float(value):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _positive(value) -> float:
+    number = _float(value)
+    if not number > 0:
+        raise ValueError(f"{value!r} is not positive")
+    return number
+
+
+def _seed(value) -> int:
+    seed = _int(value)
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    return seed
+
+
+def _typed(kind):
+    """Reader of a value of type ``kind``, returned as it is."""
+    def read(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"{value!r} is not a {kind.__name__}")
+        return value
+    return read
+
+
+def _list(reader):
+    """Reader of a list whose items ``reader`` reads."""
+    return lambda value: [reader(item) for item in _typed(list)(value)]
+
+
+TOLERANCES = {"newton": (_positive, 1e-10), "eigen": (_positive, 1e-12)}
+
+# keys every experiment takes
+COMMON = {
+    "experiment": (_typed(str), None),
+    "seed": (_seed, None),
+    "tolerances": (lambda section: _read(section, TOLERANCES, "tolerances"), {}),
+}
 
 
 @dataclass(frozen=True)
@@ -57,12 +146,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.data, dict):
             raise ConfigError("config root must be a mapping")
-        for key, value in {**DEFAULT_TOLERANCES, **self.data.get("tolerances", {})}.items():
-            if not value > 0:
-                raise ConfigError(f"tolerance {key} must be positive")
-        seed = self.data.get("seed")
-        if seed is not None and (not isinstance(seed, int) or seed < 0):
-            raise ConfigError("seed must be a nonnegative integer")
+        _read({k: v for k, v in self.data.items() if k in COMMON}, COMMON, "config")
 
     @property
     def experiment(self):
@@ -87,10 +171,6 @@ class ExperimentConfig:
         return config_hash(self.data)
 
 
-# ---------------------------------------------------------------------------
-# config handling
-
-
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -111,119 +191,144 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+# ---------------------------------------------------------------------------
+# sections: readers that build the package's objects
+
+DOMAIN_KEYS = {
+    "interval": {"halfwidth": (_float, REQUIRED)},
+    "box": {"halfwidths": (_list(_float), REQUIRED)},
+    "ball": {"radius": (_float, REQUIRED), "ambient_dim": (_int, REQUIRED)},
+}
+
+# kind -> (factory in ``reactions``, its parameter names).  The factory is
+# looked up when it is called, so a rebinding of it (by a tracer) sees the call.
+REACTION_KINDS = {
+    "lane_emden": ("lane_emden", ("q", "sigma")),
+    "log_schrodinger": ("log_schrodinger", ()),
+    "dispersive_lane_emden": ("dispersive_lane_emden", ("q", "sigma")),
+    "dispersive_log": ("dispersive_log", ()),
+}
+TRANSFORM_KINDS = {
+    "power": ("power", ("alpha",)),
+    "log": ("log_transform", ()),
+    "neg_log": ("neg_log", ()),
+    "sqrt_log": ("sqrt_log", ("m",)),
+    "atanh_poly": ("atanh_poly", ("q",)),
+    "sqrt_one_minus_log": ("sqrt_one_minus_log", ()),
+}
+# how a concavity check of one transform runs and what it must find
+CHECK_KEYS = {
+    "negate": (_typed(bool), False),
+    "expect": (_typed(str), None),
+    "eps_floor": (_float, None),
+    "layer_k": (_int, 3),
+}
+
+
+def _kind(section, kinds, what: str) -> str:
+    kind = section.get("kind") if isinstance(section, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"bad {what} {section!r}: kind must be one of {', '.join(kinds)}")
+    return kind
+
+
+def _domain(section, kinds=tuple(DOMAIN_KEYS)) -> Domain:
+    kind = _kind(section, kinds, "domain")
+    d = _read(section, {"kind": (_typed(str), REQUIRED), **DOMAIN_KEYS[kind]}, "domain")
+    if kind == "interval":
+        return interval(d["halfwidth"])
+    if kind == "box":
+        return box(*d["halfwidths"])
+    return ball(d["radius"], d["ambient_dim"])
+
+
 def _domain_from(cfg: dict) -> Domain:
-    section = cfg.get("domain")
-    if section is None:
-        raise ConfigError("config needs a 'domain' section")
-    kind = section.get("kind")
-    try:
-        if kind == "interval":
-            return interval(section["halfwidth"])
-        if kind == "box":
-            return box(*section["halfwidths"])
-        if kind == "ball":
-            return ball(section["radius"], section["ambient_dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad domain section {section}: {exc}") from exc
-    raise ConfigError(f"unknown domain kind {kind!r}")
+    """The domain section of a whole config."""
+    return _domain(cfg.get("domain"))
 
 
-def _resolution_from(cfg: dict, domain: Domain):
-    res = cfg.get("resolution")
-    if res is None:
-        return DEFAULT_RESOLUTION[domain.kind]
-    return res
+def _made(kinds: dict, section, what: str, extra: dict | None = None):
+    """The object the ``reactions`` factory for the section's kind returns,
+    and the section's values."""
+    kind = _kind(section, kinds, what)
+    factory, names = kinds[kind]
+    params = {name: (_float, REQUIRED) for name in names}
+    values = _read(section, {"kind": (_typed(str), REQUIRED), **params, **(extra or {})}, what)
+    return getattr(reactions, factory)(*(values[n] for n in names)), values
 
 
 def _reaction_from(section) -> Reaction:
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ConfigError(f"bad reaction section {section!r}")
-    kind = section["kind"]
-    try:
-        if kind == "lane_emden":
-            return reactions.lane_emden(section["q"], section["sigma"])
-        if kind == "log_schrodinger":
-            return reactions.log_schrodinger()
-        if kind == "dispersive_lane_emden":
-            return reactions.dispersive_lane_emden(section["q"], section["sigma"])
-        if kind == "dispersive_log":
-            return reactions.dispersive_log()
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad reaction section {section}: {exc}") from exc
-    raise ConfigError(f"unknown reaction kind {kind!r}")
+    return _made(REACTION_KINDS, section, "reaction")[0]
 
 
-def _transform_from(section) -> Transform:
-    if not isinstance(section, dict) or "kind" not in section:
-        raise ConfigError(f"bad transform section {section!r}")
-    kind = section["kind"]
-    try:
-        if kind == "power":
-            tr = reactions.power(section["alpha"])
-        elif kind == "log":
-            tr = reactions.log_transform()
-        elif kind == "neg_log":
-            tr = reactions.neg_log()
-        elif kind == "sqrt_log":
-            tr = reactions.sqrt_log(section["m"])
-        elif kind == "atanh_poly":
-            tr = reactions.atanh_poly(section["q"])
-        elif kind == "sqrt_one_minus_log":
-            tr = reactions.sqrt_one_minus_log()
-        else:
-            raise ConfigError(f"unknown transform kind {kind!r}")
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad transform section {section}: {exc}") from exc
-    if section.get("negate"):
-        tr = tr.negate()
-    return tr
+def _check(section) -> dict:
+    """One entry of ``transforms``: the transform and how to check it."""
+    transform, check = _made(TRANSFORM_KINDS, section, "transform", CHECK_KEYS)
+    check["transform"] = transform.negate() if check["negate"] else transform
+    return check
 
 
-def _tolerances(cfg: dict) -> dict:
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(cfg.get("tolerances", {}))
-    for key, value in tol.items():
-        if not value > 0:
-            raise ConfigError(f"tolerance {key} must be positive")
-    return tol
+SCHEDULE_KEYS = {
+    "sigma_rule": (_typed(str), "fixed"),
+    "sigma": (_float, None),
+    "qs": (_list(_float), None),
+    "q_hi": (_float, None),
+    "q_lo": (_float, None),
+    "steps": (_int, None),
+}
+
+
+def _schedule(section, rule: str | None = None):
+    """``(qs, sigma_rule, sigma)`` of a schedule section; ``rule`` is the
+    sigma rule the experiment requires, if it requires one."""
+    s = _read(section, SCHEDULE_KEYS, "schedule")
+    allowed = (rule,) if rule else ("fixed", "log_path")
+    if s["sigma_rule"] not in allowed:
+        raise ConfigError(f"schedule.sigma_rule must be {' or '.join(allowed)}")
+    if s["sigma_rule"] == "fixed" and s["sigma"] is None:
+        raise ConfigError("fixed sigma rule needs schedule.sigma")
+    qs = s["qs"]
+    if qs is None:
+        if s["q_hi"] is None or s["q_lo"] is None:
+            raise ConfigError("schedule needs 'qs', or 'q_hi' and 'q_lo'")
+        qs = solver.geometric_q_schedule(s["q_hi"], s["q_lo"], s["steps"])
+    return qs, s["sigma_rule"], s["sigma"]
 
 
 def _schedule_from(cfg: dict):
-    sched = cfg.get("schedule")
-    if not isinstance(sched, dict):
-        raise ConfigError("config needs a 'schedule' section")
-    rule = sched.get("sigma_rule", "fixed")
-    sigma = sched.get("sigma")
-    if rule == "fixed" and sigma is None:
-        raise ConfigError("fixed sigma rule needs schedule.sigma")
-    if "qs" in sched:
-        qs = [float(q) for q in sched["qs"]]
-    else:
-        try:
-            qs = solver.geometric_q_schedule(
-                sched["q_hi"], sched["q_lo"], sched.get("steps")
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad schedule {sched}: {exc}") from exc
-    return qs, rule, sigma
+    """The schedule section of a whole config, as ``(qs, sigma_rule, sigma)``."""
+    return _schedule(cfg.get("schedule"))
+
+
+def _b_grid(value) -> list[float]:
+    """Halfwidths: a list, or ``{lo, hi, count}`` spaced geometrically."""
+    if not isinstance(value, dict):
+        return _list(_float)(value)
+    g = _read(value, {"lo": (_float, REQUIRED), "hi": (_float, REQUIRED),
+                      "count": (_int, REQUIRED)}, "b_grid")
+    return [float(b) for b in np.geomspace(g["lo"], g["hi"], g["count"])]
+
+
+def _box_halfwidths(value) -> tuple[float, ...]:
+    """Halfwidths of a box, checked by :class:`Domain`."""
+    return Domain("box", halfwidths=tuple(_list(_float)(value))).halfwidths
+
+
+def _resolution_pair(value) -> list[int]:
+    pair = _list(_int)(value)
+    if len(pair) != 2:
+        raise ValueError("two resolutions are needed")
+    return pair
 
 
 # ---------------------------------------------------------------------------
-# artifact writers
+# artifacts
 
 
 def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
-
-
-def _write_csv(path: Path, header: list[str], rows, cfg_hash: str) -> None:
-    lines = [f"# version={__version__} config_sha256={cfg_hash}"]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
 
 
 def _jsonable(obj):
@@ -238,10 +343,21 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: Path, payload: dict, cfg_hash: str) -> None:
-    body = {"version": __version__, "config_sha256": cfg_hash}
-    body.update(_jsonable(payload))
-    path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n")
+def _write(out: Path, artifacts: dict, cfg_hash: str, experiment: str) -> None:
+    """Write each artifact into ``out``: ``(header, rows)`` as CSV, a payload dict as
+    JSON; each carries the tool version and config hash, a JSON also the experiment."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, body in artifacts.items():
+        if isinstance(body, tuple):
+            header, rows = body
+            lines = [f"# version={__version__} config_sha256={cfg_hash}", ",".join(header)]
+            lines += [",".join(_fmt(v) for v in row) for row in rows]
+            text = "\n".join(lines)
+        else:
+            stamped = {"version": __version__, "config_sha256": cfg_hash,
+                       "experiment": experiment, **_jsonable(body)}
+            text = json.dumps(stamped, sort_keys=True, indent=2)
+        (out / name).write_text(text + "\n")
 
 
 def _field_rows(field):
@@ -268,164 +384,6 @@ def _solve_payload(result) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# runners
-
-BRANCH_CSV_COLUMNS = [
-    "q",
-    "sigma",
-    "sup_norm",
-    "sup_norm_pow_qm1",
-    "energy",
-    "nehari_residual",
-    "residual_sup",
-    "newton_iters",
-]
-
-
-def _branch_rows(branch):
-    rows = []
-    for e in branch.entries:
-        rows.append(
-            (
-                e.q,
-                e.sigma,
-                e.result.sup_norm,
-                e.result.sup_norm ** (e.q - 1.0),
-                e.result.energy,
-                e.result.nehari_residual,
-                e.result.residual_sup,
-                e.result.newton_iters,
-            )
-        )
-    return rows
-
-
-def _run_solve(cfg, out, strict, cfg_hash):
-    domain = _domain_from(cfg)
-    grid = make_grid(domain, _resolution_from(cfg, domain))
-    reaction = _reaction_from(cfg.get("reaction"))
-    tol = _tolerances(cfg)
-    result = newton_solve(grid, reaction, initial_guess(grid, reaction), tol["newton"])
-    payload = {"experiment": "solve", "reaction": reaction.label}
-    payload.update(_solve_payload(result))
-    _write_json(out / "solve.json", payload, cfg_hash)
-    header, rows = _field_rows(result.field)
-    _write_csv(out / "field.csv", header, rows, cfg_hash)
-    return (0 if result.converged else 1), payload
-
-
-def _run_branch(cfg, out, strict, cfg_hash):
-    domain = _domain_from(cfg)
-    grid = make_grid(domain, _resolution_from(cfg, domain))
-    qs, rule, sigma = _schedule_from(cfg)
-    tol = _tolerances(cfg)
-    branch = continuation_branch(
-        grid, sigma_rule=rule, sigma=sigma, qs=qs, tol=tol["newton"]
-    )
-    _write_csv(out / "branch.csv", BRANCH_CSV_COLUMNS, _branch_rows(branch), cfg_hash)
-    payload = {
-        "experiment": "branch",
-        "complete": branch.complete,
-        "points": len(branch.entries),
-    }
-    _write_json(out / "branch.json", payload, cfg_hash)
-    return (0 if branch.complete else 1), payload
-
-
-def _run_converge_eigen(cfg, out, strict, cfg_hash):
-    domain = _domain_from(cfg)
-    grid = make_grid(domain, _resolution_from(cfg, domain))
-    qs, rule, sigma = _schedule_from(cfg)
-    if rule != "fixed":
-        raise ConfigError("converge-eigen runs at fixed sigma")
-    tol = _tolerances(cfg)
-    pair = principal_eigenpair(grid, tol["eigen"])
-    target = 1.0 + pair.lambda1 / sigma
-    branch = continuation_branch(
-        grid, sigma_rule="fixed", sigma=sigma, qs=qs, tol=tol["newton"]
-    )
-    rows = []
-    errors = []
-    for e in branch.entries:
-        err = abs(e.result.sup_norm ** (e.q - 1.0) - target)
-        errors.append(err)
-        norm_dist = float(
-            np.max(np.abs(e.result.field.values / e.result.sup_norm - pair.phi1.values))
-        )
-        rows.append(
-            (
-                e.q,
-                e.sigma,
-                e.result.sup_norm,
-                e.result.sup_norm ** (e.q - 1.0),
-                err,
-                norm_dist,
-                e.result.residual_sup,
-                e.result.newton_iters,
-            )
-        )
-    _write_csv(
-        out / "branch.csv",
-        ["q", "sigma", "sup_norm", "sup_norm_pow_qm1", "limit_error", "phi1_sup_dist",
-         "residual_sup", "newton_iters"],
-        rows,
-        cfg_hash,
-    )
-    decreasing = all(a > b for a, b in zip(errors, errors[1:]))
-    payload = {
-        "experiment": "converge-eigen",
-        "lambda1": pair.lambda1,
-        "target": target,
-        "limit_errors": errors,
-        "strictly_decreasing": decreasing,
-        "complete": branch.complete,
-    }
-    _write_json(out / "converge_eigen.json", payload, cfg_hash)
-    return (0 if branch.complete and decreasing else 1), payload
-
-
-def _run_converge_log(cfg, out, strict, cfg_hash):
-    domain = _domain_from(cfg)
-    grid = make_grid(domain, _resolution_from(cfg, domain))
-    qs, rule, _sigma = _schedule_from(cfg)
-    if rule != "log_path":
-        raise ConfigError("converge-log requires schedule.sigma_rule: log_path")
-    tol = _tolerances(cfg)
-    branch = continuation_branch(grid, sigma_rule="log_path", qs=qs, tol=tol["newton"])
-    rows = []
-    residuals = []
-    for e in branch.entries:
-        rel = log_residual_sup(e.result.field) / max(1.0, e.result.sup_norm)
-        residuals.append(rel)
-        rows.append(
-            (
-                e.q,
-                e.sigma,
-                e.result.sup_norm,
-                rel,
-                e.result.energy,
-                e.result.newton_iters,
-            )
-        )
-    _write_csv(
-        out / "branch.csv",
-        ["q", "sigma", "sup_norm", "log_residual_rel", "energy", "newton_iters"],
-        rows,
-        cfg_hash,
-    )
-    decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
-    payload = {
-        "experiment": "converge-log",
-        "log_residuals_rel": residuals,
-        "strictly_decreasing": decreasing,
-        "complete": branch.complete,
-        "terminal_sup": branch.entries[-1].result.sup_norm if branch.entries else None,
-    }
-    _write_json(out / "converge_log.json", payload, cfg_hash)
-    return (0 if branch.complete and decreasing else 1), payload
-
-
 def _concavity_report_payload(rep) -> dict:
     return {
         "transform": rep.transform,
@@ -439,91 +397,156 @@ def _concavity_report_payload(rep) -> dict:
     }
 
 
-def _run_concavity(cfg, out, strict, cfg_hash):
-    domain = _domain_from(cfg)
-    grid = make_grid(domain, _resolution_from(cfg, domain))
-    reaction = _reaction_from(cfg.get("reaction"))
-    tol = _tolerances(cfg)
-    result = newton_solve(grid, reaction, initial_guess(grid, reaction), tol["newton"])
-    if not result.converged:
-        payload = {"experiment": "concavity", "error": f"solve failed: {result.status}"}
-        _write_json(out / "concavity.json", payload, cfg_hash)
-        return 1, payload
+# ---------------------------------------------------------------------------
+# runners: parsed values -> (exit code, {file name: JSON payload | (CSV header, rows)})
 
-    checks = cfg.get("transforms", [])
+
+def _sweep_payload(sweep) -> dict:
+    return {"alphas": list(sweep.alphas), "verdicts": list(sweep.verdicts),
+            "largest_passing": sweep.largest_passing}
+
+
+def _solve(p, reaction):
+    """Newton solve of ``reaction`` on the experiment's grid from its Nehari guess."""
+    guess = initial_guess(p.grid, reaction)
+    return newton_solve(p.grid, reaction, guess, p.tolerances["newton"])
+
+
+def _branch(p):
+    """The experiment's continuation branch along its schedule."""
+    qs, rule, sigma = p.schedule
+    return continuation_branch(
+        p.grid, sigma_rule=rule, sigma=sigma, qs=qs, tol=p.tolerances["newton"]
+    )
+
+
+def _run_solve(p):
+    result = _solve(p, p.reaction)
+    payload = {"reaction": p.reaction.label, **_solve_payload(result)}
+    artifacts = {"solve.json": payload, "field.csv": _field_rows(result.field)}
+    return (0 if result.converged else 1), artifacts
+
+
+def _run_branch(p):
+    branch = _branch(p)
+    rows = []
+    for e in branch.entries:
+        r = e.result
+        rows.append((e.q, e.sigma, r.sup_norm, r.sup_norm ** (e.q - 1.0), r.energy,
+                     r.nehari_residual, r.residual_sup, r.newton_iters))
+    header = ["q", "sigma", "sup_norm", "sup_norm_pow_qm1", "energy", "nehari_residual",
+              "residual_sup", "newton_iters"]
+    payload = {"complete": branch.complete, "points": len(branch.entries)}
+    artifacts = {"branch.csv": (header, rows), "branch.json": payload}
+    return (0 if branch.complete else 1), artifacts
+
+
+def _run_converge_eigen(p):
+    pair = principal_eigenpair(p.grid, p.tolerances["eigen"])
+    target = 1.0 + pair.lambda1 / p.schedule[2]
+    branch = _branch(p)
+    rows = []
+    errors = []
+    for e in branch.entries:
+        r = e.result
+        power = r.sup_norm ** (e.q - 1.0)
+        err = abs(power - target)
+        errors.append(err)
+        dist = float(np.max(np.abs(r.field.values / r.sup_norm - pair.phi1.values)))
+        rows.append((e.q, e.sigma, r.sup_norm, power, err, dist, r.residual_sup, r.newton_iters))
+    header = ["q", "sigma", "sup_norm", "sup_norm_pow_qm1", "limit_error", "phi1_sup_dist",
+              "residual_sup", "newton_iters"]
+    decreasing = all(a > b for a, b in zip(errors, errors[1:]))
+    payload = {
+        "lambda1": pair.lambda1,
+        "target": target,
+        "limit_errors": errors,
+        "strictly_decreasing": decreasing,
+        "complete": branch.complete,
+    }
+    artifacts = {"branch.csv": (header, rows), "converge_eigen.json": payload}
+    return (0 if branch.complete and decreasing else 1), artifacts
+
+
+def _run_converge_log(p):
+    branch = _branch(p)
+    rows = []
+    residuals = []
+    for e in branch.entries:
+        r = e.result
+        rel = log_residual_sup(r.field) / max(1.0, r.sup_norm)
+        residuals.append(rel)
+        rows.append((e.q, e.sigma, r.sup_norm, rel, r.energy, r.newton_iters))
+    header = ["q", "sigma", "sup_norm", "log_residual_rel", "energy", "newton_iters"]
+    decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
+    payload = {
+        "log_residuals_rel": residuals,
+        "strictly_decreasing": decreasing,
+        "complete": branch.complete,
+        "terminal_sup": branch.entries[-1].result.sup_norm if branch.entries else None,
+    }
+    artifacts = {"branch.csv": (header, rows), "converge_log.json": payload}
+    return (0 if branch.complete and decreasing else 1), artifacts
+
+
+def _run_concavity(p):
+    result = _solve(p, p.reaction)
+    if not result.converged:
+        return 1, {"concavity.json": {"error": f"solve failed: {result.status}"}}
+
     failures = []
     report_payloads = []
-    sample_columns = []
-    for entry in checks:
-        tr = _transform_from(entry)
+    header, rows = _field_rows(result.field)
+    u_vals = result.field.values
+    for check in p.transforms:
+        tr = check["transform"]
         rep = concavity.check_transform_concavity(
-            result.field,
-            tr,
-            eps_floor=entry.get("eps_floor"),
-            layer_k=entry.get("layer_k", 3),
+            result.field, tr, eps_floor=check["eps_floor"], layer_k=check["layer_k"]
         )
-        entry = _concavity_report_payload(rep)
-        expect = entry.get("expect")
+        report = _concavity_report_payload(rep)
+        expect = check["expect"]
         if expect is not None:
-            entry["expect"] = expect
+            report["expect"] = expect
             if rep.verdict != expect:
                 failures.append(f"{rep.transform}: {rep.verdict} (expected {expect})")
-        report_payloads.append(entry)
+        report_payloads.append(report)
+        # the transformed field as one more column of field.csv
         lo, hi = tr.validity
-        u_vals = result.field.values
         in_dom = (u_vals > lo) & (u_vals <= hi)
         vals = np.full(u_vals.shape, float("nan"))
         with np.errstate(divide="ignore", invalid="ignore"):
             vals[in_dom] = np.atleast_1d(reactions.transform_value(tr, u_vals[in_dom]))
-        sample_columns.append((rep.transform, vals))
+        header.append(rep.transform)
+        flat = vals.ravel()
+        rows = [row + (float(flat[i]),) for i, row in enumerate(rows)]
 
     sweep_payload = None
-    if cfg.get("alphas"):
-        sweep = concavity.alpha_sweep(result.field, sorted(cfg["alphas"]))
-        sweep_payload = {
-            "alphas": list(sweep.alphas),
-            "verdicts": list(sweep.verdicts),
-            "largest_passing": sweep.largest_passing,
-            "consistent": sweep.consistent,
-        }
-        if strict and not sweep.consistent:
+    if p.alphas:
+        sweep = concavity.alpha_sweep(result.field, p.alphas)
+        sweep_payload = {**_sweep_payload(sweep), "consistent": sweep.consistent}
+        if p.strict and not sweep.consistent:
             failures.append("alpha sweep verdicts not monotone")
 
     payload = {
-        "experiment": "concavity",
-        "reaction": reaction.label,
+        "reaction": p.reaction.label,
         "solve": _solve_payload(result),
         "reports": report_payloads,
         "alpha_sweep": sweep_payload,
         "failures": failures,
     }
-    _write_json(out / "concavity.json", payload, cfg_hash)
-    header, rows = _field_rows(result.field)
-    for name, vals in sample_columns:
-        header.append(name)
-        flat = vals.ravel()
-        rows = [row + (float(flat[i]),) for i, row in enumerate(rows)]
-    _write_csv(out / "field.csv", header, rows, cfg_hash)
-    return (0 if not failures else 1), payload
+    artifacts = {"concavity.json": payload, "field.csv": (header, rows)}
+    return (0 if not failures else 1), artifacts
 
 
-def _run_quasiconcavity(cfg, out, strict, cfg_hash):
-    domain = _domain_from(cfg)
-    grid = make_grid(domain, _resolution_from(cfg, domain))
-    reaction = _reaction_from(cfg.get("reaction"))
-    tol = _tolerances(cfg)
-    if cfg.get("seed") is None:
-        raise ConfigError("quasiconcavity sampling needs a seed")
-    result = newton_solve(grid, reaction, initial_guess(grid, reaction), tol["newton"])
-    level_fracs = cfg.get("level_fractions", [0.25, 0.5, 0.75])
+def _run_quasiconcavity(p):
+    result = _solve(p, p.reaction)
     report = concavity.quasiconcavity_check(
         result.field,
-        [f * result.sup_norm for f in level_fracs],
-        sample_pairs=cfg.get("sample_pairs", 200),
-        seed=cfg["seed"],
+        [f * result.sup_norm for f in p.level_fractions],
+        sample_pairs=p.sample_pairs,
+        seed=p.seed,
     )
     payload = {
-        "experiment": "quasiconcavity",
         "passed": report.passed,
         "levels": list(report.levels),
         "sample_pairs": report.sample_pairs,
@@ -531,137 +554,83 @@ def _run_quasiconcavity(cfg, out, strict, cfg_hash):
         "slack": report.slack,
         "failures": [list(f[1]) for f in report.failures],
     }
-    _write_json(out / "quasiconcavity.json", payload, cfg_hash)
-    return (0 if report.passed and result.converged else 1), payload
+    return (0 if report.passed and result.converged else 1), {"quasiconcavity.json": payload}
 
 
-def _run_pohozaev(cfg, out, strict, cfg_hash):
-    domain = _domain_from(cfg)
-    grid = make_grid(domain, _resolution_from(cfg, domain))
-    tol = _tolerances(cfg)
-    reaction = reactions.log_schrodinger()
-    result = newton_solve(grid, reaction, initial_guess(grid, reaction), tol["newton"])
-    report = pohozaev_check(result, domain)
+def _run_pohozaev(p):
+    result = _solve(p, reactions.log_schrodinger())
+    report = pohozaev_check(result, p.domain)
     payload = {
-        "experiment": "pohozaev",
         "sup_norm": report.sup_norm,
         "threshold": report.threshold,
         "ambient_dim": report.ambient_dim,
         "passed": report.passed and result.converged,
     }
-    _write_json(out / "pohozaev.json", payload, cfg_hash)
-    return (0 if payload["passed"] else 1), payload
+    return (0 if payload["passed"] else 1), {"pohozaev.json": payload}
 
 
-def _run_dispersive(cfg, out, strict, cfg_hash):
-    domain = _domain_from(cfg)
-    grid = make_grid(domain, _resolution_from(cfg, domain))
-    tol = _tolerances(cfg)
-    q = cfg.get("q", 2.0)
-    sigma = cfg.get("sigma", 4.0)
+def _run_dispersive(p):
     failures = []
-    payload = {"experiment": "dispersive", "q": q, "sigma": sigma}
-
-    poly = reactions.dispersive_lane_emden(q, sigma)
-    try:
-        res_poly = newton_solve(grid, poly, initial_guess(grid, poly), tol["newton"])
-        rep_poly = concavity.check_transform_concavity(
-            res_poly.field, reactions.atanh_poly(q)
-        )
-        payload["polynomial"] = {
-            "solve": _solve_payload(res_poly),
-            "transform": _concavity_report_payload(rep_poly),
+    payload = {"q": p.q, "sigma": p.sigma}
+    halves = [
+        ("polynomial", p.reaction, reactions.atanh_poly(p.q), "atanh transform"),
+        ("logarithmic", reactions.dispersive_log(), reactions.sqrt_one_minus_log(),
+         "sqrt(1 - log) transform"),
+    ]
+    for half, reaction, transform, transform_name in halves:
+        try:
+            result = _solve(p, reaction)
+            rep = concavity.check_transform_concavity(result.field, transform)
+        except InitialGuessError as exc:
+            payload[half] = {"error": str(exc)}
+            failures.append(f"{half}: {exc}")
+            continue
+        payload[half] = {
+            "solve": _solve_payload(result),
+            "transform": _concavity_report_payload(rep),
         }
-        if not res_poly.converged:
-            failures.append(f"polynomial solve: {res_poly.status}")
-        elif res_poly.sup_norm >= 1.0 - 1e-3:
-            failures.append("polynomial sup norm not below 1 - 1e-3")
-        elif rep_poly.verdict != "holds strictly":
-            failures.append(f"atanh transform: {rep_poly.verdict}")
-    except InitialGuessError as exc:
-        payload["polynomial"] = {"error": str(exc)}
-        failures.append(f"polynomial: {exc}")
-
-    logd = reactions.dispersive_log()
-    res_log = newton_solve(grid, logd, initial_guess(grid, logd), tol["newton"])
-    rep_log = concavity.check_transform_concavity(
-        res_log.field, reactions.sqrt_one_minus_log()
-    )
-    payload["logarithmic"] = {
-        "solve": _solve_payload(res_log),
-        "transform": _concavity_report_payload(rep_log),
-    }
-    if not res_log.converged:
-        failures.append(f"logarithmic solve: {res_log.status}")
-    elif res_log.sup_norm >= 1.0 - 1e-3:
-        failures.append("logarithmic sup norm not below 1 - 1e-3")
-    elif rep_log.verdict != "holds strictly":
-        failures.append(f"sqrt(1 - log) transform: {rep_log.verdict}")
+        if not result.converged:
+            failures.append(f"{half} solve: {result.status}")
+        elif result.sup_norm >= 1.0 - 1e-3:
+            failures.append(f"{half} sup norm not below 1 - 1e-3")
+        elif rep.verdict != "holds strictly":
+            failures.append(f"{transform_name}: {rep.verdict}")
 
     payload["failures"] = failures
-    _write_json(out / "dispersive.json", payload, cfg_hash)
-    return (0 if not failures else 1), payload
+    return (0 if not failures else 1), {"dispersive.json": payload}
 
 
-def _run_oned_table(cfg, out, strict, cfg_hash):
-    bspec = cfg.get("b_grid", {"lo": 0.4, "hi": 4.0, "count": 20})
-    if isinstance(bspec, dict):
-        bs = np.geomspace(bspec["lo"], bspec["hi"], int(bspec["count"]))
-    else:
-        bs = np.asarray([float(b) for b in bspec])
-    samples = int(cfg.get("samples_per_unit", 10_000))
+def _run_oned_table(p):
     rows = []
-    for b in bs:
-        sol = oned.solve_interval(float(b), n=samples)
-        shot = oned.shoot_profile(sol.m, samples)
-        rows.append(
-            (
-                float(b),
-                sol.m,
-                sol.slope,
-                sol.alpha_star,
-                sol.x_star,
-                abs(shot.b - float(b)),
-                shot.energy_drift,
-            )
-        )
-    _write_csv(
-        out / "oned_table.csv",
-        ["b", "m", "slope", "alpha_star", "x_star", "b_shoot_error", "energy_drift"],
-        rows,
-        cfg_hash,
-    )
-    ms = [r[1] for r in rows]
-    slopes = [r[2] for r in rows]
-    alphas = [r[3] for r in rows]
+    for b in p.b_grid:
+        sol = oned.solve_interval(b, n=p.samples_per_unit)
+        shot = oned.shoot_profile(sol.m, p.samples_per_unit)
+        rows.append((b, sol.m, sol.slope, sol.alpha_star, sol.x_star, abs(shot.b - b),
+                     shot.energy_drift))
+    header = ["b", "m", "slope", "alpha_star", "x_star", "b_shoot_error", "energy_drift"]
+    ms, slopes, alphas = ([r[i] for r in rows] for i in (1, 2, 3))
     monotone = {
         "m_decreasing": all(a > b for a, b in zip(ms, ms[1:])),
         "slope_decreasing": all(a > b for a, b in zip(slopes, slopes[1:])),
         "alpha_decreasing": all(a > b for a, b in zip(alphas, alphas[1:])),
     }
-    payload = {"experiment": "oned-table", "rows": len(rows), **monotone}
-    _write_json(out / "oned_table.json", payload, cfg_hash)
-    return (0 if all(monotone.values()) else 1), payload
+    payload = {"rows": len(rows), **monotone}
+    artifacts = {"oned_table.csv": (header, rows), "oned_table.json": payload}
+    return (0 if all(monotone.values()) else 1), artifacts
 
 
-def _run_tensor_check(cfg, out, strict, cfg_hash):
-    bs = cfg.get("halfwidths")
-    if not bs:
-        raise ConfigError("tensor-check needs 'halfwidths'")
-    resolution = int(cfg.get("resolution", 161))
-    field = oned.tensor_solution(bs, resolution)
+def _run_tensor_check(p):
+    bs = p.halfwidths
+    field = oned.tensor_solution(bs, p.resolution)
     sup = field.sup_norm()
-    expected = 1.0
-    for b in bs:
-        expected *= oned.solve_m_of_b(float(b))
-    margin = 0.1 * min(float(b) for b in bs)
+    expected = math.prod(oned.solve_m_of_b(b) for b in bs)
+    margin = 0.1 * min(bs)
     residual = log_residual_sup(field, boundary_margin=margin)
-    refined = oned.tensor_solution(bs, 2 * resolution - 1)
+    refined = oned.tensor_solution(bs, 2 * p.resolution - 1)
     residual_half = log_residual_sup(refined, boundary_margin=margin)
     ratio = residual / residual_half
     payload = {
-        "experiment": "tensor-check",
-        "halfwidths": [float(b) for b in bs],
+        "halfwidths": list(bs),
         "sup_norm": sup,
         "expected_sup": expected,
         "sup_error": abs(sup - expected),
@@ -675,28 +644,16 @@ def _run_tensor_check(cfg, out, strict, cfg_hash):
         failures.append("sup norm does not match the product of factor maxima")
     if not 3.0 <= ratio <= 5.0:
         failures.append("residual does not contract like h^2")
-    if cfg.get("alphas"):
-        sweep = concavity.alpha_sweep(field, sorted(cfg["alphas"]))
-        payload["alpha_sweep"] = {
-            "alphas": list(sweep.alphas),
-            "verdicts": list(sweep.verdicts),
-            "largest_passing": sweep.largest_passing,
-        }
+    if p.alphas:
+        sweep = concavity.alpha_sweep(field, p.alphas)
+        payload["alpha_sweep"] = _sweep_payload(sweep)
     payload["failures"] = failures
-    _write_json(out / "tensor.json", payload, cfg_hash)
-    return (0 if not failures else 1), payload
+    return (0 if not failures else 1), {"tensor.json": payload}
 
 
-def _run_gausson_residual(cfg, out, strict, cfg_hash):
-    domain = _domain_from(cfg)
-    if domain.kind != "box":
-        raise ConfigError("gausson-residual runs on box domains")
-    res = cfg.get("resolutions", [41, 81])
-    if len(res) != 2:
-        raise ConfigError("gausson-residual needs two resolutions")
+def _run_gausson_residual(p):
     values = []
-    for n in res:
-        grid = make_grid(domain, n)
+    for grid in p.grids:
         field = oned.gausson_field(grid)
         r = -apply_laplacian(field).values - reactions.f(
             reactions.log_schrodinger(), field.values
@@ -704,68 +661,105 @@ def _run_gausson_residual(cfg, out, strict, cfg_hash):
         values.append(float(np.max(np.abs(r[grid.interior_mask]))))
     ratio = values[0] / values[1]
     payload = {
-        "experiment": "gausson-residual",
-        "resolutions": [int(n) for n in res],
+        "resolutions": p.resolutions,
         "residuals": values,
         "ratio": ratio,
         "ratio_in_band": bool(3.5 <= ratio <= 4.5),
     }
-    _write_json(out / "gausson.json", payload, cfg_hash)
-    return (0 if payload["ratio_in_band"] else 1), payload
+    return (0 if payload["ratio_in_band"] else 1), {"gausson.json": payload}
 
 
-def _run_energy_bound(cfg, out, strict, cfg_hash):
-    domain = _domain_from(cfg)
-    grid = make_grid(domain, _resolution_from(cfg, domain))
-    tol = _tolerances(cfg)
-    q = cfg["q"]
-    sigma = cfg["sigma"]
-    reaction = reactions.lane_emden(q, sigma)
-    result = newton_solve(grid, reaction, initial_guess(grid, reaction), tol["newton"])
-    pair = principal_eigenpair(grid, tol["eigen"])
-    bound = energy_upper_bound(grid, q, sigma, pair.phi1)
+def _run_energy_bound(p):
+    result = _solve(p, p.reaction)
+    pair = principal_eigenpair(p.grid, p.tolerances["eigen"])
+    bound = energy_upper_bound(p.grid, p.q, p.sigma, pair.phi1)
     payload = {
-        "experiment": "energy-bound",
-        "q": q,
-        "sigma": sigma,
+        "q": p.q,
+        "sigma": p.sigma,
         "energy": result.energy,
         "bound": bound,
         "passed": bool(result.converged and result.energy <= bound),
     }
-    _write_json(out / "energy_bound.json", payload, cfg_hash)
-    return (0 if payload["passed"] else 1), payload
+    return (0 if payload["passed"] else 1), {"energy_bound.json": payload}
 
 
-RUNNERS = {
-    "solve": _run_solve,
-    "branch": _run_branch,
-    "converge-eigen": _run_converge_eigen,
-    "converge-log": _run_converge_log,
-    "concavity": _run_concavity,
-    "quasiconcavity": _run_quasiconcavity,
-    "pohozaev": _run_pohozaev,
-    "dispersive": _run_dispersive,
-    "oned-table": _run_oned_table,
-    "tensor-check": _run_tensor_check,
-    "gausson-residual": _run_gausson_residual,
-    "energy-bound": _run_energy_bound,
+GRID = {"domain": (_domain, REQUIRED), "resolution": (_int, None)}
+ALPHAS = (lambda value: sorted(_list(_float)(value)), None)
+
+# experiment -> (runner, the keys it reads besides COMMON: key -> (reader, default))
+SCHEMA = {
+    "solve": (_run_solve, {**GRID, "reaction": (_reaction_from, REQUIRED)}),
+    "branch": (_run_branch, {**GRID, "schedule": (_schedule, REQUIRED)}),
+    "converge-eigen": (_run_converge_eigen,
+                       {**GRID, "schedule": (lambda s: _schedule(s, "fixed"), REQUIRED)}),
+    "converge-log": (_run_converge_log,
+                     {**GRID, "schedule": (lambda s: _schedule(s, "log_path"), REQUIRED)}),
+    "concavity": (_run_concavity, {
+        **GRID,
+        "reaction": (_reaction_from, REQUIRED),
+        "transforms": (_list(_check), []),
+        "alphas": ALPHAS,
+        "strict": (_typed(bool), False),
+    }),
+    "quasiconcavity": (_run_quasiconcavity, {
+        **GRID,
+        "reaction": (_reaction_from, REQUIRED),
+        "seed": (_seed, REQUIRED),
+        "level_fractions": (_list(_float), [0.25, 0.5, 0.75]),
+        "sample_pairs": (_int, 200),
+    }),
+    "pohozaev": (_run_pohozaev, GRID),
+    "dispersive": (_run_dispersive, {**GRID, "q": (_float, 2.0), "sigma": (_float, 4.0)}),
+    "oned-table": (_run_oned_table, {
+        "b_grid": (_b_grid, {"lo": 0.4, "hi": 4.0, "count": 20}),
+        "samples_per_unit": (_int, 10_000),
+    }),
+    "tensor-check": (_run_tensor_check, {
+        "halfwidths": (_box_halfwidths, REQUIRED),
+        "resolution": (_int, 161),
+        "alphas": ALPHAS,
+    }),
+    "gausson-residual": (_run_gausson_residual, {
+        "domain": (lambda s: _domain(s, ("box",)), REQUIRED),
+        "resolutions": (_resolution_pair, [41, 81]),
+    }),
+    "energy-bound": (_run_energy_bound,
+                     {**GRID, "q": (_float, REQUIRED), "sigma": (_float, REQUIRED)}),
 }
 
+# experiment -> the ``reactions`` factory its top-level q and sigma are passed to
+FLAT_REACTION = {"dispersive": "dispersive_lane_emden", "energy-bound": "lane_emden"}
 
-def run(experiment: str, cfg, out_dir, strict: bool = False) -> int:
+
+def _parse(experiment: str, cfg) -> SimpleNamespace:
+    """Every value ``experiment`` uses, read from ``cfg`` through its
+    ``SCHEMA`` entry, with the grids and the reaction built from them."""
+    if experiment not in SCHEMA:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    p = _read(cfg, {**COMMON, **SCHEMA[experiment][1]}, f"{experiment} config")
+    if p["experiment"] not in (None, experiment):
+        raise ConfigError(f"config declares experiment {p['experiment']!r}, not {experiment!r}")
+    try:
+        if "domain" in p and "resolution" in p:
+            n, default = p["resolution"], DEFAULT_RESOLUTION[p["domain"].kind]
+            p["grid"] = make_grid(p["domain"], default if n is None else n)
+        if "resolutions" in p:
+            p["grids"] = [make_grid(p["domain"], n) for n in p["resolutions"]]
+        if experiment in FLAT_REACTION:
+            p["reaction"] = getattr(reactions, FLAT_REACTION[experiment])(p["q"], p["sigma"])
+    except PARSE_ERRORS as exc:
+        raise ConfigError(f"{experiment} config: {exc}") from exc
+    return SimpleNamespace(**p)
+
+
+def run(experiment: str, cfg, out_dir) -> int:
     """Execute one subcommand; returns the process exit code."""
     if isinstance(cfg, ExperimentConfig):
         cfg = cfg.to_dict()
-    if experiment not in RUNNERS:
-        raise ConfigError(f"unknown experiment {experiment!r}")
-    declared = cfg.get("experiment")
-    if declared is not None and declared != experiment:
-        raise ConfigError(
-            f"config declares experiment {declared!r} but {experiment!r} was requested"
-        )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    code, _payload = RUNNERS[experiment](cfg, out, strict, config_hash(cfg))
+    params = _parse(experiment, cfg)
+    runner = SCHEMA[experiment][0]
+    code, artifacts = runner(params)
+    _write(Path(out_dir), artifacts, config_hash(cfg), experiment)
     return code
 
 
@@ -775,30 +769,31 @@ def main(argv=None) -> int:
         description="Verifications for the logarithmic and power Dirichlet problems",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in RUNNERS:
+    for name, (_runner, schema) in SCHEMA.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--out", type=str, default="out")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--resolution", type=int, default=None)
-        p.add_argument("--strict", action="store_true")
+        if "resolution" in schema:
+            p.add_argument("--resolution", type=int, default=None)
+        if "strict" in schema:
+            p.add_argument("--strict", action="store_true", default=None)
     args = parser.parse_args(argv)
 
+    cfg = {}
     try:
         cfg = load_config(args.config) if args.config else {}
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.resolution is not None:
-            cfg["resolution"] = args.resolution
-        code = run(args.experiment, cfg, args.out, strict=args.strict)
+        # flags are recorded in the config, so they enter its hash
+        for key in ("seed", "resolution", "strict"):
+            if getattr(args, key, None) is not None:
+                cfg[key] = getattr(args, key)
+        code = run(args.experiment, cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (solver.InitialGuessError, ValueError) as exc:
-        diag = {"error": str(exc), "experiment": args.experiment}
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "failure.json", diag, config_hash(cfg))
+    except (RuntimeError, ValueError) as exc:
+        failure = {"failure.json": {"error": str(exc)}}
+        _write(Path(args.out), failure, config_hash(cfg), args.experiment)
         print(f"failure: {exc}", file=sys.stderr)
         return 1
     if code == 0:
