@@ -10,11 +10,12 @@ experiment uses through its ``SCHEMA`` entry and builds the grid, reactions
 and transforms, before any directory is made or any solve starts; a key the
 experiment does not read, a missing key or a malformed value is a
 :class:`ConfigError`.  The runner then returns the exit code and the
-artifacts, and :func:`run` writes them.
+artifacts, and :func:`run` writes them; the output directory is made
+between the two stages.
 
 Exit codes: 0 when every configured assertion passes, 1 on a numerical
 or assertion failure (a diagnostic JSON is still written), 2 on an
-invalid config.
+invalid config or an ``--out`` that cannot be written.
 """
 
 from __future__ import annotations
@@ -757,9 +758,11 @@ def run(experiment: str, cfg, out_dir) -> int:
     if isinstance(cfg, ExperimentConfig):
         cfg = cfg.to_dict()
     params = _parse(experiment, cfg)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before any solve
     runner = SCHEMA[experiment][0]
     code, artifacts = runner(params)
-    _write(Path(out_dir), artifacts, config_hash(cfg), experiment)
+    _write(out, artifacts, config_hash(cfg), experiment)
     return code
 
 
@@ -790,6 +793,9 @@ def main(argv=None) -> int:
         code = run(args.experiment, cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write to --out {args.out!r}: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ValueError) as exc:
         failure = {"failure.json": {"error": str(exc)}}

@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 STRICT_MARGIN_FACTOR = 1e-8
+# nodes within ENDPOINT_TOL * max(1, |e|) of a finite endpoint e of a
+# transform's validity interval are left out of its check set
+ENDPOINT_TOL = 1e-10
 
 
 class EmptyCheckSetError(ValueError):
@@ -256,13 +259,18 @@ def check_transform_concavity(
     grid = field.grid
     eps = _resolve_floor(field, eps_floor)
     mask = _check_mask(grid, field.values, eps, layer_k)
+    # the transform is differentiable only on the open validity interval and
+    # phi' or phi'' may blow up at an endpoint (sqrt_log at t = m): nodes at
+    # or within rounding of one are excluded, so that a field maximum a few
+    # ulps below m is treated like one equal to m
+    for end in transform.validity:
+        if np.isfinite(end):
+            mask &= np.abs(field.values - end) > ENDPOINT_TOL * max(1.0, abs(end))
     npts = int(np.count_nonzero(mask))
     if npts == 0:
         raise EmptyCheckSetError("no interior nodes above eps_floor outside the layer")
     eigs, _ = _transformed_eigendata(field, transform, mask)
-    # nodes touching a singular endpoint of the transform (infinite phi'
-    # or phi'', e.g. sqrt_log exactly at the field maximum) are excluded:
-    # the transform is differentiable only on the open interval
+    # nodes whose eigen-data still overflow are excluded too
     finite_rows = np.all(np.isfinite(eigs), axis=1)
     if not np.all(finite_rows):
         eigs = eigs[finite_rows]

@@ -107,9 +107,10 @@ class Grid:
     the single axis is ``r_k = k R/(n-1)`` and only ``r = R`` is a
     boundary node (the center is interior).
 
-    Sparse operators and factorizations built on the grid are cached on
-    the instance; the caches are filled lazily and never invalidated
-    since grids are immutable.
+    Derived arrays, the sparse Laplacian, the principal eigenpair and (on
+    interval and radial grids) the LU factorization are cached on the
+    instance; the caches are filled lazily and never invalidated since
+    grids are immutable.
     """
 
     def __init__(self, domain: Domain, resolution):

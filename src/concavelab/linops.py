@@ -3,16 +3,28 @@
 Second-order central stencils throughout: 3/5/7-point Laplacians on
 interval/box grids and ``u'' + (N-1)/r u'`` on radial grids, with the
 origin handled through the symmetric limit ``N u''(0)``.  The negated
-Laplacian restricted to interior nodes is assembled as a sparse matrix
-and LU-factorized once per grid; Poisson solves and the inverse power
-iteration for ``(lambda_1, phi_1)`` reuse the factorization.
+Laplacian restricted to interior nodes is assembled as a sparse matrix.
+
+Two backends solve with it, chosen by the grid alone (:func:`_uses_dst`):
+
+* 2D and 3D box grids: the type-I discrete sine transform diagonalizes
+  the 5- and 7-point Laplacian exactly (Buzbee, Golub & Nielsen 1970).
+  Poisson solves are a forward and an inverse DST-I, the principal
+  eigenpair is the closed-form product of sines, and the shifted solves
+  of Newton steps run MINRES (Paige & Saunders 1975) preconditioned by
+  the DST Poisson solve.
+* intervals and radial grids: sparse LU, factorized once per grid for
+  Poisson solves and inverse power iteration; in 1D it is faster than
+  the transform, and radial operators are not symmetric.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -26,9 +38,20 @@ __all__ = [
     "apply_laplacian",
     "neg_laplacian_matrix",
     "solve_poisson",
+    "solve_shifted",
     "principal_eigenpair",
     "gradient_components",
 ]
+
+
+# Shifted solves on box grids: MINRES's own relative tolerance and iteration
+# cap per sweep (Newton steps take 9-17 iterations; Jacobians with 1% of their
+# diagonal at the Newton floor of -1e6 take up to about 75), and the true
+# relative residual that the sweeps must reach.
+MINRES_RTOL = 1e-12
+MINRES_MAXITER = 500
+MINRES_SWEEPS = 3
+SHIFTED_RESIDUAL = 1e-9
 
 
 class LinearSolveError(RuntimeError):
@@ -187,6 +210,18 @@ def neg_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
     return mat
 
 
+def _uses_dst(grid: Grid) -> bool:
+    """The one backend choice: the DST-I on 2D and 3D box grids, sparse LU
+    on intervals and radial grids."""
+    return not grid.is_radial and grid.ndim >= 2
+
+
+def _sine_eigenvalues(n: int, h: float) -> np.ndarray:
+    """Eigenvalues ``(2 - 2cos(pi k/(n-1)))/h^2``, k = 1..n-2, of the 1-D
+    Dirichlet ``-D_hh``, written as ``4 sin^2`` to avoid cancellation."""
+    return (2.0 * np.sin(0.5 * np.pi * np.arange(1, n - 1) / (n - 1)) / h) ** 2
+
+
 def _neg_laplacian_lu(grid: Grid):
     lu = grid._cache.get("neg_lap_lu")
     if lu is None:
@@ -195,10 +230,27 @@ def _neg_laplacian_lu(grid: Grid):
     return lu
 
 
+def _inverse_laplacian(grid: Grid):
+    """``b -> (-Laplacian_h)^-1 b`` on interior unknowns: DST-I, symbol
+    division and inverse DST-I on box grids, the cached LU otherwise."""
+    if not _uses_dst(grid):
+        return _neg_laplacian_lu(grid).solve
+    # eigenvalues of -Laplacian_h in DST-I coefficient order: an outer sum
+    symbol = reduce(
+        np.add.outer, [_sine_eigenvalues(n, h) for n, h in zip(grid.shape, grid.spacing)]
+    )
+
+    def solve(b):
+        coef = scipy.fft.dstn(np.reshape(b, symbol.shape), type=1, norm="ortho")
+        return scipy.fft.idstn(coef / symbol, type=1, norm="ortho").ravel()
+
+    return solve
+
+
 def solve_poisson(rhs: ScalarField, tol: float = 1e-12) -> ScalarField:
     """Solve ``-Laplacian v = rhs`` with zero Dirichlet data.
 
-    Sparse LU on the interior unknowns; the relative residual in the
+    DST-I on box grids, sparse LU otherwise; the relative residual in the
     discrete 2-norm is verified against ``tol`` and a failure raises
     :class:`LinearSolveError` carrying the achieved residual.
     """
@@ -209,7 +261,7 @@ def solve_poisson(rhs: ScalarField, tol: float = 1e-12) -> ScalarField:
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         return ScalarField.zeros(grid)
-    x = _neg_laplacian_lu(grid).solve(b)
+    x = _inverse_laplacian(grid)(b)
     res = float(np.linalg.norm(neg_laplacian_matrix(grid) @ x - b))
     if res > tol * nb:
         raise LinearSolveError(
@@ -218,21 +270,41 @@ def solve_poisson(rhs: ScalarField, tol: float = 1e-12) -> ScalarField:
     return ScalarField.from_interior(grid, x)
 
 
-def principal_eigenpair(grid: Grid, tol: float = 1e-12, max_iter: int = 1000) -> Eigenpair:
-    """Principal Dirichlet eigenpair by inverse power iteration.
+def solve_shifted(grid: Grid, shift, rhs) -> np.ndarray:
+    """Solve ``(-Laplacian_h - diag(shift)) x = rhs`` on interior unknowns.
 
-    Convergence requires successive eigenvalue estimates to differ by
-    less than ``tol`` (relative) and the sup-norm eigen-residual to fall
-    below ``1e-8 * lambda``; iterations reuse the cached factorization,
-    so the extra polishing steps are cheap.
+    Sparse LU of the shifted matrix on interval and radial grids.  On box
+    grids the matrix is symmetric but may be indefinite: MINRES,
+    preconditioned by the DST-I Poisson solve.  MINRES stops on its own
+    recurrence residual, which drifts from the true one when floor shifts
+    of -1e6 make the matrix ill-conditioned, so each sweep restarts it on
+    the true residual until that is below ``SHIFTED_RESIDUAL * ||rhs||``.
+    A sweep that hits ``MINRES_MAXITER``, or ``MINRES_SWEEPS`` sweeps that
+    fall short, raise :class:`LinearSolveError` with the residual reached.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    cache_key = ("eigenpair", tol)
-    cached = grid._cache.get(cache_key)
-    if cached is not None:
-        return cached
+    mat = neg_laplacian_matrix(grid) - sp.diags(shift)
+    if not _uses_dst(grid):
+        return spla.splu(mat.tocsc()).solve(rhs)
+    precond = spla.LinearOperator(mat.shape, matvec=_inverse_laplacian(grid), dtype=float)
+    goal = SHIFTED_RESIDUAL * float(np.linalg.norm(rhs))
+    x = np.zeros(mat.shape[0])
+    res = rhs
+    for _ in range(MINRES_SWEEPS):
+        dx, info = spla.minres(mat, res, rtol=MINRES_RTOL, maxiter=MINRES_MAXITER, M=precond)
+        x += dx
+        res = rhs - mat @ x
+        res_norm = float(np.linalg.norm(res))
+        if info != 0 or res_norm <= goal:
+            break
+    if info != 0 or res_norm > goal:
+        raise LinearSolveError(
+            f"MINRES stopped at residual {res_norm:.3e} against {SHIFTED_RESIDUAL:.0e} * ||rhs|| "
+            f"(info {info}, cap {MINRES_MAXITER} iterations per sweep)", res_norm
+        )
+    return x
 
+
+def _inverse_power_iteration(grid: Grid, tol: float, max_iter: int):
     a_mat = neg_laplacian_matrix(grid)
     lu = _neg_laplacian_lu(grid)
     v = np.ones(grid.num_interior)
@@ -247,13 +319,40 @@ def principal_eigenpair(grid: Grid, tol: float = 1e-12, max_iter: int = 1000) ->
         lam = float(v @ av)
         residual = float(np.max(np.abs(av - lam * v))) / float(np.max(np.abs(v)))
         if abs(lam - lam_prev) < tol * max(1.0, abs(lam)) and residual <= 1e-8 * lam:
-            break
+            return lam, v, iteration
         lam_prev = lam
+    raise EigenSolveError(
+        f"inverse power iteration did not converge in {max_iter} iterations "
+        f"(last residual {residual:.3e})"
+    )
+
+
+def principal_eigenpair(grid: Grid, tol: float = 1e-12, max_iter: int = 1000) -> Eigenpair:
+    """Principal Dirichlet eigenpair.
+
+    On box grids it is the closed form: ``lambda_1 = sum_i (2 -
+    2cos(pi/(n_i-1)))/h_i^2`` and the product of ``sin(pi k/(n_i-1))``,
+    reported with 0 iterations.  Elsewhere it is inverse power iteration
+    on the cached factorization: successive eigenvalue estimates must
+    differ by less than ``tol`` (relative) and the sup-norm
+    eigen-residual must fall below ``1e-8 * lambda``, so the extra
+    polishing steps are cheap.  Either way ``residual_sup`` is measured
+    on the assembled operator.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    cache_key = ("eigenpair", tol)
+    cached = grid._cache.get(cache_key)
+    if cached is not None:
+        return cached
+
+    if _uses_dst(grid):
+        lam = float(sum(_sine_eigenvalues(n, h)[0] for n, h in zip(grid.shape, grid.spacing)))
+        sines = [np.sin(np.pi * np.arange(1, n - 1) / (n - 1)) for n in grid.shape]
+        v = reduce(np.multiply.outer, sines).ravel()
+        iteration = 0
     else:
-        raise EigenSolveError(
-            f"inverse power iteration did not converge in {max_iter} iterations "
-            f"(last residual {residual:.3e})"
-        )
+        lam, v, iteration = _inverse_power_iteration(grid, tol, max_iter)
 
     if np.sum(v) < 0:
         v = -v
@@ -261,7 +360,7 @@ def principal_eigenpair(grid: Grid, tol: float = 1e-12, max_iter: int = 1000) ->
         raise EigenSolveError("principal eigenvector is not strictly positive")
     v /= np.max(v)
     phi = ScalarField.from_interior(grid, v)
-    res_sup = float(np.max(np.abs(a_mat @ v - lam * v)))
+    res_sup = float(np.max(np.abs(neg_laplacian_matrix(grid) @ v - lam * v)))
     pair = Eigenpair(lam, phi, res_sup, iteration)
     grid._cache[cache_key] = pair
     return pair

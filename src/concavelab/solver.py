@@ -1,11 +1,12 @@
 """Damped Newton solves of ``-Delta u = f(u)`` with zero Dirichlet data.
 
 The Newton step solves ``(-Delta_h - diag f'(u)) delta = -(Au - f(u))``
-with a sparse LU per iteration, backtracking line search on the residual
-2-norm, and projection of the iterates onto ``u >= 0``.  The derivative
-of the logarithmic reaction diverges at 0, so the Jacobian diagonal is
-clamped below at a configurable floor during assembly only; the reported
-residual is always the exact unclamped one.
+with :func:`linops.solve_shifted` (sparse LU on intervals and balls,
+DST-preconditioned MINRES on boxes), backtracking line search on the
+residual 2-norm, and projection of the iterates onto ``u >= 0``.  The
+derivative of the logarithmic reaction diverges at 0, so the Jacobian
+diagonal is clamped below at a configurable floor during assembly only;
+the reported residual is always the exact unclamped one.
 
 Initial guesses scale the principal eigenfunction onto the Nehari set of
 the reaction.  Branches in the exponent ``q`` warm-start each solve from
@@ -18,8 +19,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import Domain, Grid
 from .linops import (
@@ -29,6 +28,7 @@ from .linops import (
     gradient_components,
     neg_laplacian_matrix,
     principal_eigenpair,
+    solve_shifted,
 )
 from . import reactions
 from .reactions import Reaction, validate_exponent
@@ -286,8 +286,7 @@ def newton_solve(
         if res_sup <= tol * max(1.0, sup_u):
             status = "converged"
             break
-        jac = a_mat - sp.diags(_jacobian_diagonal(reaction, u, jac_floor))
-        delta = spla.splu(jac.tocsc()).solve(-g_vec)
+        delta = solve_shifted(grid, _jacobian_diagonal(reaction, u, jac_floor), -g_vec)
         g_norm = float(np.linalg.norm(g_vec))
         step = 1.0
         accepted = False

@@ -365,12 +365,18 @@ INTERVAL_41 = {"domain": {"kind": "interval", "halfwidth": 1.0}, "resolution": 4
         pytest.param("converge-log",
                      yaml.safe_dump({**INTERVAL_41, "schedule": {"qs": [1.2, 1.1]}}), [], 2,
                      None, id="converge-log-at-fixed-sigma"),
+        # an --out that names an existing file (the config itself) cannot be made
+        pytest.param("converge-eigen",
+                     yaml.safe_dump({**INTERVAL_41, "schedule": {"sigma_rule": "fixed",
+                                                                 "sigma": 1.0, "qs": [1.5]}}),
+                     ["--out", "{cfg}"], 2, None, id="out-is-a-file"),
     ],
 )
 def test_exit_codes(tmp_path, experiment, text, argv, code, artifact):
     cfg = tmp_path / "c.yaml"
     cfg.write_text(text)
     out = tmp_path / "out"
+    argv = [arg.format(cfg=cfg) for arg in argv]
     assert main([experiment, "--config", str(cfg), "--out", str(out), *argv]) == code
     if artifact is None:  # a config error is found before any directory is made
         assert not out.exists()

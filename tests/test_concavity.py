@@ -118,6 +118,22 @@ def test_witness_inside_check_set(log_solve_box):
     assert rep.eps_floor == pytest.approx(1e-3 * log_solve_box.sup_norm)
 
 
+def test_sqrt_log_verdict_does_not_hang_on_the_last_bits_of_the_peak(log_solve_box):
+    # phi' and phi'' of sqrt_log are infinite at t = m: a field maximum equal
+    # to m and one rounded just below it must give the same report
+    u = log_solve_box.field
+    m = u.sup_norm()
+    lowered = u.values.copy()
+    lowered[np.unravel_index(np.argmax(lowered), lowered.shape)] = m * (1.0 - 1e-14)
+    reports = [
+        check_transform_concavity(fld, reactions.sqrt_log(m))
+        for fld in (u, ScalarField(u.grid, lowered))
+    ]
+    assert reports[0].verdict == reports[1].verdict == "holds strictly"
+    assert reports[0].check_set_size == reports[1].check_set_size
+    assert reports[0].margin == reports[1].margin
+
+
 def test_empty_check_set_raises(box81):
     tiny = ScalarField.zeros(box81)
     with pytest.raises(EmptyCheckSetError):

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from concavelab import (
     ScalarField,
@@ -14,7 +18,8 @@ from concavelab import (
     principal_eigenpair,
     solve_poisson,
 )
-from concavelab.linops import neg_laplacian_matrix
+from concavelab import linops
+from concavelab.linops import LinearSolveError, neg_laplacian_matrix, solve_shifted
 from concavelab.oned import gausson_field
 from concavelab.reactions import f, log_schrodinger
 
@@ -176,3 +181,80 @@ def test_scalar_field_validation():
         ScalarField(g, nanvals)
     # harness escape hatch
     ScalarField(g, bad, validate=False)
+
+
+# ---------------------------------------------------------------------------
+# the DST-I box backend against sparse LU
+
+
+def _lu_eigenpair(a_mat, lu):
+    """Reference principal pair: block inverse iteration on the sparse LU
+    ``lu`` of ``a_mat`` with Rayleigh-Ritz, run until the sup-norm
+    eigen-residual is below 1e-10 lambda.  The first Ritz vector converges
+    like ``(lambda_1/lambda_9)^k``, fast even on very anisotropic boxes,
+    whose lambda_2 is within 2% of lambda_1."""
+    block = np.random.default_rng(0).standard_normal((a_mat.shape[0], min(8, a_mat.shape[0])))
+    for _ in range(1000):
+        block = lu.solve(block)
+        ritz, vecs = scipy.linalg.eigh(block.T @ (a_mat @ block), block.T @ block)
+        block = block @ vecs
+        v = block[:, 0]
+        if np.max(np.abs(a_mat @ v - ritz[0] * v)) <= 1e-10 * ritz[0] * np.max(np.abs(v)):
+            return ritz[0], v * np.sign(v.sum()) / np.max(np.abs(v))
+    raise AssertionError("reference inverse iteration did not converge")
+
+
+@st.composite
+def box_cases(draw):
+    """2D and 3D boxes of 3-33 nodes per axis and halfwidths 0.3-3; the last
+    3D axis is shortened to keep at most 15^3 unknowns, because the 3D
+    reference factorization grows like unknowns^2 (9 s at 31^3)."""
+    dim = draw(st.sampled_from((2, 3)))
+    shape = [draw(st.integers(3, 33)) for _ in range(dim - 1)]
+    room = 15**3 // math.prod(n - 2 for n in shape) + 2
+    shape.append(draw(st.integers(3, min(33, room) if dim == 3 else 33)))
+    halfwidths = [draw(st.floats(0.3, 3.0)) for _ in range(dim)]
+    return tuple(shape), halfwidths, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(box_cases())
+def test_dst_backend_matches_sparse_lu(case):
+    shape, halfwidths, seed, n_floor = case
+    g = make_grid(box(*halfwidths), shape)
+    a_mat = neg_laplacian_matrix(g)
+    lu = spla.splu(a_mat.tocsc())
+    lam, phi = _lu_eigenpair(a_mat, lu)
+    pair = principal_eigenpair(g)
+    assert pair.iterations == 0
+    assert abs(pair.lambda1 - lam) <= 1e-10 * lam
+    assert np.max(np.abs(pair.phi1.interior() - phi)) <= 1e-6
+
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(g.num_interior)
+    x = solve_poisson(ScalarField.from_interior(g, b), 1e-12).interior()
+    ref = lu.solve(b)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    # Newton Jacobians: indefinite shifts, a few nodes at the floor -1e6
+    shift = rng.uniform(-10.0, 10.0, g.num_interior)
+    shift[rng.choice(g.num_interior, min(n_floor, g.num_interior), replace=False)] = -1e6
+    x = solve_shifted(g, shift, b)
+    assert np.linalg.norm((a_mat - sp.diags(shift)) @ x - b) <= 1e-9 * np.linalg.norm(b)
+
+
+def test_minres_non_convergence_raises(monkeypatch):
+    g = make_grid(box(1.0, 2.0), 21)
+    shift = np.random.default_rng(1).uniform(-10.0, 10.0, g.num_interior)
+    monkeypatch.setattr(linops, "MINRES_MAXITER", 2)
+    with pytest.raises(LinearSolveError) as exc:
+        solve_shifted(g, shift, np.ones(g.num_interior))
+    assert exc.value.residual > 0.0
+
+
+def test_backend_choice_follows_the_grid():
+    # LU on intervals and radial grids: inverse iteration reports its steps
+    assert principal_eigenpair(make_grid(interval(1.0), 41)).iterations > 0
+    assert principal_eigenpair(make_grid(ball(1.0, 3), 41)).iterations > 0
+    assert principal_eigenpair(make_grid(box(1.0), 41)).iterations > 0
+    assert principal_eigenpair(make_grid(box(1.0, 1.0), 41)).iterations == 0
