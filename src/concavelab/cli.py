@@ -128,6 +128,16 @@ def _list(reader):
     return lambda value: [reader(item) for item in _typed(list)(value)]
 
 
+def _checked(reader, check):
+    """Reader of a value that ``reader`` reads and the package's ``check``
+    accepts, so the parse stage refuses what the run would refuse."""
+    def read(value):
+        value = reader(value)
+        check(value)
+        return value
+    return read
+
+
 TOLERANCES = {"newton": (_positive, 1e-10), "eigen": (_positive, 1e-12)}
 
 # keys every experiment takes
@@ -222,7 +232,7 @@ CHECK_KEYS = {
     "negate": (_typed(bool), False),
     "expect": (_typed(str), None),
     "eps_floor": (_float, None),
-    "layer_k": (_int, 3),
+    "layer_k": (_checked(_int, concavity.check_layer_k), 3),
 }
 
 
@@ -293,6 +303,7 @@ def _schedule(section, rule: str | None = None):
         if s["q_hi"] is None or s["q_lo"] is None:
             raise ConfigError("schedule needs 'qs', or 'q_hi' and 'q_lo'")
         qs = solver.geometric_q_schedule(s["q_hi"], s["q_lo"], s["steps"])
+    solver.check_q_schedule(qs, s["sigma_rule"], s["sigma"])
     return qs, s["sigma_rule"], s["sigma"]
 
 
@@ -622,12 +633,13 @@ def _run_oned_table(p):
 
 def _run_tensor_check(p):
     bs = p.halfwidths
-    field = oned.tensor_solution(bs, p.resolution)
+    profiles = {}  # each halfwidth is solved once, for both grids
+    field = oned.tensor_solution(bs, p.resolution, solutions=profiles)
     sup = field.sup_norm()
-    expected = math.prod(oned.solve_m_of_b(b) for b in bs)
+    expected = math.prod(profiles[b].m for b in bs)
     margin = 0.1 * min(bs)
     residual = log_residual_sup(field, boundary_margin=margin)
-    refined = oned.tensor_solution(bs, 2 * p.resolution - 1)
+    refined = oned.tensor_solution(bs, 2 * p.resolution - 1, solutions=profiles)
     residual_half = log_residual_sup(refined, boundary_margin=margin)
     ratio = residual / residual_half
     payload = {
@@ -685,7 +697,8 @@ def _run_energy_bound(p):
 
 
 GRID = {"domain": (_domain, REQUIRED), "resolution": (_int, None)}
-ALPHAS = (lambda value: sorted(_list(_float)(value)), None)
+ALPHAS = (_checked(lambda value: sorted(_list(_float)(value)), concavity.check_sweep_exponents),
+          None)
 
 # experiment -> (runner, the keys it reads besides COMMON: key -> (reader, default))
 SCHEMA = {
@@ -706,14 +719,15 @@ SCHEMA = {
         **GRID,
         "reaction": (_reaction_from, REQUIRED),
         "seed": (_seed, REQUIRED),
-        "level_fractions": (_list(_float), [0.25, 0.5, 0.75]),
+        "level_fractions": (_checked(_list(_float), lambda fs: concavity.check_levels(fs, 1.0)),
+                            [0.25, 0.5, 0.75]),
         "sample_pairs": (_int, 200),
     }),
     "pohozaev": (_run_pohozaev, GRID),
     "dispersive": (_run_dispersive, {**GRID, "q": (_float, 2.0), "sigma": (_float, 4.0)}),
     "oned-table": (_run_oned_table, {
         "b_grid": (_b_grid, {"lo": 0.4, "hi": 4.0, "count": 20}),
-        "samples_per_unit": (_int, 10_000),
+        "samples_per_unit": (_checked(_int, oned.check_steps_per_unit), 10_000),
     }),
     "tensor-check": (_run_tensor_check, {
         "halfwidths": (_box_halfwidths, REQUIRED),
@@ -744,6 +758,8 @@ def _parse(experiment: str, cfg) -> SimpleNamespace:
         if "domain" in p and "resolution" in p:
             n, default = p["resolution"], DEFAULT_RESOLUTION[p["domain"].kind]
             p["grid"] = make_grid(p["domain"], default if n is None else n)
+        if "halfwidths" in p:  # the tensor check's grid, built again in the run
+            make_grid(box(*p["halfwidths"]), p["resolution"])
         if "resolutions" in p:
             p["grids"] = [make_grid(p["domain"], n) for n in p["resolutions"]]
         if experiment in FLAT_REACTION:
@@ -766,7 +782,7 @@ def run(experiment: str, cfg, out_dir) -> int:
     return code
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="concavelab",
         description="Verifications for the logarithmic and power Dirichlet problems",
@@ -781,7 +797,15 @@ def main(argv=None) -> int:
             p.add_argument("--resolution", type=int, default=None)
         if "strict" in schema:
             p.add_argument("--strict", action="store_true", default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once: parsing leaves the parser unchanged
+PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = PARSER.parse_args(argv)
 
     cfg = {}
     try:

@@ -112,9 +112,14 @@ def hessian_at(field: ScalarField, node) -> np.ndarray:
 # vectorized machinery over the check set
 
 
-def _check_mask(grid: Grid, values: np.ndarray, eps_floor: float, layer_k: int) -> np.ndarray:
+def check_layer_k(layer_k: int) -> None:
+    """Raise ``ValueError`` unless ``layer_k`` leaves room for the Hessian stencils."""
     if layer_k < 2:
         raise ValueError("layer_k must be at least 2 for the Hessian stencils")
+
+
+def _check_mask(grid: Grid, values: np.ndarray, eps_floor: float, layer_k: int) -> np.ndarray:
+    check_layer_k(layer_k)
     mask = values >= eps_floor
     if grid.is_radial:
         mask[grid.shape[0] - layer_k :] = False
@@ -389,6 +394,14 @@ class AlphaSweepResult:
     reports: tuple[ConcavityReport, ...]
 
 
+def check_sweep_exponents(alphas) -> None:
+    """Raise ``ValueError`` unless the exponents are sorted and lie in (0, 1)."""
+    if any(not 0.0 < a < 1.0 for a in alphas):
+        raise ValueError("sweep exponents must lie in (0, 1)")
+    if list(alphas) != sorted(alphas):
+        raise ValueError("sweep exponents must be sorted ascending")
+
+
 def alpha_sweep(
     field: ScalarField,
     alphas,
@@ -402,10 +415,7 @@ def alpha_sweep(
     rather than silently reordered.
     """
     alphas = tuple(float(a) for a in alphas)
-    if any(not 0.0 < a < 1.0 for a in alphas):
-        raise ValueError("sweep exponents must lie in (0, 1)")
-    if list(alphas) != sorted(alphas):
-        raise ValueError("sweep exponents must be sorted ascending")
+    check_sweep_exponents(alphas)
     reports = tuple(
         check_transform_concavity(field, reactions.power(a), eps_floor, layer_k)
         for a in alphas
@@ -454,6 +464,12 @@ def _nearest_node_value(grid: Grid, values: np.ndarray, point: np.ndarray) -> tu
     return idx, float(values[idx])
 
 
+def check_levels(levels, sup: float) -> None:
+    """Raise ``ValueError`` unless every level lies strictly between 0 and ``sup``."""
+    if any(not 0.0 < t < sup for t in levels):
+        raise ValueError("levels must lie strictly between 0 and the sup norm")
+
+
 def quasiconcavity_check(
     field: ScalarField,
     levels,
@@ -469,9 +485,7 @@ def quasiconcavity_check(
     """
     grid = field.grid
     levels = tuple(float(t) for t in levels)
-    sup = field.sup_norm()
-    if any(not 0.0 < t < sup for t in levels):
-        raise ValueError("levels must lie strictly between 0 and the sup norm")
+    check_levels(levels, field.sup_norm())
     if sample_pairs <= 0:
         raise ValueError("sample_pairs must be positive")
     rng = np.random.default_rng(seed)

@@ -5,12 +5,14 @@ plurirectangles ``prod (-b_i, b_i)`` up to dimension three, and balls of
 radius ``R`` in ambient dimension ``N``.  Balls are discretized radially
 (one coordinate ``r``), relying on the radial symmetry of the positive
 solutions computed on them.  Grids are immutable after construction and
-may be shared freely between concurrent solves.
+may be shared freely between concurrent solves; each carries one operator
+(:class:`concavelab.linops.GridOperator`) built on first use.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,10 +109,11 @@ class Grid:
     the single axis is ``r_k = k R/(n-1)`` and only ``r = R`` is a
     boundary node (the center is interior).
 
-    Derived arrays, the sparse Laplacian, the principal eigenpair and (on
-    interval and radial grids) the LU factorization are cached on the
-    instance; the caches are filled lazily and never invalidated since
-    grids are immutable.
+    A grid does not change after construction: its axes and interior mask
+    are read-only arrays, and :attr:`operator` -- the discrete Laplacian
+    with its solves, principal eigenpair and quadrature weights -- is
+    built once, on first use, under a lock, and is itself immutable.
+    Grids may therefore be shared freely between concurrent solves.
     """
 
     def __init__(self, domain: Domain, resolution):
@@ -137,7 +140,16 @@ class Grid:
             self.spacing = tuple(
                 2.0 * b / (n - 1) for b, n in zip(domain.halfwidths, ns)
             )
-        self._cache: dict = {}
+        mask = np.zeros(ns, dtype=bool)
+        if domain.kind == "ball":
+            mask[:-1] = True
+        else:
+            mask[(slice(1, -1),) * len(ns)] = True
+        self.interior_mask = mask
+        for array in (*self.axes, mask):
+            array.setflags(write=False)
+        self._operator = None
+        self._operator_lock = threading.Lock()
 
     # -- structure -----------------------------------------------------
 
@@ -159,44 +171,31 @@ class Grid:
         return int(np.prod(self.shape))
 
     @property
-    def interior_mask(self) -> np.ndarray:
-        """Boolean array over the grid shape, True at interior nodes."""
-        mask = self._cache.get("interior_mask")
-        if mask is None:
-            mask = np.zeros(self.shape, dtype=bool)
-            if self.is_radial:
-                mask[:-1] = True
-            else:
-                mask[(slice(1, -1),) * self.ndim] = True
-            mask.setflags(write=False)
-            self._cache["interior_mask"] = mask
-        return mask
-
-    @property
     def num_interior(self) -> int:
         return int(np.count_nonzero(self.interior_mask))
 
+    @property
+    def operator(self):
+        """The grid's :class:`concavelab.linops.GridOperator`, built on first use."""
+        if self._operator is None:
+            with self._operator_lock:
+                if self._operator is None:
+                    from .linops import GridOperator  # linops imports this module
+
+                    self._operator = GridOperator.for_grid(self)
+        return self._operator
+
     def coordinate_arrays(self) -> tuple[np.ndarray, ...]:
         """Meshgrid ('ij') coordinate arrays over the full grid."""
-        coords = self._cache.get("coords")
-        if coords is None:
-            coords = np.meshgrid(*self.axes, indexing="ij")
-            self._cache["coords"] = coords
-        return coords
+        return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
     def boundary_distance(self) -> np.ndarray:
         """Nodal distance to the domain boundary."""
-        dist = self._cache.get("boundary_distance")
-        if dist is None:
-            if self.is_radial:
-                dist = self.domain.radius - self.axes[0]
-            else:
-                dist = np.full(self.shape, np.inf)
-                coords = self.coordinate_arrays()
-                for b, x in zip(self.domain.halfwidths, coords):
-                    dist = np.minimum(dist, b - np.abs(x))
-            dist.setflags(write=False)
-            self._cache["boundary_distance"] = dist
+        if self.is_radial:
+            return self.domain.radius - self.axes[0]
+        dist = np.full(self.shape, np.inf)
+        for b, x in zip(self.domain.halfwidths, self.coordinate_arrays()):
+            dist = np.minimum(dist, b - np.abs(x))
         return dist
 
     def node_coordinates(self, index) -> tuple[float, ...]:
@@ -208,29 +207,9 @@ class Grid:
         return Grid(self.domain, tuple(2 * n - 1 for n in self.shape))
 
     def quadrature_weights(self) -> np.ndarray:
-        """Trapezoidal weights; radial grids carry the ``r^(N-1)`` metric
-        factor and the unit-sphere surface measure."""
-        w = self._cache.get("quad_weights")
-        if w is None:
-            if self.is_radial:
-                n_amb = self.ambient_dim
-                r = self.axes[0]
-                h = self.spacing[0]
-                w1 = np.full(self.shape[0], h)
-                w1[0] = w1[-1] = h / 2.0
-                surface = 2.0 * math.pi ** (n_amb / 2.0) / math.gamma(n_amb / 2.0)
-                w = surface * w1 * r ** (n_amb - 1)
-            else:
-                w = np.ones(self.shape)
-                for axis, (n, h) in enumerate(zip(self.shape, self.spacing)):
-                    w1 = np.full(n, h)
-                    w1[0] = w1[-1] = h / 2.0
-                    shape = [1] * self.ndim
-                    shape[axis] = n
-                    w = w * w1.reshape(shape)
-            w.setflags(write=False)
-            self._cache["quad_weights"] = w
-        return w
+        """Trapezoidal weights (read-only); radial grids carry the
+        ``r^(N-1)`` metric factor and the unit-sphere surface measure."""
+        return self.operator.weights
 
     def __repr__(self):
         return f"Grid({self.domain.kind}, shape={self.shape})"

@@ -205,6 +205,12 @@ def _rk4_step(u: float, p: float, h: float) -> tuple[float, float]:
     )
 
 
+def check_steps_per_unit(n: int) -> None:
+    """Raise ``ValueError`` if ``n`` RK4 steps per unit length are too few."""
+    if n < 100:
+        raise ValueError("need at least 100 steps per unit length")
+
+
 def shoot_profile(m: float, n: int = 10_000) -> ShootResult:
     """Integrate ``u'' = -u log u^2`` from ``u(0) = m``, ``u'(0) = 0`` with
     fixed step ``1/n`` until the profile crosses zero.
@@ -215,8 +221,7 @@ def shoot_profile(m: float, n: int = 10_000) -> ShootResult:
     """
     if not m > SQRT_E:
         raise TimeMapError("shooting requires m > sqrt(e)")
-    if n < 100:
-        raise ValueError("need at least 100 steps per unit length")
+    check_steps_per_unit(n)
     h = 1.0 / float(n)
     cap = 60 * n
     f_m = _F(m)
@@ -338,14 +343,20 @@ def _profile_on_axis(sol: OneDimSolution, axis: np.ndarray) -> np.ndarray:
     return np.maximum(vals, 0.0)
 
 
-def tensor_solution(bs, resolution, n: int = 100_000) -> ScalarField:
+def tensor_solution(
+    bs, resolution, n: int = 100_000, solutions: dict | None = None
+) -> ScalarField:
     """Product of one-dimensional profiles on the plurirectangle
     ``prod (-b_i, b_i)``; the product solves the same equation there and
-    its sup norm is the product of the factor sup norms."""
+    its sup norm is the product of the factor sup norms.
+
+    ``solutions`` maps halfwidths to their :class:`OneDimSolution`; a
+    halfwidth missing from it is solved with ``n`` steps per unit and
+    added, so calls that share one dict solve each halfwidth once."""
     bs = [float(b) for b in np.atleast_1d(bs)]
     grid = make_grid(box(*bs), resolution)
     values = np.ones(grid.shape)
-    sols = {}
+    sols = {} if solutions is None else solutions
     for axis, b in enumerate(bs):
         if b not in sols:
             sols[b] = solve_interval(b, n=n)

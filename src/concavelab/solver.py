@@ -1,12 +1,13 @@
 """Damped Newton solves of ``-Delta u = f(u)`` with zero Dirichlet data.
 
 The Newton step solves ``(-Delta_h - diag f'(u)) delta = -(Au - f(u))``
-with :func:`linops.solve_shifted` (sparse LU on intervals and balls,
-DST-preconditioned MINRES on boxes), backtracking line search on the
-residual 2-norm, and projection of the iterates onto ``u >= 0``.  The
-derivative of the logarithmic reaction diverges at 0, so the Jacobian
-diagonal is clamped below at a configurable floor during assembly only;
-the reported residual is always the exact unclamped one.
+with :func:`linops.solve_shifted`: one LAPACK tridiagonal ``dgtsv`` on
+intervals and balls, with no matrix assembled, and DST-preconditioned
+MINRES on boxes.  Residuals are applied by the grid's operator; the step
+backtracks on the residual 2-norm and projects the iterates onto
+``u >= 0``.  The derivative of the logarithmic reaction diverges at 0,
+so the Jacobian diagonal is clamped below at a configurable floor during
+assembly only; the reported residual is always the exact unclamped one.
 
 Initial guesses scale the principal eigenfunction onto the Nehari set of
 the reaction.  Branches in the exponent ``q`` warm-start each solve from
@@ -26,7 +27,6 @@ from .linops import (
     ScalarField,
     apply_laplacian,
     gradient_components,
-    neg_laplacian_matrix,
     principal_eigenpair,
     solve_shifted,
 )
@@ -268,11 +268,11 @@ def newton_solve(
         raise ValueError("initial guess must be nonnegative")
     validate_exponent(reaction, grid.ambient_dim)
 
-    a_mat = neg_laplacian_matrix(grid)
+    neg_laplacian = grid.operator.apply
     u = guess.interior().copy()
 
     def residual(vec):
-        return a_mat @ vec - reactions.f(reaction, vec)
+        return neg_laplacian(vec) - reactions.f(reaction, vec)
 
     g_vec = residual(u)
     status = "max_iterations"
@@ -366,8 +366,20 @@ def _sigma_for(sigma_rule: str, sigma: float | None, q: float) -> float:
             raise ValueError("fixed sigma rule needs a sigma value")
         return float(sigma)
     if sigma_rule == "log_path":
+        if not q > 1.0:
+            raise ValueError(f"the log path needs q > 1, got q = {q:g}")
         return 2.0 / (q - 1.0)
     raise ValueError(f"unknown sigma rule {sigma_rule!r}")
+
+
+def check_q_schedule(qs, sigma_rule: str, sigma: float | None) -> None:
+    """Raise ``ValueError`` unless the exponents are strictly monotone and
+    each gives a Lane-Emden reaction under the sigma rule."""
+    diffs = np.diff(qs)
+    if len(qs) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise ValueError("q schedule must be strictly monotone")
+    for q in qs:
+        reactions.Reaction("lane_emden", q=q, sigma=_sigma_for(sigma_rule, sigma, q))
 
 
 def continuation_branch(
@@ -391,9 +403,7 @@ def continuation_branch(
     if qs is None:
         qs = geometric_q_schedule(q_hi, q_lo, steps)
     qs = [float(q) for q in qs]
-    diffs = np.diff(qs)
-    if len(qs) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise ValueError("q schedule must be strictly monotone")
+    check_q_schedule(qs, sigma_rule, sigma)
 
     branch = Branch(sigma_rule=sigma_rule, sigma=sigma)
     guess = None

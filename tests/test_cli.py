@@ -370,6 +370,28 @@ INTERVAL_41 = {"domain": {"kind": "interval", "halfwidth": 1.0}, "resolution": 4
                      yaml.safe_dump({**INTERVAL_41, "schedule": {"sigma_rule": "fixed",
                                                                  "sigma": 1.0, "qs": [1.5]}}),
                      ["--out", "{cfg}"], 2, None, id="out-is-a-file"),
+        # values the run would refuse are refused by the parse stage
+        pytest.param("concavity",
+                     yaml.safe_dump({**BASE_SOLVE, "transforms": [{"kind": "log", "layer_k": 1}]}),
+                     [], 2, None, id="layer-k-1"),
+        pytest.param("concavity", yaml.safe_dump({**BASE_SOLVE, "alphas": [0.5, 2.0]}), [], 2,
+                     None, id="alpha-outside-unit-interval"),
+        pytest.param("quasiconcavity",
+                     yaml.safe_dump({**BASE_SOLVE, "seed": 1, "level_fractions": [0.5, 2.0]}),
+                     [], 2, None, id="level-fraction-outside-unit-interval"),
+        pytest.param("branch",
+                     yaml.safe_dump({**INTERVAL_41, "schedule": {"sigma_rule": "fixed",
+                                                                 "sigma": 1.0,
+                                                                 "qs": [1.5, 1.2, 1.3]}}),
+                     [], 2, None, id="non-monotone-schedule"),
+        pytest.param("converge-log",
+                     yaml.safe_dump({**INTERVAL_41, "schedule": {"sigma_rule": "log_path",
+                                                                 "qs": [1.5, 1.0]}}),
+                     [], 2, None, id="log-path-at-q-1"),
+        pytest.param("tensor-check", "halfwidths: [1.0, 1.0]\nresolution: 2\n", [], 2, None,
+                     id="tensor-check-resolution-2"),
+        pytest.param("oned-table", "b_grid: [1.0]\nsamples_per_unit: 50\n", [], 2, None,
+                     id="samples-per-unit-50"),
     ],
 )
 def test_exit_codes(tmp_path, experiment, text, argv, code, artifact):

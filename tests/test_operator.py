@@ -1,0 +1,215 @@
+"""The per-grid operator: its tridiagonal LAPACK backend against a sparse-LU
+reference built here, its immutability, and guards on what left the package."""
+
+import ast
+import json
+import sys
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+import yaml
+from hypothesis import given, settings, strategies as st
+
+import concavelab
+from concavelab import ScalarField, ball, box, interval, make_grid, principal_eigenpair, solver
+from concavelab import linops
+from concavelab.cli import main
+from concavelab.linops import (
+    LinearSolveError,
+    apply_laplacian,
+    neg_laplacian_matrix,
+    solve_poisson,
+    solve_shifted,
+)
+
+PACKAGE = Path(concavelab.__file__).parent
+
+
+def _reference_matrix(g):
+    """``neg_laplacian_matrix(g)``, checked against the stencil of
+    :func:`apply_laplacian` on a random field before it is trusted."""
+    a_mat = neg_laplacian_matrix(g)
+    x = np.random.default_rng(0).standard_normal(g.num_interior)
+    stencil = -apply_laplacian(ScalarField.from_interior(g, x)).interior()
+    assert np.max(np.abs(a_mat @ x - stencil)) <= 1e-12 * np.max(np.abs(stencil))
+    return a_mat
+
+
+def _lu_lambda1(a_mat):
+    """Principal eigenvalue by 100 steps of inverse iteration on the sparse LU
+    of ``a_mat``.  Each step shrinks the error by ``lambda_1/lambda_2``, below
+    1/3 on these grids, so the iterate ends far below the rounding noise of
+    the Rayleigh quotient."""
+    lu = spla.splu(a_mat.tocsc())
+    v = np.ones(a_mat.shape[0])
+    for _ in range(100):
+        v = lu.solve(v)
+        v /= np.max(np.abs(v))
+    av = a_mat @ v
+    lam = float(v @ av) / float(v @ v)
+    assert np.max(np.abs(av - lam * v)) <= 1e-8 * lam
+    return lam
+
+
+@st.composite
+def tridiagonal_grids(draw):
+    """Intervals and balls of ambient dimension 1-3 with 5-801 nodes."""
+    n = draw(st.integers(5, 801))
+    size = draw(st.floats(0.3, 3.0))
+    dim = draw(st.integers(0, 3))  # 0: an interval
+    return make_grid(interval(size) if dim == 0 else ball(size, dim), n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(tridiagonal_grids(), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_tridiagonal_backend_matches_sparse_lu(g, seed, n_floor):
+    a_mat = _reference_matrix(g)
+    m = g.num_interior
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(m)
+
+    # Newton Jacobians: indefinite shifts, a few nodes at the floor -1e6
+    shift = rng.uniform(-10.0, 10.0, m)
+    shift[rng.choice(m, min(n_floor, m), replace=False)] = -1e6
+    ref = spla.splu((a_mat - sp.diags(shift)).tocsc()).solve(b)
+    x = solve_shifted(g, shift, b)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    ref = spla.splu(a_mat.tocsc()).solve(b)
+    # random data on fine grids leave a relative residual of up to about 1e-11
+    x = solve_poisson(ScalarField.from_interior(g, b), 1e-9).interior()
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    pair = principal_eigenpair(g)
+    assert pair.iterations > 0
+    lam = _lu_lambda1(a_mat)
+    assert abs(pair.lambda1 - lam) <= 1e-10 * lam
+
+
+@pytest.mark.parametrize("domain", [interval(1.0), ball(1.0, 3)], ids=["interval", "ball"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_systems_below_lapack_order(domain, n):
+    # one or two unknowns: LAPACK's wrappers take at least three
+    g = make_grid(domain, n)
+    a_mat = neg_laplacian_matrix(g)
+    b = np.arange(1.0, g.num_interior + 1.0)
+    shift = np.full(g.num_interior, 0.5)
+    ref = spla.splu((a_mat - sp.diags(shift)).tocsc()).solve(b)
+    assert np.allclose(solve_shifted(g, shift, b), ref, rtol=1e-13, atol=0.0)
+    ref = spla.splu(a_mat.tocsc()).solve(b)
+    assert np.allclose(solve_poisson(ScalarField.from_interior(g, b)).interior(), ref,
+                       rtol=1e-13, atol=0.0)
+    assert principal_eigenpair(g).iterations > 0
+
+
+def _singular_shift(g):
+    """The row sums of ``-Laplacian_h``: subtracting them leaves rows that
+    sum to zero, exactly in floating point on intervals and 1-D balls."""
+    return neg_laplacian_matrix(g) @ np.ones(g.num_interior)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(5, 801), st.floats(0.3, 3.0), st.sampled_from(["interval", "box", "ball"]))
+def test_singular_shifted_matrix_raises(n, size, kind):
+    g = make_grid({"interval": interval, "box": box}.get(kind, lambda s: ball(s, 1))(size), n)
+    with pytest.raises(LinearSolveError):
+        solve_shifted(g, _singular_shift(g), np.ones(g.num_interior))
+
+
+def test_singular_newton_step_exits_1_with_failure_json(tmp_path, monkeypatch):
+    monkeypatch.setattr(solver, "_jacobian_diagonal",
+                        lambda reaction, u, floor: _singular_shift(make_grid(interval(1.0), 41)))
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(yaml.safe_dump({"domain": {"kind": "interval", "halfwidth": 1.0},
+                                   "resolution": 41, "reaction": {"kind": "log_schrodinger"}}))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "singular" in json.loads((out / "failure.json").read_text())["error"]
+
+
+def _loop_radial_matrix(g):
+    """The radial ``-Laplacian_h`` assembled entry by entry, as sparse LU was
+    given it before the diagonals were vectorized."""
+    m, h, n_amb, r = g.num_interior, g.spacing[0], g.ambient_dim, g.axes[0]
+    rows, cols, vals = [0, 0], [0, 1], [2.0 * n_amb / h**2, -2.0 * n_amb / h**2]
+    for k in range(1, m):
+        c = 1.0 / h**2
+        d = (n_amb - 1) / (2.0 * h * r[k])
+        rows += [k, k]
+        cols += [k, k - 1]
+        vals += [2.0 * c, -(c - d)]
+        if k + 1 < m:
+            rows.append(k)
+            cols.append(k + 1)
+            vals.append(-(c + d))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+
+
+@pytest.mark.parametrize("n", [3, 4, 41, 801])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radial_operator_equals_the_loop_assembly(n, dim):
+    g = make_grid(ball(1.3, dim), n)
+    ref = _loop_radial_matrix(g)
+    assert abs(neg_laplacian_matrix(g) - ref).max() == 0.0
+    x = np.random.default_rng(n).standard_normal(g.num_interior)
+    assert np.array_equal(g.operator.apply(x), ref @ x)
+
+
+@pytest.mark.parametrize("domain", [interval(1.0), box(1.0, 2.0), ball(1.0, 3)],
+                         ids=["interval", "box", "ball"])
+def test_one_immutable_operator_per_grid(domain, monkeypatch):
+    builds = []
+    build = linops.GridOperator.for_grid
+
+    def slow_build(grid):
+        builds.append(grid)
+        time.sleep(0.01)  # a window in which an unguarded second build would start
+        return build(grid)
+
+    monkeypatch.setattr(linops.GridOperator, "for_grid", staticmethod(slow_build))
+    g = make_grid(domain, 21)
+    seen = []
+    start = threading.Barrier(8)
+
+    def first_use():
+        start.wait()
+        seen.append(g.operator)
+
+    threads = [threading.Thread(target=first_use) for _ in range(8)]
+    interval_before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval_before)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1 and len(seen) == 8
+    op = g.operator
+    assert all(other is op for other in seen)
+    assert principal_eigenpair(g) is op.eigenpair
+    assert g.quadrature_weights() is op.weights
+    for array in (op.weights, g.interior_mask, *g.axes):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_no_grid_cache_and_no_splu_in_the_package():
+    for domain in (interval(1.0), box(1.0, 1.0), ball(1.0, 2)):
+        g = make_grid(domain, 21)
+        solver.newton_solve(g, concavelab.log_schrodinger(),
+                            solver.initial_guess(g, concavelab.log_schrodinger()))
+        assert not hasattr(g, "_cache")
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+            assert "splu" not in names, f"{path.name}:{getattr(node, 'lineno', '?')}"
