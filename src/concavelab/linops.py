@@ -268,13 +268,13 @@ def _rhs_sized(b, order: int):
 
 
 def _check_info(info: int, routine: str) -> None:
+    """Raise on a zero pivot; the arguments are well formed by construction,
+    so ``info < 0`` does not occur."""
     if info > 0:
         raise LinearSolveError(
             f"singular tridiagonal matrix: LAPACK {routine} found a zero pivot at "
             f"unknown {info}", math.inf
         )
-    if info < 0:
-        raise ValueError(f"LAPACK {routine}: argument {-info} is invalid")
 
 
 def _gtsv(dl, d, du, b) -> np.ndarray:
@@ -357,9 +357,8 @@ class TridiagonalOperator(GridOperator):
         return _gtsv(self.dl, self.d - shift, self.du, rhs)
 
     def _principal(self, tol: float, max_iter: int):
-        """Inverse power iteration: successive eigenvalue estimates must
-        differ by less than ``tol`` (relative) and the sup-norm
-        eigen-residual must fall below ``1e-8 * lambda``."""
+        """Inverse power iteration on the factors; :func:`principal_eigenpair`
+        states the stopping rule."""
         v = np.ones(self.d.size)
         v /= np.linalg.norm(v)
         lam_prev = np.inf
