@@ -26,7 +26,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,8 +35,7 @@ import yaml
 
 from . import __version__, concavity, oned, reactions, solver
 from .grid import Domain, ball, box, interval, make_grid
-from .linops import apply_laplacian, principal_eigenpair
-from .reactions import Reaction
+from .linops import principal_eigenpair
 from .solver import (
     InitialGuessError,
     continuation_branch,
@@ -211,22 +210,9 @@ DOMAIN_KEYS = {
     "ball": {"radius": (_float, REQUIRED), "ambient_dim": (_int, REQUIRED)},
 }
 
-# kind -> (factory in ``reactions``, its parameter names).  The factory is
-# looked up when it is called, so a rebinding of it (by a tracer) sees the call.
-REACTION_KINDS = {
-    "lane_emden": ("lane_emden", ("q", "sigma")),
-    "log_schrodinger": ("log_schrodinger", ()),
-    "dispersive_lane_emden": ("dispersive_lane_emden", ("q", "sigma")),
-    "dispersive_log": ("dispersive_log", ()),
-}
-TRANSFORM_KINDS = {
-    "power": ("power", ("alpha",)),
-    "log": ("log_transform", ()),
-    "neg_log": ("neg_log", ()),
-    "sqrt_log": ("sqrt_log", ("m",)),
-    "atanh_poly": ("atanh_poly", ("q",)),
-    "sqrt_one_minus_log": ("sqrt_one_minus_log", ()),
-}
+# every transform kind, and the one alias: ``neg_log``, made negated by its own factory
+TRANSFORMS = {**reactions.TRANSFORMS,
+              "neg_log": replace(reactions.TRANSFORMS["log"], factory="neg_log")}
 # how a concavity check of one transform runs and what it must find
 CHECK_KEYS = {
     "negate": (_typed(bool), False),
@@ -258,23 +244,23 @@ def _domain_from(cfg: dict) -> Domain:
     return _domain(cfg.get("domain"))
 
 
-def _made(kinds: dict, section, what: str, extra: dict | None = None):
-    """The object the ``reactions`` factory for the section's kind returns,
-    and the section's values."""
-    kind = _kind(section, kinds, what)
-    factory, names = kinds[kind]
-    params = {name: (_float, REQUIRED) for name in names}
+def _made(records: dict, section, what: str, extra: dict | None = None):
+    """The object the ``reactions`` factory of the section's kind returns, and the
+    section's values; ``records`` maps kinds to their records there.  The factory
+    is looked up when it is called, so a rebinding of it (by a tracer) sees the call."""
+    record = records[_kind(section, records, what)]
+    params = {name: (_float, REQUIRED) for name in record.params}
     values = _read(section, {"kind": (_typed(str), REQUIRED), **params, **(extra or {})}, what)
-    return getattr(reactions, factory)(*(values[n] for n in names)), values
+    return getattr(reactions, record.factory)(*(values[n] for n in record.params)), values
 
 
-def _reaction_from(section) -> Reaction:
-    return _made(REACTION_KINDS, section, "reaction")[0]
+def _reaction_from(section) -> reactions.Reaction:
+    return _made(reactions.REACTIONS, section, "reaction")[0]
 
 
 def _check(section) -> dict:
     """One entry of ``transforms``: the transform and how to check it."""
-    transform, check = _made(TRANSFORM_KINDS, section, "transform", CHECK_KEYS)
+    transform, check = _made(TRANSFORMS, section, "transform", CHECK_KEYS)
     check["transform"] = transform.negate() if check["negate"] else transform
     return check
 
@@ -616,9 +602,8 @@ def _run_oned_table(p):
     rows = []
     for b in p.b_grid:
         sol = oned.solve_interval(b, n=p.samples_per_unit)
-        shot = oned.shoot_profile(sol.m, p.samples_per_unit)
-        rows.append((b, sol.m, sol.slope, sol.alpha_star, sol.x_star, abs(shot.b - b),
-                     shot.energy_drift))
+        rows.append((b, sol.m, sol.slope, sol.alpha_star, sol.x_star, abs(sol.b_shoot - b),
+                     sol.energy_drift))
     header = ["b", "m", "slope", "alpha_star", "x_star", "b_shoot_error", "energy_drift"]
     ms, slopes, alphas = ([r[i] for r in rows] for i in (1, 2, 3))
     monotone = {
@@ -665,13 +650,7 @@ def _run_tensor_check(p):
 
 
 def _run_gausson_residual(p):
-    values = []
-    for grid in p.grids:
-        field = oned.gausson_field(grid)
-        r = -apply_laplacian(field).values - reactions.f(
-            reactions.log_schrodinger(), field.values
-        )
-        values.append(float(np.max(np.abs(r[grid.interior_mask]))))
+    values = [log_residual_sup(oned.gausson_field(grid)) for grid in p.grids]
     ratio = values[0] / values[1]
     payload = {
         "resolutions": p.resolutions,
@@ -721,7 +700,7 @@ SCHEMA = {
         "seed": (_seed, REQUIRED),
         "level_fractions": (_checked(_list(_float), lambda fs: concavity.check_levels(fs, 1.0)),
                             [0.25, 0.5, 0.75]),
-        "sample_pairs": (_int, 200),
+        "sample_pairs": (_checked(_int, concavity.check_sample_pairs), 200),
     }),
     "pohozaev": (_run_pohozaev, GRID),
     "dispersive": (_run_dispersive, {**GRID, "q": (_float, 2.0), "sigma": (_float, 4.0)}),

@@ -470,6 +470,12 @@ def check_levels(levels, sup: float) -> None:
         raise ValueError("levels must lie strictly between 0 and the sup norm")
 
 
+def check_sample_pairs(sample_pairs: int) -> None:
+    """Raise ``ValueError`` unless ``sample_pairs`` is positive."""
+    if sample_pairs <= 0:
+        raise ValueError("sample_pairs must be positive")
+
+
 def quasiconcavity_check(
     field: ScalarField,
     levels,
@@ -486,8 +492,7 @@ def quasiconcavity_check(
     grid = field.grid
     levels = tuple(float(t) for t in levels)
     check_levels(levels, field.sup_norm())
-    if sample_pairs <= 0:
-        raise ValueError("sample_pairs must be positive")
+    check_sample_pairs(sample_pairs)
     rng = np.random.default_rng(seed)
     grads = gradient_components(field)
     grad_mag = np.sqrt(sum(g * g for g in grads))

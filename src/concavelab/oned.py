@@ -308,6 +308,8 @@ class OneDimSolution:
     alpha_star: float
     xs: np.ndarray          # half-profile abscissae from the shooting pass
     us: np.ndarray
+    b_shoot: float          # the shooting pass's crossing abscissa
+    energy_drift: float     # and its energy drift
 
     @property
     def slope(self) -> float:
@@ -327,6 +329,8 @@ def solve_interval(b: float, n: int = 20_000, tol: float = 1e-9) -> OneDimSoluti
         alpha_star=alpha_star(b, m=m),
         xs=shot.xs,
         us=shot.us,
+        b_shoot=shot.b,
+        energy_drift=shot.energy_drift,
     )
 
 

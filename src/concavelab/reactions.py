@@ -1,27 +1,29 @@
-"""Reaction families and concavity transformations.
+"""Reaction families and concavity transformations, one record each.
 
-Reactions (all continuous at 0 with ``f(0) = 0``):
+A reaction kind is a family and a sign (all continuous at 0 with ``f(0) = 0``):
 
-========================  =============================  ==========================================
-kind                      f(t)                           F(t) = integral of f from 0 to t
-========================  =============================  ==========================================
-lane_emden                sigma (t^q - t)                sigma (t^(q+1)/(q+1) - t^2/2)
-log_schrodinger           t log t^2                      t^2 (log t^2 - 1) / 2
-dispersive_lane_emden     sigma (t - t^q)                -sigma (t^(q+1)/(q+1) - t^2/2)
-dispersive_log            -t log t^2                     -t^2 (log t^2 - 1) / 2
-========================  =============================  ==========================================
+========================  ======  ====  ===============  ================================
+kind                      family  sign  f(t)             F(t) = integral of f from 0 to t
+========================  ======  ====  ===============  ================================
+lane_emden                power   +1    sigma (t^q - t)  sigma (t^(q+1)/(q+1) - t^2/2)
+dispersive_lane_emden     power   -1    sigma (t - t^q)  -sigma (t^(q+1)/(q+1) - t^2/2)
+log_schrodinger           log     +1    t log t^2        t^2 (log t^2 - 1) / 2
+dispersive_log            log     -1    -t log t^2       -t^2 (log t^2 - 1) / 2
+========================  ======  ====  ===============  ================================
 
-Transformations ``phi`` carry exact first and second derivatives, a
-validity interval and an orientation flag (sign of ``phi'``).  The
-composite right-hand side ``b(w, z)`` of the equation satisfied by
-``w = phi(u)`` when ``-Delta u = f(u)`` is exposed as
-:func:`transformed_rhs`; inverses ``psi = phi^-1`` via :func:`inverse`.
+A family record holds ``f``, ``f'``, ``F``, its parameters (``q > 1`` and
+``sigma > 0`` for power, none for log) and whether ``f'`` diverges at 0 (log).
+Each transformation kind has one record: value, exact first and second
+derivatives, inverse, validity interval and orientation (sign of ``phi'``).
+:func:`transformed_rhs` is the right-hand side ``b(w, z)`` of the equation for
+``w = phi(u)`` when ``-Delta u = f(u)``; :func:`inverse` is ``psi = phi^-1``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -60,8 +62,74 @@ class TransformDomainError(ValueError):
     pass
 
 
+def _label(kind: str, obj, params) -> str:
+    """``kind(name=value, ...)`` over the parameters, or ``kind`` without any."""
+    args = ", ".join(f"{name}={getattr(obj, name):g}" for name in params)
+    return f"{kind}({args})" if args else kind
+
+
+def _require(obj, params: dict) -> None:
+    for name, (holds, message) in params.items():
+        if not holds(getattr(obj, name)):
+            raise ValueError(message)
+
+
 # ---------------------------------------------------------------------------
 # reactions
+
+
+@dataclass(frozen=True)
+class ReactionFamily:
+    """Formulas of one reaction family.  ``f``, ``f_prime`` and ``F`` take
+    ``(reaction, t, sign)`` with ``t`` a nonnegative 1-D array."""
+
+    params: dict  # name -> (predicate it must satisfy, message if it does not)
+    singular_at_zero: bool  # whether f' diverges at t = 0
+    f: Callable
+    f_prime: Callable
+    F: Callable
+
+
+@dataclass(frozen=True)
+class ReactionKind:
+    factory: str  # the function of this module that makes the reaction
+    family: ReactionFamily
+    sign: float
+
+    @property
+    def params(self) -> dict:
+        return self.family.params
+
+
+def _on_positive(t, g):
+    """``g(t)`` where ``t > 0``, and 0 elsewhere."""
+    out = np.zeros_like(t)
+    pos = t > 0
+    out[pos] = g(t[pos])
+    return out
+
+
+POWER = ReactionFamily(
+    params={"q": (lambda q: q > 1, "exponent q must exceed 1"),
+            "sigma": (lambda sigma: sigma > 0, "sigma must be positive")},
+    singular_at_zero=False,
+    # the mirror subtracts the other way round, so that f(0) is +0.0 for both signs
+    f=lambda r, t, s: r.sigma * (t**r.q - t if s > 0 else t - t**r.q),
+    f_prime=lambda r, t, s: s * (r.sigma * (r.q * t ** (r.q - 1.0) - 1.0)),
+    F=lambda r, t, s: s * (r.sigma * (t ** (r.q + 1.0) / (r.q + 1.0) - t * t / 2.0)),
+)
+LOG = ReactionFamily(
+    params={}, singular_at_zero=True,
+    f=lambda r, t, s: s * _on_positive(t, lambda p: p * np.log(p * p)),
+    f_prime=lambda r, t, s: s * (np.log(t * t) + 2.0),
+    F=lambda r, t, s: s * _on_positive(t, lambda p: 0.5 * p * p * (np.log(p * p) - 1.0)),
+)
+REACTIONS = {
+    "lane_emden": ReactionKind("lane_emden", POWER, 1.0),
+    "log_schrodinger": ReactionKind("log_schrodinger", LOG, 1.0),
+    "dispersive_lane_emden": ReactionKind("dispersive_lane_emden", POWER, -1.0),
+    "dispersive_log": ReactionKind("dispersive_log", LOG, -1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -71,24 +139,21 @@ class Reaction:
     sigma: float = float("nan")
 
     def __post_init__(self):
-        if self.kind not in (
-            "lane_emden",
-            "log_schrodinger",
-            "dispersive_lane_emden",
-            "dispersive_log",
-        ):
+        if self.kind not in REACTIONS:
             raise ValueError(f"unknown reaction kind {self.kind!r}")
-        if self.kind in ("lane_emden", "dispersive_lane_emden"):
-            if not self.q > 1:
-                raise ValueError("exponent q must exceed 1")
-            if not self.sigma > 0:
-                raise ValueError("sigma must be positive")
+        _require(self, self.family.params)
+
+    @property
+    def family(self) -> ReactionFamily:
+        return REACTIONS[self.kind].family
+
+    @property
+    def sign(self) -> float:
+        return REACTIONS[self.kind].sign
 
     @property
     def label(self) -> str:
-        if self.kind in ("lane_emden", "dispersive_lane_emden"):
-            return f"{self.kind}(q={self.q:g}, sigma={self.sigma:g})"
-        return self.kind
+        return _label(self.kind, self, self.family.params)
 
 
 def lane_emden(q: float, sigma: float) -> Reaction:
@@ -110,88 +175,122 @@ def dispersive_log() -> Reaction:
 def validate_exponent(reaction: Reaction, ambient_dim: int) -> None:
     """Check ``1 < q < 2* - 1`` against the ambient dimension (``2* - 1``
     is ``(N+2)/(N-2)`` for N >= 3, infinite otherwise)."""
-    if reaction.kind not in ("lane_emden", "dispersive_lane_emden"):
+    if reaction.family is not POWER or ambient_dim < 3:
         return
-    if ambient_dim >= 3:
-        q_max = (ambient_dim + 2.0) / (ambient_dim - 2.0)
-        if not reaction.q < q_max:
-            raise ReactionDomainError(
-                f"q={reaction.q} is supercritical in dimension {ambient_dim} "
-                f"(requires q < {q_max})"
-            )
+    q_max = (ambient_dim + 2.0) / (ambient_dim - 2.0)
+    if not reaction.q < q_max:
+        raise ReactionDomainError(
+            f"q={reaction.q} is supercritical in dimension {ambient_dim} "
+            f"(requires q < {q_max})"
+        )
 
 
-def _as_nonneg(t):
+def _apply(formula, reaction: Reaction, t, defined_at_zero: bool = True):
+    """``formula`` of the reaction's family at ``t >= 0``: a float for a scalar."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ReactionDomainError("reaction argument must be nonnegative")
-    return t
-
-
-def _t_log_t2(t):
-    out = np.zeros_like(t)
-    pos = t > 0
-    tp = t[pos]
-    out[pos] = tp * np.log(tp * tp)
-    return out
+    if not defined_at_zero and np.any(t == 0):
+        raise ReactionDomainError("f' of the logarithmic reaction is undefined at 0")
+    out = formula(reaction, np.atleast_1d(t), reaction.sign)
+    return float(out[0]) if t.ndim == 0 else out
 
 
 def f(reaction: Reaction, t):
     """Reaction value; vectorized, continuous extension ``f(0) = 0``."""
-    t = _as_nonneg(t)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    if reaction.kind == "lane_emden":
-        out = reaction.sigma * (t**reaction.q - t)
-    elif reaction.kind == "dispersive_lane_emden":
-        out = reaction.sigma * (t - t**reaction.q)
-    elif reaction.kind == "log_schrodinger":
-        out = _t_log_t2(t)
-    else:
-        out = -_t_log_t2(t)
-    return float(out[0]) if scalar else out
+    return _apply(reaction.family.f, reaction, t)
 
 
 def f_prime(reaction: Reaction, t):
     """Derivative of the reaction; the logarithmic families diverge at 0."""
-    t = _as_nonneg(t)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    if reaction.kind in ("log_schrodinger", "dispersive_log"):
-        if np.any(t == 0):
-            raise ReactionDomainError("f' of the logarithmic reaction is undefined at 0")
-        out = np.log(t * t) + 2.0
-        if reaction.kind == "dispersive_log":
-            out = -out
-    else:
-        out = reaction.sigma * (reaction.q * t ** (reaction.q - 1.0) - 1.0)
-        if reaction.kind == "dispersive_lane_emden":
-            out = -out
-    return float(out[0]) if scalar else out
+    family = reaction.family
+    return _apply(family.f_prime, reaction, t, not family.singular_at_zero)
 
 
 def F(reaction: Reaction, t):
     """Antiderivative of ``f`` vanishing at 0, in closed form."""
-    t = _as_nonneg(t)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    if reaction.kind in ("lane_emden", "dispersive_lane_emden"):
-        q = reaction.q
-        out = reaction.sigma * (t ** (q + 1.0) / (q + 1.0) - t * t / 2.0)
-        if reaction.kind == "dispersive_lane_emden":
-            out = -out
-    else:
-        out = np.zeros_like(t)
-        pos = t > 0
-        tp = t[pos]
-        out[pos] = 0.5 * tp * tp * (np.log(tp * tp) - 1.0)
-        if reaction.kind == "dispersive_log":
-            out = -out
-    return float(out[0]) if scalar else out
+    return _apply(reaction.family.F, reaction, t)
 
 
 # ---------------------------------------------------------------------------
 # transformations
+
+
+@dataclass(frozen=True)
+class TransformKind:
+    """Formulas of one transformation kind at sign +1: ``value``, ``d1`` and ``d2``
+    take ``(transform, t)`` with ``t`` a 1-D array in the validity interval,
+    ``inverse`` takes ``(transform, w)``, ``validity`` and ``increasing`` the transform."""
+
+    factory: str  # the function of this module that makes the transform
+    params: dict  # as in ReactionFamily
+    value: Callable
+    d1: Callable
+    d2: Callable
+    inverse: Callable
+    validity: Callable
+    increasing: Callable
+
+
+def _ell(tr, t):
+    return -np.log(t / tr.m)
+
+
+def _atanh_g(tr, t):
+    return np.sqrt(np.maximum(1.0 - 2.0 / (tr.q + 1.0) * t ** (tr.q - 1.0), 0.0))
+
+
+def _s1ml(t):
+    return np.sqrt(np.maximum(1.0 - np.log(t * t), 0.0))
+
+
+TRANSFORMS = {
+    "power": TransformKind(
+        "power", {"alpha": (lambda alpha: alpha != 0.0 and math.isfinite(alpha),
+                            "power exponent must be finite and nonzero")},
+        value=lambda tr, t: t**tr.alpha,
+        d1=lambda tr, t: tr.alpha * t ** (tr.alpha - 1.0),
+        d2=lambda tr, t: tr.alpha * (tr.alpha - 1.0) * t ** (tr.alpha - 2.0),
+        inverse=lambda tr, w: w ** (1.0 / tr.alpha),
+        validity=lambda tr: (0.0, math.inf), increasing=lambda tr: tr.alpha > 0,
+    ),
+    "log": TransformKind(
+        "log_transform", {},
+        value=lambda tr, t: np.log(t),
+        d1=lambda tr, t: 1.0 / t,
+        d2=lambda tr, t: -1.0 / (t * t),
+        inverse=lambda tr, w: np.exp(w),
+        validity=lambda tr: (0.0, math.inf), increasing=lambda tr: True,
+    ),
+    "sqrt_log": TransformKind(
+        "sqrt_log", {"m": (lambda m: m > 0, "sqrt_log scale m must be positive")},
+        value=lambda tr, t: -np.sqrt(np.maximum(_ell(tr, t), 0.0)),
+        d1=lambda tr, t: 1.0 / (2.0 * t * np.sqrt(_ell(tr, t))),
+        d2=lambda tr, t: (0.5 / _ell(tr, t) - 1.0) / (2.0 * t * t * np.sqrt(_ell(tr, t))),
+        inverse=lambda tr, w: tr.m * np.exp(-(w * w)),
+        validity=lambda tr: (0.0, tr.m), increasing=lambda tr: True,
+    ),
+    "atanh_poly": TransformKind(
+        "atanh_poly", {"q": (lambda q: q > 1, "atanh_poly exponent q must exceed 1")},
+        value=lambda tr, t: np.arctanh(_atanh_g(tr, t)),
+        d1=lambda tr, t: -(tr.q - 1.0) / (2.0 * t * _atanh_g(tr, t)),
+        d2=lambda tr, t: (tr.q - 1.0) * (1.0 - t ** (tr.q - 1.0))
+        / (2.0 * t * t * _atanh_g(tr, t) ** 3),
+        inverse=lambda tr, w: ((tr.q + 1.0) / 2.0 * (1.0 - np.tanh(w) ** 2))
+        ** (1.0 / (tr.q - 1.0)),
+        validity=lambda tr: (0.0, ((tr.q + 1.0) / 2.0) ** (1.0 / (tr.q - 1.0))),
+        increasing=lambda tr: False,
+    ),
+    "sqrt_one_minus_log": TransformKind(
+        "sqrt_one_minus_log", {},
+        value=lambda tr, t: _s1ml(t),
+        d1=lambda tr, t: -1.0 / (t * _s1ml(t)),
+        d2=lambda tr, t: -np.log(t * t) / (t * t * _s1ml(t) ** 3),
+        inverse=lambda tr, w: np.exp((1.0 - w * w) / 2.0),
+        # convex only below t = 1, which is where it is used
+        validity=lambda tr: (0.0, 1.0), increasing=lambda tr: False,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -211,45 +310,25 @@ class Transform:
     sign: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("power", "log", "sqrt_log", "atanh_poly", "sqrt_one_minus_log"):
+        if self.kind not in TRANSFORMS:
             raise ValueError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "power" and (self.alpha == 0.0 or not math.isfinite(self.alpha)):
-            raise ValueError("power exponent must be finite and nonzero")
-        if self.kind == "sqrt_log" and not self.m > 0:
-            raise ValueError("sqrt_log scale m must be positive")
-        if self.kind == "atanh_poly" and not self.q > 1:
-            raise ValueError("atanh_poly exponent q must exceed 1")
+        _require(self, self.record.params)
+
+    @property
+    def record(self) -> TransformKind:
+        return TRANSFORMS[self.kind]
 
     @property
     def validity(self) -> tuple[float, float]:
-        if self.kind == "sqrt_log":
-            return (0.0, self.m)
-        if self.kind == "atanh_poly":
-            return (0.0, ((self.q + 1.0) / 2.0) ** (1.0 / (self.q - 1.0)))
-        if self.kind == "sqrt_one_minus_log":
-            # convex only below t = 1, which is where it is used
-            return (0.0, 1.0)
-        return (0.0, math.inf)
+        return self.record.validity(self)
 
     @property
     def increasing(self) -> bool:
-        if self.kind == "power":
-            raw = self.alpha > 0
-        elif self.kind in ("log", "sqrt_log"):
-            raw = True
-        else:
-            raw = False
-        return raw if self.sign > 0 else not raw
+        return self.record.increasing(self) == (self.sign > 0)
 
     @property
     def label(self) -> str:
-        base = {
-            "power": f"power(alpha={self.alpha:g})",
-            "log": "log",
-            "sqrt_log": f"sqrt_log(m={self.m:g})",
-            "atanh_poly": f"atanh_poly(q={self.q:g})",
-            "sqrt_one_minus_log": "sqrt_one_minus_log",
-        }[self.kind]
+        base = _label(self.kind, self, self.record.params)
         return base if self.sign > 0 else f"neg[{base}]"
 
     def negate(self) -> "Transform":
@@ -288,88 +367,33 @@ def _check_validity(transform: Transform, t: np.ndarray) -> None:
         )
 
 
-def _raw_value(tr: Transform, t):
-    if tr.kind == "power":
-        return t**tr.alpha
-    if tr.kind == "log":
-        return np.log(t)
-    if tr.kind == "sqrt_log":
-        return -np.sqrt(np.maximum(-np.log(t / tr.m), 0.0))
-    if tr.kind == "atanh_poly":
-        arg = 1.0 - 2.0 / (tr.q + 1.0) * t ** (tr.q - 1.0)
-        return np.arctanh(np.sqrt(np.maximum(arg, 0.0)))
-    s = 1.0 - np.log(t * t)
-    return np.sqrt(np.maximum(s, 0.0))
-
-
-def _raw_d1(tr: Transform, t):
-    with np.errstate(divide="ignore"):
-        if tr.kind == "power":
-            return tr.alpha * t ** (tr.alpha - 1.0)
-        if tr.kind == "log":
-            return 1.0 / t
-        if tr.kind == "sqrt_log":
-            ell = -np.log(t / tr.m)
-            return 1.0 / (2.0 * t * np.sqrt(ell))
-        if tr.kind == "atanh_poly":
-            g = np.sqrt(np.maximum(1.0 - 2.0 / (tr.q + 1.0) * t ** (tr.q - 1.0), 0.0))
-            return -(tr.q - 1.0) / (2.0 * t * g)
-        s = np.sqrt(np.maximum(1.0 - np.log(t * t), 0.0))
-        return -1.0 / (t * s)
-
-
-def _raw_d2(tr: Transform, t):
-    with np.errstate(divide="ignore"):
-        if tr.kind == "power":
-            return tr.alpha * (tr.alpha - 1.0) * t ** (tr.alpha - 2.0)
-        if tr.kind == "log":
-            return -1.0 / (t * t)
-        if tr.kind == "sqrt_log":
-            ell = -np.log(t / tr.m)
-            return (0.5 / ell - 1.0) / (2.0 * t * t * np.sqrt(ell))
-        if tr.kind == "atanh_poly":
-            g = np.sqrt(np.maximum(1.0 - 2.0 / (tr.q + 1.0) * t ** (tr.q - 1.0), 0.0))
-            return (tr.q - 1.0) * (1.0 - t ** (tr.q - 1.0)) / (2.0 * t * t * g**3)
-        s = np.sqrt(np.maximum(1.0 - np.log(t * t), 0.0))
-        return -np.log(t * t) / (t * t * s**3)
-
-
-def _eval(transform: Transform, t, raw):
+def _eval(transform: Transform, t, formula):
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
     _check_validity(transform, t)
-    out = transform.sign * raw(transform, t)
+    out = transform.sign * formula(transform, t)
     return float(out[0]) if scalar else out
 
 
 def transform_value(transform: Transform, t):
-    return _eval(transform, t, _raw_value)
+    return _eval(transform, t, transform.record.value)
 
 
 def transform_d1(transform: Transform, t):
-    return _eval(transform, t, _raw_d1)
+    with np.errstate(divide="ignore"):
+        return _eval(transform, t, transform.record.d1)
 
 
 def transform_d2(transform: Transform, t):
-    return _eval(transform, t, _raw_d2)
+    with np.errstate(divide="ignore"):
+        return _eval(transform, t, transform.record.d2)
 
 
 def inverse(transform: Transform, w):
     """Inverse ``psi = phi^-1`` evaluated at ``w = phi(t)``."""
     w = np.asarray(w, dtype=float) * transform.sign
-    tr = transform
-    if tr.kind == "power":
-        out = w ** (1.0 / tr.alpha)
-    elif tr.kind == "log":
-        out = np.exp(w)
-    elif tr.kind == "sqrt_log":
-        out = tr.m * np.exp(-(w * w))
-    elif tr.kind == "atanh_poly":
-        sech2 = 1.0 - np.tanh(w) ** 2
-        out = ((tr.q + 1.0) / 2.0 * sech2) ** (1.0 / (tr.q - 1.0))
-    else:
-        out = np.exp((1.0 - w * w) / 2.0)
+    out = transform.record.inverse(transform, w)
     return float(out) if out.ndim == 0 else out
 
 

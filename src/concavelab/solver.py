@@ -5,9 +5,10 @@ with :func:`linops.solve_shifted`: one LAPACK tridiagonal ``dgtsv`` on
 intervals and balls, with no matrix assembled, and DST-preconditioned
 MINRES on boxes.  Residuals are applied by the grid's operator; the step
 backtracks on the residual 2-norm and projects the iterates onto
-``u >= 0``.  The derivative of the logarithmic reaction diverges at 0,
-so the Jacobian diagonal is clamped below at a configurable floor during
-assembly only; the reported residual is always the exact unclamped one.
+``u >= 0``.  The Jacobian diagonal is ``f'(u)`` clamped below at a
+configurable floor, during assembly only; the reported residual is always
+the exact unclamped one.  Where the family's ``f'`` is singular at 0 (the
+log family), nodes at ``u = 0`` take the floor itself.
 
 Initial guesses scale the principal eigenfunction onto the Nehari set of
 the reaction.  Branches in the exponent ``q`` warm-start each solve from
@@ -155,21 +156,17 @@ def log_residual_sup(
 def _nehari_scaling_lane_emden(
     grid: Grid, reaction: Reaction, pair: Eigenpair
 ) -> float:
-    lam = pair.lambda1
-    phi = pair.phi1
+    lam, phi = pair.lambda1, pair.phi1
     q, sigma = reaction.q, reaction.sigma
     norm2 = _norm_sq(grid, phi)
     norm_qp1 = _lp_integral(grid, phi, q + 1.0)
-    if reaction.kind == "lane_emden":
-        base = (1.0 + lam / sigma) * norm2 / norm_qp1
-    else:
-        if sigma <= lam:
-            raise InitialGuessError(
-                f"no positive Nehari scaling: sigma = {sigma:g} does not exceed "
-                f"lambda1 = {lam:.6g}, so the problem admits no positive solution"
-            )
-        base = (1.0 - lam / sigma) * norm2 / norm_qp1
-    return base ** (1.0 / (q - 1.0))
+    factor = 1.0 + reaction.sign * lam / sigma
+    if factor <= 0.0:
+        raise InitialGuessError(
+            f"no positive Nehari scaling: sigma = {sigma:g} does not exceed "
+            f"lambda1 = {lam:.6g}, so the problem admits no positive solution"
+        )
+    return (factor * norm2 / norm_qp1) ** (1.0 / (q - 1.0))
 
 
 def _nehari_scaling_log(grid: Grid, reaction: Reaction, pair: Eigenpair) -> float:
@@ -179,7 +176,7 @@ def _nehari_scaling_log(grid: Grid, reaction: Reaction, pair: Eigenpair) -> floa
     dir_energy = _dirichlet_energy(grid, phi)
     norm2 = _norm_sq(grid, phi)
     entropy = _entropy_integral(grid, phi)
-    sign = 1.0 if reaction.kind == "log_schrodinger" else -1.0
+    sign = reaction.sign
 
     def g(c):
         # <J'(c phi), c phi> / c^2 up to the sign convention of the family
@@ -205,10 +202,8 @@ def initial_guess(grid: Grid, reaction: Reaction) -> ScalarField:
     scalar bisection for the logarithmic ones."""
     validate_exponent(reaction, grid.ambient_dim)
     pair = principal_eigenpair(grid, 1e-12)
-    if reaction.kind in ("lane_emden", "dispersive_lane_emden"):
-        scale = _nehari_scaling_lane_emden(grid, reaction, pair)
-    else:
-        scale = _nehari_scaling_log(grid, reaction, pair)
+    power = reaction.family is reactions.POWER
+    scale = (_nehari_scaling_lane_emden if power else _nehari_scaling_log)(grid, reaction, pair)
     return ScalarField(grid, scale * pair.phi1.values)
 
 
@@ -220,7 +215,7 @@ def nehari_rescale(grid: Grid, reaction: Reaction, field: ScalarField) -> Scalar
     so the previous field has the right shape but a badly wrong scale and
     plain reuse slides Newton into the basin of the zero solution.
     """
-    if reaction.kind != "lane_emden":
+    if reaction.family is not reactions.POWER or reaction.sign < 0:
         raise ValueError("rescaling is defined for the lane_emden family")
     q, sigma = reaction.q, reaction.sigma
     dir_energy = _dirichlet_energy(grid, field)
@@ -237,13 +232,12 @@ def nehari_rescale(grid: Grid, reaction: Reaction, field: ScalarField) -> Scalar
 
 
 def _jacobian_diagonal(reaction: Reaction, u: np.ndarray, floor: float) -> np.ndarray:
-    if reaction.kind in ("log_schrodinger", "dispersive_log"):
-        sign = 1.0 if reaction.kind == "log_schrodinger" else -1.0
-        out = np.full_like(u, floor)
-        pos = u > 0.0
-        out[pos] = sign * (np.log(u[pos] ** 2) + 2.0)
-    else:
-        out = np.asarray(reactions.f_prime(reaction, u))
+    """``max(f'(u), floor)``, and ``floor`` where ``u = 0`` if ``f'`` is singular there."""
+    if not reaction.family.singular_at_zero:
+        return np.maximum(reactions.f_prime(reaction, u), floor)
+    out = np.full_like(u, floor)
+    pos = u > 0.0
+    out[pos] = reactions.f_prime(reaction, u[pos])
     return np.maximum(out, floor)
 
 

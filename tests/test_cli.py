@@ -379,6 +379,11 @@ INTERVAL_41 = {"domain": {"kind": "interval", "halfwidth": 1.0}, "resolution": 4
         pytest.param("quasiconcavity",
                      yaml.safe_dump({**BASE_SOLVE, "seed": 1, "level_fractions": [0.5, 2.0]}),
                      [], 2, None, id="level-fraction-outside-unit-interval"),
+        pytest.param("quasiconcavity", yaml.safe_dump({**BASE_SOLVE, "seed": 1, "sample_pairs": 0}),
+                     [], 2, None, id="sample-pairs-0"),
+        pytest.param("quasiconcavity",
+                     yaml.safe_dump({**BASE_SOLVE, "seed": 1, "sample_pairs": -3}), [], 2, None,
+                     id="sample-pairs-negative"),
         pytest.param("branch",
                      yaml.safe_dump({**INTERVAL_41, "schedule": {"sigma_rule": "fixed",
                                                                  "sigma": 1.0,

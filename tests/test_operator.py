@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import concavelab
 from concavelab import ScalarField, ball, box, interval, make_grid, principal_eigenpair, solver
-from concavelab import linops
+from concavelab import cli, linops, reactions
 from concavelab.cli import main
 from concavelab.linops import (
     LinearSolveError,
@@ -213,3 +213,31 @@ def test_no_grid_cache_and_no_splu_in_the_package():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
             assert "splu" not in names, f"{path.name}:{getattr(node, 'lineno', '?')}"
+
+
+KIND_NAMES = set(reactions.REACTIONS) | set(reactions.TRANSFORMS)
+
+
+def _kind_names(nodes) -> set:
+    """The reaction and transform kind names among the string constants in ``nodes``."""
+    return {n.value for node in nodes for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value in KIND_NAMES}
+
+
+def test_reaction_and_transform_kinds_are_dispatched_in_reactions_only():
+    # outside reactions.py no module compares a ``.kind`` to a reaction or
+    # transform kind name or keeps its own table of those kinds
+    assert not hasattr(cli, "REACTION_KINDS") and not hasattr(cli, "TRANSFORM_KINDS")
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "reactions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(isinstance(o, ast.Attribute) and o.attr == "kind" for o in operands):
+                    assert not _kind_names(operands), where
+            if isinstance(node, ast.Dict):
+                assert len(_kind_names(k for k in node.keys if k is not None)) < 2, where
+            if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
+                assert len(_kind_names(node.elts)) < 2, where

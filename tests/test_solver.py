@@ -35,6 +35,35 @@ SQRT_E = math.sqrt(math.e)
 
 
 # ---------------------------------------------------------------------------
+# Newton Jacobian
+
+
+@pytest.mark.parametrize(
+    "reaction, prime, defined_at_zero",
+    [
+        (lane_emden(2.0, 3.0), lambda u: 3.0 * (2.0 * u ** (2.0 - 1.0) - 1.0), True),
+        (reactions.dispersive_lane_emden(1.5, 2.0),
+         lambda u: -(2.0 * (1.5 * u ** (1.5 - 1.0) - 1.0)), True),
+        (log_schrodinger(), lambda u: 1.0 * (np.log(u**2) + 2.0), False),
+        (reactions.dispersive_log(), lambda u: -1.0 * (np.log(u**2) + 2.0), False),
+    ],
+    ids=["lane_emden", "dispersive_lane_emden", "log_schrodinger", "dispersive_log"],
+)
+@pytest.mark.parametrize("floor", [-1e6, -2.0])
+def test_jacobian_diagonal_is_f_prime_floored(reaction, prime, defined_at_zero, floor):
+    # f' written out by hand: max(f'(u), floor) at u > 0; at u = 0 the power
+    # family keeps max(f'(0), floor) and the log family, whose f' diverges
+    # there, takes the floor
+    u = np.array([0.0, 1e-150, 1e-12, 0.3, 1.0, 2.5, 0.0, 40.0])
+    expected = np.full_like(u, floor)
+    nodes = (u >= 0.0) if defined_at_zero else (u > 0.0)
+    expected[nodes] = prime(u[nodes])
+    expected = np.maximum(expected, floor)
+    got = solver._jacobian_diagonal(reaction, u, floor)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # initial guesses
 
 
