@@ -8,8 +8,11 @@ of every report.
 
 The Hessian of ``phi(u)`` is evaluated through the chain rule
 ``phi''(u) g g^T + phi'(u) H(u)`` on centrally differenced gradients
-``g`` and Hessians ``H``; the direct second differencing of the nodal
-values of ``phi(u)`` is kept as a cross-validation path.  An increasing
+``g`` and Hessians ``H``.  Each grid kind has one second-difference
+stencil, computed at every node at once and read by both the check set
+and :func:`hessian_at`: the full Hessian on interval and box grids, and
+``u''`` with ``u'/r`` on radial grids.  The direct second differencing of
+the nodal values of ``phi(u)`` stays as the cross-check.  An increasing
 ``phi`` is checked for concavity of ``phi(u)``, a decreasing one for
 convexity.
 """
@@ -52,12 +55,13 @@ class EmptyCheckSetError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# pointwise finite-difference Hessian
+# finite-difference Hessian at one node
 
 
 def _require_depth(grid: Grid, idx: tuple[int, ...], depth: int) -> None:
     for i, n in zip(idx, grid.shape):
-        if min(i, n - 1 - i) < depth:
+        # the center of a ball is interior: radial depth counts toward r = R only
+        if (n - 1 - i if grid.is_radial else min(i, n - 1 - i)) < depth:
             raise ValueError(
                 f"node {idx} is closer than {depth} layers to the boundary"
             )
@@ -71,40 +75,17 @@ def hessian_at(field: ScalarField, node) -> np.ndarray:
     ``u''(0)`` at the origin); eigenvalues are unaffected by the frame.
     """
     grid = field.grid
-    u = field.values
     idx = (int(node),) if np.isscalar(node) else tuple(int(i) for i in node)
     _require_depth(grid, idx, 2)
     if grid.is_radial:
-        n_amb = grid.ambient_dim
-        h = grid.spacing[0]
-        k = idx[0]
-        upp = (u[k + 1] - 2.0 * u[k] + u[k - 1]) / h**2
-        mat = np.eye(n_amb)
-        if k == 0:
-            return 2.0 * (u[1] - u[0]) / h**2 * mat
-        up = (u[k + 1] - u[k - 1]) / (2.0 * h)
-        mat *= up / grid.axes[0][k]
-        mat[0, 0] = upp
+        _, upp, tang = _radial_derivatives(field)
+        mat = np.eye(grid.ambient_dim) * tang[idx]
+        mat[0, 0] = upp[idx]
         return mat
-    d = grid.ndim
-    mat = np.empty((d, d))
-    for a in range(d):
-        ha = grid.spacing[a]
-        ip = list(idx)
-        im = list(idx)
-        ip[a] += 1
-        im[a] -= 1
-        mat[a, a] = (u[tuple(ip)] - 2.0 * u[idx] + u[tuple(im)]) / ha**2
-        for b_ax in range(a + 1, d):
-            hb = grid.spacing[b_ax]
-            pp = list(idx); pp[a] += 1; pp[b_ax] += 1
-            pm = list(idx); pm[a] += 1; pm[b_ax] -= 1
-            mp = list(idx); mp[a] -= 1; mp[b_ax] += 1
-            mm = list(idx); mm[a] -= 1; mm[b_ax] -= 1
-            val = (
-                u[tuple(pp)] - u[tuple(pm)] - u[tuple(mp)] + u[tuple(mm)]
-            ) / (4.0 * ha * hb)
-            mat[a, b_ax] = mat[b_ax, a] = val
+    comps = _hessian_component_arrays(grid, field.values)
+    mat = np.empty((grid.ndim, grid.ndim))
+    for (a, b_ax), arr in comps.items():
+        mat[a, b_ax] = mat[b_ax, a] = arr[idx]
     return mat
 
 
@@ -168,6 +149,22 @@ def _hessian_component_arrays(grid: Grid, u: np.ndarray) -> dict:
     return comps
 
 
+def _radial_derivatives(field: ScalarField):
+    """``u'``, ``u''`` and ``u'/r`` at every node of a radial grid; at the
+    origin both ``u''`` and ``u'/r`` are the symmetric limit ``2 (u_1 - u_0)/h^2``
+    (the last node is garbage; callers mask)."""
+    u = field.values
+    h = field.grid.spacing[0]
+    g = gradient_components(field)[0]
+    upp = np.zeros_like(u)
+    upp[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
+    upp[0] = 2.0 * (u[1] - u[0]) / h**2
+    tang = np.empty_like(u)
+    tang[1:] = g[1:] / field.grid.axes[0][1:]
+    tang[0] = upp[0]
+    return g, upp, tang
+
+
 def _sym_eigs(h_flat: dict, d: int, npts: int) -> np.ndarray:
     """Eigenvalues (npts, d) of symmetric matrices given by component dict."""
     if d == 1:
@@ -188,42 +185,27 @@ def _sym_eigs(h_flat: dict, d: int, npts: int) -> np.ndarray:
 def _transformed_eigendata(field: ScalarField, transform: Transform, mask: np.ndarray):
     """Eigenvalues of D^2(phi o u) at the masked nodes, via the chain rule."""
     grid = field.grid
-    u = field.values
-    t_vals = u[mask]
+    t_vals = field.values[mask]
     d1 = np.atleast_1d(transform_d1(transform, t_vals))
     d2 = np.atleast_1d(transform_d2(transform, t_vals))
 
     if grid.is_radial:
-        g = gradient_components(field)[0]
-        h_spacing = grid.spacing[0]
-        upp = np.zeros_like(u)
-        upp[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h_spacing**2
-        upp[0] = 2.0 * (u[1] - u[0]) / h_spacing**2
-        r = grid.axes[0].copy()
-        tang_u = np.empty_like(u)
-        tang_u[1:] = g[1:] / r[1:]
-        tang_u[0] = upp[0]
-        gm, uppm, tangm = g[mask], upp[mask], tang_u[mask]
-        radial_eig = d2 * gm**2 + d1 * uppm
-        tangential_eig = d1 * tangm
+        g, upp, tang = _radial_derivatives(field)
+        radial_eig = d2 * g[mask] ** 2 + d1 * upp[mask]
         if grid.ambient_dim == 1:
-            eigs = radial_eig.reshape(-1, 1)
-        else:
-            eigs = np.stack([radial_eig, tangential_eig], axis=1)
-        return eigs, None
+            return radial_eig.reshape(-1, 1)
+        return np.stack([radial_eig, d1 * tang[mask]], axis=1)
 
     grads = gradient_components(field)
-    comps = _hessian_component_arrays(grid, u)
-    d = grid.ndim
-    npts = int(np.count_nonzero(mask))
+    comps = _hessian_component_arrays(grid, field.values)
     h_flat = {}
-    for a in range(d):
+    for a in range(grid.ndim):
         h_flat[(a, a)] = d2 * grads[a][mask] ** 2 + d1 * comps[(a, a)][mask]
-        for b_ax in range(a + 1, d):
+        for b_ax in range(a + 1, grid.ndim):
             h_flat[(a, b_ax)] = (
                 d2 * grads[a][mask] * grads[b_ax][mask] + d1 * comps[(a, b_ax)][mask]
             )
-    return _sym_eigs(h_flat, d, npts), h_flat
+    return _sym_eigs(h_flat, grid.ndim, t_vals.size)
 
 
 @dataclass(frozen=True)
@@ -259,7 +241,8 @@ def check_transform_concavity(
     "holds strictly" requires the orientation-adjusted extreme eigenvalue
     to stay beyond ``1e-8`` times the spectral scale of the transformed
     Hessians on the check set; values inside the noise band give "holds
-    weakly".
+    weakly".  A decreasing ``phi`` is checked for convexity as the
+    concavity of ``-phi(u)``: its eigenvalues enter with sign -1.
     """
     grid = field.grid
     eps = _resolve_floor(field, eps_floor)
@@ -271,52 +254,35 @@ def check_transform_concavity(
     for end in transform.validity:
         if np.isfinite(end):
             mask &= np.abs(field.values - end) > ENDPOINT_TOL * max(1.0, abs(end))
-    npts = int(np.count_nonzero(mask))
-    if npts == 0:
+    if not np.any(mask):
         raise EmptyCheckSetError("no interior nodes above eps_floor outside the layer")
-    eigs, _ = _transformed_eigendata(field, transform, mask)
+    eigs = _transformed_eigendata(field, transform, mask)
     # nodes whose eigen-data still overflow are excluded too
     finite_rows = np.all(np.isfinite(eigs), axis=1)
     if not np.all(finite_rows):
+        mask.flat[np.flatnonzero(mask)[~finite_rows]] = False
         eigs = eigs[finite_rows]
-        flat_keep = np.flatnonzero(mask.ravel())[finite_rows]
-        mask = np.zeros_like(mask.ravel())
-        mask[flat_keep] = True
-        mask = mask.reshape(grid.shape)
-        npts = int(np.count_nonzero(mask))
-        if npts == 0:
+        if eigs.size == 0:
             raise EmptyCheckSetError("transform singular on the whole check set")
     scale = float(np.max(np.abs(eigs)))
     margin = STRICT_MARGIN_FACTOR * max(scale, 1e-300)
-    if transform.increasing:
-        node_ext = np.max(eigs, axis=1)
-        pos = int(np.argmax(node_ext))
-        extreme = float(node_ext[pos])
-        if extreme < -margin:
-            verdict = "holds strictly"
-        elif extreme <= margin:
-            verdict = "holds weakly"
-        else:
-            verdict = "fails"
-        mode = "concavity"
+    sign = 1.0 if transform.increasing else -1.0
+    # argmax returns the first of tied nodes, so the witness is the first
+    # extreme node in C order for either orientation
+    node_ext = np.max(sign * eigs, axis=1)
+    pos = int(np.argmax(node_ext))
+    if node_ext[pos] < -margin:
+        verdict = "holds strictly"
+    elif node_ext[pos] <= margin:
+        verdict = "holds weakly"
     else:
-        node_ext = np.min(eigs, axis=1)
-        pos = int(np.argmin(node_ext))
-        extreme = float(node_ext[pos])
-        if extreme > margin:
-            verdict = "holds strictly"
-        elif extreme >= -margin:
-            verdict = "holds weakly"
-        else:
-            verdict = "fails"
-        mode = "convexity"
-    flat_indices = np.flatnonzero(mask.ravel())
-    witness_idx = np.unravel_index(flat_indices[pos], grid.shape)
+        verdict = "fails"
+    witness_idx = np.unravel_index(np.flatnonzero(mask)[pos], grid.shape)
     return ConcavityReport(
         transform=transform.label,
-        check_mode=mode,
-        check_set_size=npts,
-        extreme_eigenvalue=extreme,
+        check_mode="concavity" if sign > 0 else "convexity",
+        check_set_size=len(eigs),
+        extreme_eigenvalue=sign * float(node_ext[pos]),
         witness=grid.node_coordinates(witness_idx),
         eps_floor=eps,
         layer_k=layer_k,
@@ -330,8 +296,16 @@ def chain_rule_hessian_eigenvalues(
     field: ScalarField, transform: Transform, eps_floor: float, layer_k: int = 3
 ) -> np.ndarray:
     mask = _check_mask(field.grid, field.values, eps_floor, layer_k)
-    eigs, _ = _transformed_eigendata(field, transform, mask)
-    return eigs
+    return _transformed_eigendata(field, transform, mask)
+
+
+def _transformed_values(transform: Transform, u: np.ndarray) -> np.ndarray:
+    """``phi(u)`` where ``u > 0``, and 0 elsewhere."""
+    w = np.zeros_like(u)
+    pos = u > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w[pos] = np.atleast_1d(transform_value(transform, u[pos]))
+    return w
 
 
 def direct_hessian_eigenvalues(
@@ -343,12 +317,7 @@ def direct_hessian_eigenvalues(
     if grid.is_radial:
         raise ValueError("direct differencing path is for interval/box grids")
     mask = _check_mask(grid, field.values, eps_floor, layer_k)
-    u = field.values
-    w = np.zeros_like(u)
-    pos = u > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w[pos] = np.atleast_1d(transform_value(transform, u[pos]))
-    comps = _hessian_component_arrays(grid, w)
+    comps = _hessian_component_arrays(grid, _transformed_values(transform, field.values))
     h_flat = {key: arr[mask] for key, arr in comps.items()}
     return _sym_eigs(h_flat, grid.ndim, int(np.count_nonzero(mask)))
 
@@ -367,15 +336,10 @@ def transformed_equation_residual(
     if not np.any(mask):
         raise EmptyCheckSetError("empty check set")
     u = field.values
-    w = np.zeros_like(u)
-    pos = u > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w[pos] = np.atleast_1d(transform_value(transform, u[pos]))
-    w_field = ScalarField(grid, w, validate=False)
+    w_field = ScalarField(grid, _transformed_values(transform, u), validate=False)
     lap_w = apply_laplacian(w_field).values
-    grads = gradient_components(w_field)
-    grad_sq = np.zeros_like(w)
-    for g in grads:
+    grad_sq = np.zeros_like(u)
+    for g in gradient_components(w_field):
         grad_sq += g * g
     rhs = reactions.transformed_rhs(reaction, transform, u[mask], grad_sq[mask])
     return float(np.max(np.abs(lap_w[mask] - rhs)))
@@ -563,13 +527,9 @@ def level_set_curvature(
         raise ValueError("level sets of one-dimensional fields are points")
     idx = (int(node),) if np.isscalar(node) else tuple(int(i) for i in node)
     hess = hessian_at(field, idx)
-    if grid.is_radial:
-        g_all = gradient_components(field)[0]
-        g = np.zeros(grid.ambient_dim)
-        g[0] = g_all[idx[0]]
-    else:
-        grads = gradient_components(field)
-        g = np.array([comp[idx] for comp in grads])
+    # in the radial frame of hessian_at the gradient is (u', 0, ..., 0)
+    g = np.zeros(grid.ambient_dim)
+    g[: grid.ndim] = [comp[idx] for comp in gradient_components(field)]
     gnorm = float(np.linalg.norm(g))
     if gnorm < grad_floor:
         raise ValueError(f"gradient magnitude {gnorm:.3e} below floor {grad_floor:.1e}")

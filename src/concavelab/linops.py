@@ -120,12 +120,6 @@ class ScalarField:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy(), validate=False)
-
-    def integrate(self) -> float:
-        return float(np.sum(self.grid.quadrature_weights() * self.values))
-
     def __repr__(self):
         return f"ScalarField({self.grid!r}, sup={self.sup_norm():.6g})"
 
@@ -229,13 +223,7 @@ def _sine_eigenvalues(n: int, h: float) -> np.ndarray:
 
 
 def _trapezoid_weights(grid: Grid) -> np.ndarray:
-    if grid.is_radial:
-        n_amb = grid.ambient_dim
-        h = grid.spacing[0]
-        w1 = np.full(grid.shape[0], h)
-        w1[0] = w1[-1] = h / 2.0
-        surface = 2.0 * math.pi ** (n_amb / 2.0) / math.gamma(n_amb / 2.0)
-        return surface * w1 * grid.axes[0] ** (n_amb - 1)
+    """Trapezoid rule per axis; on balls times ``|S^(N-1)| r^(N-1)``."""
     w = np.ones(grid.shape)
     for axis, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
         w1 = np.full(n, h)
@@ -243,6 +231,10 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
         shape = [1] * grid.ndim
         shape[axis] = n
         w = w * w1.reshape(shape)
+    if grid.is_radial:
+        n_amb = grid.ambient_dim
+        surface = 2.0 * math.pi ** (n_amb / 2.0) / math.gamma(n_amb / 2.0)
+        w = surface * w * grid.axes[0] ** (n_amb - 1)
     return w
 
 
@@ -503,17 +495,11 @@ def principal_eigenpair(
 
 def gradient_components(field: ScalarField) -> list[np.ndarray]:
     """Per-axis first derivatives: central differences at interior nodes,
-    second-order one-sided stencils on the boundary faces."""
+    second-order one-sided stencils on the faces of each axis (on balls,
+    the origin and ``r = R``)."""
     grid = field.grid
     u = field.values
     comps = []
-    if grid.is_radial:
-        h = grid.spacing[0]
-        g = np.empty_like(u)
-        g[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
-        g[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
-        g[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
-        return [g]
     for axis, h in enumerate(grid.spacing):
         g = np.empty_like(u)
 

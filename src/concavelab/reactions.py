@@ -101,6 +101,22 @@ class ReactionKind:
         return self.family.params
 
 
+_TINY = float(np.finfo(float).tiny)
+
+
+def log_square(t: np.ndarray) -> np.ndarray:
+    """``log t^2`` for an array ``t > 0``: ``np.log(t * t)`` where ``t * t``
+    is a normal number, and ``2 log t`` where it underflows (``t`` below
+    about 1.5e-154), so that tiny ``t`` keep finite values."""
+    tt = t * t
+    if tt.min(initial=math.inf) >= _TINY:  # the common case, one reduction
+        return np.log(tt)
+    low = tt < _TINY
+    out = np.log(np.where(low, 1.0, tt))
+    out[low] = 2.0 * np.log(t[low])
+    return out
+
+
 def _on_positive(t, g):
     """``g(t)`` where ``t > 0``, and 0 elsewhere."""
     out = np.zeros_like(t)
@@ -120,9 +136,9 @@ POWER = ReactionFamily(
 )
 LOG = ReactionFamily(
     params={}, singular_at_zero=True,
-    f=lambda r, t, s: s * _on_positive(t, lambda p: p * np.log(p * p)),
-    f_prime=lambda r, t, s: s * (np.log(t * t) + 2.0),
-    F=lambda r, t, s: s * _on_positive(t, lambda p: 0.5 * p * p * (np.log(p * p) - 1.0)),
+    f=lambda r, t, s: s * _on_positive(t, lambda p: p * log_square(p)),
+    f_prime=lambda r, t, s: s * (log_square(t) + 2.0),
+    F=lambda r, t, s: s * _on_positive(t, lambda p: 0.5 * p * p * (log_square(p) - 1.0)),
 )
 REACTIONS = {
     "lane_emden": ReactionKind("lane_emden", POWER, 1.0),
@@ -241,7 +257,7 @@ def _atanh_g(tr, t):
 
 
 def _s1ml(t):
-    return np.sqrt(np.maximum(1.0 - np.log(t * t), 0.0))
+    return np.sqrt(np.maximum(1.0 - log_square(t), 0.0))
 
 
 TRANSFORMS = {
@@ -285,7 +301,7 @@ TRANSFORMS = {
         "sqrt_one_minus_log", {},
         value=lambda tr, t: _s1ml(t),
         d1=lambda tr, t: -1.0 / (t * _s1ml(t)),
-        d2=lambda tr, t: -np.log(t * t) / (t * t * _s1ml(t) ** 3),
+        d2=lambda tr, t: -log_square(t) / (t * t * _s1ml(t) ** 3),
         inverse=lambda tr, w: np.exp((1.0 - w * w) / 2.0),
         # convex only below t = 1, which is where it is used
         validity=lambda tr: (0.0, 1.0), increasing=lambda tr: False,

@@ -105,7 +105,7 @@ def _entropy_integral(grid: Grid, field: ScalarField) -> float:
     u = field.values
     out = np.zeros_like(u)
     pos = u > 0
-    out[pos] = u[pos] ** 2 * np.log(u[pos] ** 2)
+    out[pos] = u[pos] ** 2 * reactions.log_square(u[pos])
     return _quadrature(grid, out)
 
 
@@ -331,12 +331,6 @@ class Branch:
     sigma: float | None
     entries: list[BranchEntry] = dataclass_field(default_factory=list)
     complete: bool = True
-
-    def sup_norms(self) -> np.ndarray:
-        return np.array([e.result.sup_norm for e in self.entries])
-
-    def qs(self) -> np.ndarray:
-        return np.array([e.q for e in self.entries])
 
 
 def geometric_q_schedule(q_hi: float, q_lo: float, steps: int | None = None) -> list[float]:

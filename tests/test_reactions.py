@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from concavelab import ScalarField, interval, make_grid, solver
 from concavelab import reactions as rx
 
 
@@ -236,3 +237,19 @@ def test_transformed_rhs_power_general_formula():
 def test_transformed_rhs_rejects_singular_slope():
     with pytest.raises(rx.TransformDomainError):
         rx.transformed_rhs(rx.log_schrodinger(), rx.sqrt_log(2.0), 2.0, 1.0)
+
+
+def test_log_family_keeps_values_where_t_squared_underflows():
+    # t * t underflows to 0 below about 1.5e-154; log t^2 is 2 log t there
+    t = 1e-300
+    assert rx.f(rx.log_schrodinger(), t) == -1.3815510557964273e-297
+    assert rx.f(rx.dispersive_log(), t) == 1.3815510557964273e-297
+    assert math.copysign(1.0, rx.F(rx.log_schrodinger(), t)) == -1.0  # -0.0
+    assert rx.F(rx.log_schrodinger(), t) == 0.0
+    assert rx.f_prime(rx.log_schrodinger(), t) == -1379.5510557964274
+    assert rx.transform_value(rx.sqrt_one_minus_log(), t) == 37.182671445129216
+    g = make_grid(interval(1.0), 5)
+    values = np.array([0.0, t, 0.5, 0.25, 0.0])
+    ordinary = np.array([0.0, 0.0, 0.5, 0.25, 0.0])
+    ordinary[2:4] = ordinary[2:4] ** 2 * np.log(ordinary[2:4] ** 2)
+    assert solver._entropy_integral(g, ScalarField(g, values)) == solver._quadrature(g, ordinary)

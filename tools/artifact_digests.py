@@ -1,0 +1,86 @@
+"""SHA-256 digests of every CLI artifact on a fixed set of cases.
+
+Runs ``concavelab.cli.main`` in-process on the four committed configs, on
+pass 0 of the three benchmark decks and on pass 0 of the known-failure
+deck, all at one seed, and prints sorted JSON: for each case its exit code
+and the SHA-256 of each file it wrote.  Case generation comes from
+``bench/workloads.py``, which is only imported.
+
+A change that should keep behaviour is checked by running this on both
+checkouts and comparing the outputs::
+
+    python tools/artifact_digests.py /path/to/parent > before.json
+    python tools/artifact_digests.py > after.json
+    diff before.json after.json
+
+The optional argument is the root of the checkout to run (default: the
+one holding this script); its ``src/`` and ``bench/`` are imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+SEED = 801
+
+
+def _digests(directory: Path) -> dict:
+    return {
+        str(path.relative_to(directory)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _run(cli, cases, out_dir: Path) -> dict:
+    """Exit code and file digests of each case, its outputs under ``out_dir``."""
+    results = {}
+    for case in cases:
+        out = out_dir / case.case_id
+        argv = [case.experiment, "--config", str(case.config_path), "--out", str(out)]
+        sink = io.StringIO()
+        with redirect_stdout(sink), redirect_stderr(sink):
+            code = cli.main(argv)
+        results[case.case_id] = {"exit": code, "files": _digests(out) if out.is_dir() else {}}
+    return results
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("root", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose src/ and bench/ are run")
+    root = parser.parse_args(argv).root.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    from concavelab import cli, oned
+    import workloads
+
+    refs = workloads.References(oned)
+    decks = {"committed": [c for w in workloads.WORKLOADS
+                           for c in workloads.committed_cases(w, root / "configs", refs)]}
+    for workload in workloads.WORKLOADS:
+        decks[workload] = workloads.generate_pass(workload, SEED, 0, refs)
+    decks[workloads.KNOWN_FAILURE_KEY] = workloads.generate_known_failures(SEED, 0, refs)
+
+    report = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cases in decks.items():
+            # case ids repeat across decks, so each deck has its own directory
+            work = Path(tmp) / name.replace("/", "-")
+            workloads.write_configs(cases, work / "configs")
+            for case_id, result in _run(cli, cases, work / "out").items():
+                report[f"{name}/{case_id}"] = result
+    json.dump(report, sys.stdout, indent=1, sort_keys=True)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
