@@ -158,14 +158,6 @@ class ExperimentConfig:
             raise ConfigError("config root must be a mapping")
         _read({k: v for k, v in self.data.items() if k in COMMON}, COMMON, "config")
 
-    @property
-    def experiment(self):
-        return self.data.get("experiment")
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        return cls(load_config(path))
-
     def to_dict(self) -> dict:
         return copy.deepcopy(self.data)
 

@@ -2,27 +2,28 @@
 
 Second-order central stencils throughout: 3/5/7-point Laplacians on
 interval/box grids and ``u'' + (N-1)/r u'`` on radial grids, with the
-origin handled through the symmetric limit ``N u''(0)``.
+origin handled through the symmetric limit ``N u''(0)``.  Their rows are
+written once per grid kind (:func:`_stencil_rows`) and applied by one
+routine (:func:`_apply_rows`); no solve assembles a matrix.
 
 Each grid carries one :class:`GridOperator` (``grid.operator``): the
 negated Laplacian on interior unknowns with its Poisson and shifted
 solves, its principal eigenpair and the trapezoidal quadrature weights,
 built once and immutable.  The grid alone picks its backend
-(:func:`_uses_dst`):
+(:meth:`GridOperator.for_grid`):
 
 * intervals, 1-D boxes and radial grids (:class:`TridiagonalOperator`):
-  the three diagonals and their LAPACK ``dgttrf`` factors, LU with
-  partial pivoting (LAPACK Users' Guide, 3rd ed., SIAM 1999).  Poisson
-  solves and inverse power iteration run ``dgttrs`` on the factors, and
-  the shifted solve of a Newton step is one ``dgtsv`` on
-  ``(dl, d - shift, du)``.  Radial operators are not symmetric, and the
-  pivoted routines do not need them to be.
+  LAPACK ``dgttrf`` factors of the rows, LU with partial pivoting (LAPACK
+  Users' Guide, 3rd ed., SIAM 1999), for Poisson solves and inverse power
+  iteration; a Newton step is one ``dgtsv`` on ``(dl, d - shift, du)``.
+  Radial rows are not symmetric, and the pivoted routines do not need them
+  to be.
 * 2D and 3D box grids (:class:`SineOperator`): the type-I discrete sine
   transform diagonalizes the 5- and 7-point Laplacian exactly (Buzbee,
   Golub & Nielsen 1970).  Poisson solves are a forward and an inverse
   DST-I, the principal eigenpair is the closed-form product of sines, and
-  the shifted solves of Newton steps run MINRES (Paige & Saunders 1975)
-  preconditioned by the DST Poisson solve, on the assembled sparse matrix.
+  a Newton step is MINRES (Paige & Saunders 1975) on the rows with the
+  shift subtracted from their centre, preconditioned by the DST Poisson solve.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -134,86 +136,89 @@ class Eigenpair:
     iterations: int
 
 
-def apply_laplacian(field: ScalarField) -> ScalarField:
-    """Discrete Laplacian of ``field``, defined at interior nodes.
+class StencilRows(NamedTuple):
+    """Per axis the coefficients of the lower and upper neighbours, and the
+    centre: scalars (constant rows) or arrays over the interior rows."""
 
-    Boundary nodes of the result are set to zero.  The stencil reads the
-    actual nodal values, so fields built with ``validate=False`` can be
-    used to probe consistency on manufactured data.
+    lower: tuple
+    centre: float | np.ndarray
+    upper: tuple
+
+    def in_column_order(self) -> tuple:
+        return (*self.lower, self.centre, *reversed(self.upper))
+
+
+def _stencil_rows(grid: Grid) -> StencilRows:
+    """The rows of ``-Laplacian_h``, written once per grid kind.
+
+    Box and interval axes: ``(-1/h^2, 2/h^2, -1/h^2)``, the centre
+    ``sum_a 2/h_a^2`` summed in axis order.  Radial unknowns are
+    ``r_0 .. r_{n-2}``: row ``k`` weighs its neighbours by
+    ``-(c -+ (N-1)/(2 h r_k))`` with ``c = 1/h^2``, so the rows are not
+    symmetric; the origin row is the symmetric limit ``N * 2 (u_0 - u_1)/h^2``
+    with no lower neighbour, and the upper neighbour of the last row is the
+    boundary node ``r = R``."""
+    if not grid.is_radial:
+        lower = tuple(-1.0 / h**2 for h in grid.spacing)
+        return StencilRows(lower, sum(2.0 / h**2 for h in grid.spacing), lower)
+    n_amb, m, h = grid.ambient_dim, grid.num_interior, grid.spacing[0]
+    c = 1.0 / h**2
+    drift = np.zeros(m)
+    drift[1:] = (n_amb - 1) / (2.0 * h * grid.axes[0][1:m])
+    lower, centre, upper = -(c - drift), np.full(m, 2.0 * c), -(c + drift)
+    lower[0], centre[0], upper[0] = 0.0, 2.0 * n_amb / h**2, -2.0 * n_amb / h**2
+    for array in (lower, centre, upper):
+        array.setflags(write=False)
+    return StencilRows((lower,), centre, (upper,))
+
+
+def _interior_shape(grid: Grid) -> tuple[int, ...]:
+    return (grid.shape[0] - 1,) if grid.is_radial else tuple(n - 2 for n in grid.shape)
+
+
+def _along(ndim: int, axis: int, index, rest=slice(None)) -> tuple:
+    """An index of an ``ndim``-array: ``index`` on ``axis``, ``rest`` elsewhere."""
+    return (rest,) * axis + (index,) + (rest,) * (ndim - axis - 1)
+
+
+def _column_order(ndim: int) -> tuple[tuple[slice, ...], ...]:
+    """Views of a padded array (one node beyond the interior on each side of
+    each axis) in the column order of the assembled matrix: lower neighbours
+    from axis 0 inward, the node itself, upper neighbours outward."""
+    inner = slice(1, -1)
+    return (*(_along(ndim, a, slice(None, -2), inner) for a in range(ndim)), (inner,) * ndim,
+            *(_along(ndim, a, slice(2, None), inner) for a in reversed(range(ndim))))
+
+
+_COLUMN_ORDER = {ndim: _column_order(ndim) for ndim in (1, 2, 3)}
+
+
+def _apply_rows(rows: StencilRows, padded: np.ndarray) -> np.ndarray:
+    """``-Laplacian_h`` at the interior nodes of ``padded``, shaped like the
+    interior.  The terms are summed in ``_COLUMN_ORDER``, so the result
+    equals ``neg_laplacian_matrix(grid) @ x`` bit for bit."""
+    coefficients = rows.in_column_order()
+    views = _COLUMN_ORDER[padded.ndim]
+    out = coefficients[0] * padded[views[0]]
+    for coefficient, view in zip(coefficients[1:], views[1:]):
+        out += coefficient * padded[view]
+    return out
+
+
+def apply_laplacian(field: ScalarField) -> ScalarField:
+    """Discrete Laplacian of ``field`` at interior nodes, 0 on the boundary.
+
+    The solver's stencil rows read the actual nodal values, boundary values
+    included, so fields built with ``validate=False`` can probe consistency
+    on manufactured data.
     """
     grid = field.grid
-    u = field.values
-    out = np.zeros_like(u)
-    if grid.is_radial:
-        n_amb = grid.ambient_dim
-        h = grid.spacing[0]
-        r = grid.axes[0]
-        # interior radial nodes 1..n-2
-        upp = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-        up = (u[2:] - u[:-2]) / (2.0 * h)
-        out[1:-1] = upp + (n_amb - 1) / r[1:-1] * up
-        # symmetric limit at the origin
-        out[0] = n_amb * 2.0 * (u[1] - u[0]) / h**2
-    else:
-        for axis, h in enumerate(grid.spacing):
-            center = [slice(None)] * grid.ndim
-            plus = [slice(None)] * grid.ndim
-            minus = [slice(None)] * grid.ndim
-            center[axis] = slice(1, -1)
-            plus[axis] = slice(2, None)
-            minus[axis] = slice(None, -2)
-            out[tuple(center)] += (
-                u[tuple(plus)] - 2.0 * u[tuple(center)] + u[tuple(minus)]
-            ) / h**2
-        out[~grid.interior_mask] = 0.0
+    padded = field.values
+    if grid.is_radial:  # a ghost node before the origin, whose coefficient is 0
+        padded = np.concatenate((np.zeros(1), padded))
+    out = np.zeros(grid.shape)
+    out[grid.interior_mask] = -_apply_rows(_stencil_rows(grid), padded).ravel()
     return ScalarField(grid, out, validate=False)
-
-
-def _kron_laplacian(grid: Grid) -> sp.csr_matrix:
-    """Sparse ``-Laplacian_h`` of a box grid: a Kronecker sum of 1-D stencils."""
-    blocks = []
-    for n, h in zip(grid.shape, grid.spacing):
-        main = np.full(n - 2, 2.0 / h**2)
-        off = np.full(n - 3, -1.0 / h**2)
-        blocks.append(sp.diags([off, main, off], [-1, 0, 1], format="csr"))
-    eyes = [sp.identity(n - 2, format="csr") for n in grid.shape]
-    mat = None
-    for axis in range(grid.ndim):
-        factors = [blocks[a] if a == axis else eyes[a] for a in range(grid.ndim)]
-        term = factors[0]
-        for f in factors[1:]:
-            term = sp.kron(term, f, format="csr")
-        mat = term if mat is None else mat + term
-    return mat.tocsr()
-
-
-def _tridiagonal(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sub-, main and super-diagonal of ``-Laplacian_h`` on a 1-D grid.
-
-    Radial unknowns are ``r_0 .. r_{n-2}``.  The origin row is
-    ``-N * 2 (u_1 - u_0) / h^2``; row ``k`` weighs its neighbours by
-    ``c -+ (N-1)/(2 h r_k)`` with ``c = 1/h^2``, so the matrix is not
-    symmetric."""
-    h = grid.spacing[0]
-    m = grid.num_interior
-    if not grid.is_radial:
-        off = np.full(m - 1, -1.0 / h**2)
-        return off, np.full(m, 2.0 / h**2), off.copy()
-    n_amb = grid.ambient_dim
-    c = 1.0 / h**2
-    drift = (n_amb - 1) / (2.0 * h * grid.axes[0][1:m])
-    d = np.full(m, 2.0 * c)
-    d[0] = 2.0 * n_amb / h**2
-    du = np.empty(m - 1)
-    du[0] = -2.0 * n_amb / h**2
-    du[1:] = -(c + drift[:-1])  # the last row's neighbour r_{n-1} is the boundary
-    return -(c - drift), d, du
-
-
-def _uses_dst(grid: Grid) -> bool:
-    """The one backend choice: the DST-I on 2D and 3D box grids, LAPACK
-    tridiagonal solves on intervals, 1-D boxes and radial grids."""
-    return not grid.is_radial and grid.ndim >= 2
 
 
 def _sine_eigenvalues(n: int, h: float) -> np.ndarray:
@@ -228,9 +233,7 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
     for axis, (n, h) in enumerate(zip(grid.shape, grid.spacing)):
         w1 = np.full(n, h)
         w1[0] = w1[-1] = h / 2.0
-        shape = [1] * grid.ndim
-        shape[axis] = n
-        w = w * w1.reshape(shape)
+        w = w * w1[_along(grid.ndim, axis, slice(None), np.newaxis)]
     if grid.is_radial:
         n_amb = grid.ambient_dim
         surface = 2.0 * math.pi ** (n_amb / 2.0) / math.gamma(n_amb / 2.0)
@@ -269,16 +272,6 @@ def _check_info(info: int, routine: str) -> None:
         )
 
 
-def _gtsv(dl, d, du, b) -> np.ndarray:
-    """``x`` with ``(dl, d, du) x = b``: one LAPACK ``dgtsv``, LU with partial
-    pivoting; ``d`` is overwritten, ``dl``, ``du`` and ``b`` are not."""
-    m = d.size
-    dl, d, du = _lapack_sized(dl, d, du)
-    *_, x, info = lapack.dgtsv(dl, d, du, _rhs_sized(b, d.size), overwrite_d=1)
-    _check_info(info, "dgtsv")
-    return x[:m]
-
-
 class GridOperator:
     """``-Laplacian_h`` on the interior unknowns of one grid (C-order
     flattening), with the solves, the principal eigenpair and the
@@ -287,13 +280,17 @@ class GridOperator:
     ``grid.operator`` builds one per grid, through :meth:`for_grid`, which
     picks the backend; everything is computed in the constructor and
     nothing changes afterwards, so concurrent solves may share it.
-    ``eigenpair`` is the principal pair at ``EIGEN_TOL``.  Each backend
-    provides ``apply`` (the matrix-vector product), ``matrix``,
-    ``inverse`` (the Poisson solve), ``solve_shifted`` and ``_principal``.
+    ``apply`` applies the stencil ``rows``; ``eigenpair`` is the principal
+    pair at ``EIGEN_TOL``.  Each backend provides ``inverse`` (the Poisson
+    solve), ``solve_shifted`` and ``_principal``.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
+        self.rows = _stencil_rows(grid)
+        self._shape = _interior_shape(grid)
+        self._padded_shape = tuple(n + 2 for n in self._shape)
+        self._inner = (slice(1, -1),) * len(self._shape)
         self.weights = _trapezoid_weights(grid)
         self.weights.setflags(write=False)
         self._build()
@@ -301,7 +298,18 @@ class GridOperator:
 
     @staticmethod
     def for_grid(grid: Grid) -> "GridOperator":
-        return SineOperator(grid) if _uses_dst(grid) else TridiagonalOperator(grid)
+        """The one backend choice: the DST-I on 2D and 3D boxes."""
+        box = not grid.is_radial and grid.ndim >= 2
+        return SineOperator(grid) if box else TridiagonalOperator(grid)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``-Laplacian_h x`` on the interior vector ``x`` extended by zeros."""
+        return self._apply(self.rows, x)
+
+    def _apply(self, rows: StencilRows, x: np.ndarray) -> np.ndarray:
+        padded = np.zeros(self._padded_shape)
+        padded[self._inner] = x.reshape(self._shape)
+        return _apply_rows(rows, padded).ravel()
 
     def compute_eigenpair(self, tol: float, max_iter: int) -> Eigenpair:
         """Principal pair, ``phi1`` positive and sup-normalized, with its
@@ -317,28 +325,19 @@ class GridOperator:
 
 
 class TridiagonalOperator(GridOperator):
-    """Intervals, 1-D boxes and radial grids: the three diagonals and their
-    LAPACK ``dgttrf`` factors.  Poisson solves and inverse power iteration
-    run ``dgttrs`` on the factors; a shifted solve is one ``dgtsv``."""
+    """Intervals, 1-D boxes and radial grids: the rows as three diagonals and
+    their LAPACK ``dgttrf`` factors, which Poisson solves and inverse power
+    iteration run ``dgttrs`` on."""
 
     def _build(self):
-        self.dl, self.d, self.du = _tridiagonal(self.grid)
+        lower, centre, upper = (np.broadcast_to(c, self._shape).copy() for c in
+                                (*self.rows.lower, self.rows.centre, *self.rows.upper))
+        self.dl, self.d, self.du = lower[1:], centre, upper[:-1]
         *factors, info = lapack.dgttrf(*_lapack_sized(self.dl, self.d, self.du))
         _check_info(info, "dgttrf")
         self._factors = factors
         for array in (self.dl, self.d, self.du, *factors):
             array.setflags(write=False)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        # summed in the column order of ``matrix()``, so both agree bit for bit
-        y = self.d * x
-        y[1:] += self.dl * x[:-1]
-        y[:-1] += self.du * x[1:]
-        return y
-
-    def matrix(self) -> sp.csr_matrix:
-        """The assembled matrix, built anew on each call; no solve uses it."""
-        return sp.diags([self.dl, self.d, self.du], [-1, 0, 1], format="csr")
 
     def inverse(self, b: np.ndarray) -> np.ndarray:
         x, info = lapack.dgttrs(*self._factors, _rhs_sized(b, self._factors[1].size))
@@ -346,7 +345,11 @@ class TridiagonalOperator(GridOperator):
         return x[:b.size]
 
     def solve_shifted(self, shift, rhs) -> np.ndarray:
-        return _gtsv(self.dl, self.d - shift, self.du, rhs)
+        """One LAPACK ``dgtsv``, LU with partial pivoting, on ``(dl, d - shift, du)``."""
+        dl, d, du = _lapack_sized(self.dl, self.d - shift, self.du)
+        *_, x, info = lapack.dgtsv(dl, d, du, _rhs_sized(rhs, d.size), overwrite_d=1)
+        _check_info(info, "dgtsv")
+        return x[:rhs.size]
 
     def _principal(self, tol: float, max_iter: int):
         """Inverse power iteration on the factors; :func:`principal_eigenpair`
@@ -371,20 +374,13 @@ class TridiagonalOperator(GridOperator):
 
 
 class SineOperator(GridOperator):
-    """2D and 3D boxes: the assembled sparse matrix and the DST-I symbol,
-    the eigenvalues of ``-Laplacian_h`` in DST-I coefficient order."""
+    """2D and 3D boxes: the DST-I symbol, the eigenvalues of
+    ``-Laplacian_h`` in DST-I coefficient order; no matrix is stored."""
 
     def _build(self):
-        self._matrix = _kron_laplacian(self.grid)
         pairs = zip(self.grid.shape, self.grid.spacing)
         self.symbol = reduce(np.add.outer, [_sine_eigenvalues(n, h) for n, h in pairs])
         self.symbol.setflags(write=False)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._matrix @ x
-
-    def matrix(self) -> sp.csr_matrix:
-        return self._matrix
 
     def inverse(self, b: np.ndarray) -> np.ndarray:
         """DST-I, division by the symbol, inverse DST-I."""
@@ -392,21 +388,23 @@ class SineOperator(GridOperator):
         return scipy.fft.idstn(coef / self.symbol, type=1, norm="ortho").ravel()
 
     def solve_shifted(self, shift, rhs) -> np.ndarray:
-        """The matrix is symmetric but may be indefinite: MINRES,
-        preconditioned by the DST-I Poisson solve.  MINRES stops on its own
-        recurrence residual, which drifts from the true one when floor
-        shifts of -1e6 make the matrix ill-conditioned, so each sweep
-        restarts it on the true residual until that is below
-        ``SHIFTED_RESIDUAL * ||rhs||``."""
-        mat = self._matrix - sp.diags(shift)
-        precond = spla.LinearOperator(mat.shape, matvec=self.inverse, dtype=float)
+        """The matrix is symmetric but may be indefinite: MINRES on the
+        stencil rows with centre ``centre - shift``, preconditioned by the
+        DST-I Poisson solve.  MINRES stops on its own recurrence residual,
+        which drifts from the true one when floor shifts of -1e6 make the
+        matrix ill-conditioned, so each sweep restarts it on the true
+        residual until that is below ``SHIFTED_RESIDUAL * ||rhs||``."""
+        rows = self.rows._replace(centre=self.rows.centre - np.reshape(shift, self._shape))
+        size = (rhs.size, rhs.size)
+        mat = spla.LinearOperator(size, matvec=lambda x: self._apply(rows, x), dtype=float)
+        precond = spla.LinearOperator(size, matvec=self.inverse, dtype=float)
         goal = SHIFTED_RESIDUAL * float(np.linalg.norm(rhs))
-        x = np.zeros(mat.shape[0])
+        x = np.zeros(rhs.size)
         res = rhs
         for _ in range(MINRES_SWEEPS):
             dx, info = spla.minres(mat, res, rtol=MINRES_RTOL, maxiter=MINRES_MAXITER, M=precond)
             x += dx
-            res = rhs - mat @ x
+            res = rhs - self._apply(rows, x)
             res_norm = float(np.linalg.norm(res))
             if info != 0 or res_norm <= goal:
                 break
@@ -427,10 +425,19 @@ class SineOperator(GridOperator):
 
 
 def neg_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
-    """Sparse matrix of ``-Laplacian`` on interior unknowns (C-order
-    flattening): the operator's own on box grids, assembled from the three
-    diagonals on each call elsewhere."""
-    return grid.operator.matrix()
+    """Sparse matrix of ``-Laplacian_h`` on interior unknowns (C-order
+    flattening), built from the grid's stencil rows on each call.  No solve
+    uses it; its products equal ``grid.operator.apply`` bit for bit."""
+    shape = _interior_shape(grid)
+    size = math.prod(shape)
+    column = np.full(tuple(n + 2 for n in shape), -1)  # -1: a boundary or ghost node
+    column[(slice(1, -1),) * len(shape)] = np.arange(size).reshape(shape)
+    coefficients = _stencil_rows(grid).in_column_order()
+    cols = np.concatenate([column[view].ravel() for view in _COLUMN_ORDER[len(shape)]])
+    vals = np.concatenate([np.broadcast_to(c, shape).ravel() for c in coefficients])
+    rows = np.tile(np.arange(size), len(coefficients))
+    keep = (cols >= 0) & (vals != 0.0)
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(size, size))
 
 
 def solve_poisson(rhs: ScalarField, tol: float = 1e-12) -> ScalarField:
@@ -461,12 +468,11 @@ def solve_poisson(rhs: ScalarField, tol: float = 1e-12) -> ScalarField:
 def solve_shifted(grid: Grid, shift, rhs) -> np.ndarray:
     """Solve ``(-Laplacian_h - diag(shift)) x = rhs`` on interior unknowns.
 
-    One LAPACK ``dgtsv`` on ``(dl, d - shift, du)`` on interval and radial
-    grids, with no matrix assembled; a singular matrix raises
-    :class:`LinearSolveError`.  On box grids, DST-preconditioned MINRES
-    (:meth:`SineOperator.solve_shifted`): a sweep that hits
-    ``MINRES_MAXITER``, or ``MINRES_SWEEPS`` sweeps that fall short, raise
-    :class:`LinearSolveError` with the residual reached.
+    One LAPACK ``dgtsv`` on interval and radial grids; a singular matrix
+    raises :class:`LinearSolveError`.  On box grids, DST-preconditioned
+    MINRES on the stencil rows (:meth:`SineOperator.solve_shifted`): a sweep
+    that hits ``MINRES_MAXITER``, or ``MINRES_SWEEPS`` sweeps that fall
+    short, raise :class:`LinearSolveError` with the residual reached.
     """
     return grid.operator.solve_shifted(shift, rhs)
 
@@ -504,9 +510,7 @@ def gradient_components(field: ScalarField) -> list[np.ndarray]:
         g = np.empty_like(u)
 
         def sl(s):
-            idx = [slice(None)] * grid.ndim
-            idx[axis] = s
-            return tuple(idx)
+            return _along(grid.ndim, axis, s)
 
         g[sl(slice(1, -1))] = (u[sl(slice(2, None))] - u[sl(slice(None, -2))]) / (2.0 * h)
         g[sl(0)] = (-3.0 * u[sl(0)] + 4.0 * u[sl(1)] - u[sl(2)]) / (2.0 * h)

@@ -2,13 +2,13 @@
 
 The Newton step solves ``(-Delta_h - diag f'(u)) delta = -(Au - f(u))``
 with :func:`linops.solve_shifted`: one LAPACK tridiagonal ``dgtsv`` on
-intervals and balls, with no matrix assembled, and DST-preconditioned
-MINRES on boxes.  Residuals are applied by the grid's operator; the step
-backtracks on the residual 2-norm and projects the iterates onto
-``u >= 0``.  The Jacobian diagonal is ``f'(u)`` clamped below at a
-configurable floor, during assembly only; the reported residual is always
-the exact unclamped one.  Where the family's ``f'`` is singular at 0 (the
-log family), nodes at ``u = 0`` take the floor itself.
+intervals and balls, and MINRES on boxes, matrix-free and preconditioned by
+the DST-I Poisson solve; no matrix is assembled.  Residuals are applied by
+the grid's operator; the step backtracks on the residual 2-norm and
+projects the iterates onto ``u >= 0``.  The Jacobian diagonal is ``f'(u)``
+clamped below at ``JAC_FLOOR``, in the step only; the reported residual is
+always the exact unclamped one.  Where the family's ``f'`` is singular at 0
+(the log family), nodes at ``u = 0`` take the floor itself.
 
 Initial guesses scale the principal eigenfunction onto the Nehari set of
 the reaction.  Branches in the exponent ``q`` warm-start each solve from
@@ -55,6 +55,11 @@ __all__ = [
 ]
 
 TRIVIAL_SUP = 1e-6
+
+# Newton's iteration cap, step halvings per iteration and Jacobian floor
+NEWTON_MAX_ITER = 100
+MAX_BACKTRACKS = 30
+JAC_FLOOR = -1e6
 
 
 class InitialGuessError(RuntimeError):
@@ -118,7 +123,7 @@ def energy(grid: Grid, reaction: Reaction, field: ScalarField) -> float:
 
 
 def nehari_residual(grid: Grid, reaction: Reaction, field: ScalarField) -> float:
-    """``<J'(u), u>`` evaluated with the same stencil the solver uses:
+    """``<J'(u), u>`` evaluated with exactly the solver's stencil rows:
     ``integral u (-Delta_h u - f(u))``, which vanishes to solver tolerance
     on any converged solution."""
     neg_lap = -apply_laplacian(field).values
@@ -241,20 +246,14 @@ def _jacobian_diagonal(reaction: Reaction, u: np.ndarray, floor: float) -> np.nd
     return np.maximum(out, floor)
 
 
-def newton_solve(
-    grid: Grid,
-    reaction: Reaction,
-    guess: ScalarField,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-    max_backtracks: int = 30,
-    jac_floor: float = -1e6,
-) -> SolveResult:
+def newton_solve(grid: Grid, reaction: Reaction, guess: ScalarField,
+                 tol: float = 1e-10) -> SolveResult:
     """Damped Newton iteration on ``G(u) = -Delta_h u - f(u)``.
 
-    Success means ``sup |G| <= tol * max(1, sup u)``.  Collapse onto the
-    zero field (sup below 1e-6) is reported as the distinct status
-    ``"trivial"`` since the equations always admit it.
+    Success means ``sup |G| <= tol * max(1, sup u)`` within
+    ``NEWTON_MAX_ITER`` iterations.  Collapse onto the zero field (sup below
+    1e-6) is reported as the distinct status ``"trivial"`` since the
+    equations always admit it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -271,7 +270,7 @@ def newton_solve(
     g_vec = residual(u)
     status = "max_iterations"
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, NEWTON_MAX_ITER + 1):
         sup_u = float(np.max(np.abs(u))) if u.size else 0.0
         res_sup = float(np.max(np.abs(g_vec)))
         if sup_u < TRIVIAL_SUP:
@@ -280,11 +279,11 @@ def newton_solve(
         if res_sup <= tol * max(1.0, sup_u):
             status = "converged"
             break
-        delta = solve_shifted(grid, _jacobian_diagonal(reaction, u, jac_floor), -g_vec)
+        delta = solve_shifted(grid, _jacobian_diagonal(reaction, u, JAC_FLOOR), -g_vec)
         g_norm = float(np.linalg.norm(g_vec))
         step = 1.0
         accepted = False
-        for _ in range(max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             u_try = np.maximum(u + step * delta, 0.0)
             g_try = residual(u_try)
             if float(np.linalg.norm(g_try)) < g_norm:
@@ -296,7 +295,7 @@ def newton_solve(
             status = "line_search_failed"
             break
     else:
-        iters = max_iter
+        iters = NEWTON_MAX_ITER
 
     field = ScalarField.from_interior(grid, u)
     sup_u = field.sup_norm()

@@ -67,6 +67,21 @@ def test_radial_laplacian_center_limit():
     assert np.allclose(lap[g.interior_mask], -6.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radial_laplacian_reads_the_boundary_value(dim):
+    # cos r is 0.54 at r = R, so the last row needs its boundary neighbour;
+    # Laplacian cos r = -cos r - (N-1) sin r / r, which is -N at the origin
+    errs = []
+    for n in (41, 81):
+        g = make_grid(ball(1.0, dim), n)
+        r = g.axes[0]
+        lap = apply_laplacian(ScalarField(g, np.cos(r), validate=False)).values
+        exact = -np.cos(r) - (dim - 1) * np.sinc(r / np.pi)
+        errs.append(float(np.max(np.abs(lap - exact)[g.interior_mask])))
+    assert errs[0] < 1e-3
+    assert 3.5 <= errs[0] / errs[1] <= 4.5
+
+
 def test_poisson_manufactured_solution():
     sup_errs = []
     for n in (101, 201):

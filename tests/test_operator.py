@@ -1,5 +1,7 @@
 """The per-grid operator: its tridiagonal LAPACK backend against a sparse-LU
-reference built here, its immutability, and guards on what left the package."""
+reference built here, the stencil rows its products share with
+``apply_laplacian`` and ``neg_laplacian_matrix``, its immutability, and
+guards on what left the package."""
 
 import ast
 import json
@@ -160,6 +162,25 @@ def test_radial_operator_equals_the_loop_assembly(n, dim):
     assert np.array_equal(g.operator.apply(x), ref @ x)
 
 
+STENCIL_CASES = [
+    (interval(1.3), 4), (interval(0.6), 57),
+    (ball(1.3, 1), 3), (ball(1.3, 1), 41), (ball(0.8, 2), 4), (ball(0.8, 2), 41),
+    (ball(2.1, 3), 3), (ball(2.1, 3), 41),
+    (box(0.7), 33), (box(0.6, 1.9), (9, 14)), (box(1.1, 0.3), (3, 17)),
+    (box(0.4, 1.1, 2.9), (7, 9, 6)), (box(1.0, 2.0, 0.5), (3, 5, 4)),
+]
+
+
+@pytest.mark.parametrize("domain, shape", STENCIL_CASES,
+                         ids=[f"{d.kind}{d.dim}-{n}" for d, n in STENCIL_CASES])
+def test_operator_laplacian_and_matrix_share_the_stencil_rows(domain, shape):
+    g = make_grid(domain, shape)
+    x = np.random.default_rng(g.num_interior).standard_normal(g.num_interior)
+    applied = g.operator.apply(x)
+    assert np.array_equal(applied, -apply_laplacian(ScalarField.from_interior(g, x)).interior())
+    assert np.array_equal(applied, neg_laplacian_matrix(g) @ x)
+
+
 @pytest.mark.parametrize("domain", [interval(1.0), box(1.0, 2.0), ball(1.0, 3)],
                          ids=["interval", "box", "ball"])
 def test_one_immutable_operator_per_grid(domain, monkeypatch):
@@ -213,6 +234,61 @@ def test_no_grid_cache_and_no_splu_in_the_package():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
             assert "splu" not in names, f"{path.name}:{getattr(node, 'lineno', '?')}"
+
+
+class _RefusingSparse:
+    """``scipy.sparse`` as ``linops`` sees it, with its matrix constructors refusing."""
+
+    def __getattr__(self, name):
+        if name in ("kron", "diags", "identity", "csr_matrix"):
+            def refuse(*args, **kwargs):
+                raise AssertionError(f"linops built a sparse matrix: scipy.sparse.{name}")
+            return refuse
+        return getattr(sp, name)
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def _sparse_matrix_builders(tree) -> set:
+    """The top-level definitions of a module that call a ``scipy.sparse``
+    function (``scipy.sparse.linalg`` solvers and operators do not count)."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name.split(".")[0]
+                bound[alias.asname or head] = alias.name if alias.asname else head
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    builders = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            name = _dotted(node.func) if isinstance(node, ast.Call) else None
+            if name:
+                head, _, rest = name.partition(".")
+                full = ".".join(filter(None, [bound.get(head, head), rest]))
+                if full.rpartition(".")[0] == "scipy.sparse":
+                    builders.add(getattr(top, "name", "<module>"))
+    return builders
+
+
+def test_no_sparse_matrix_on_a_solve_path(monkeypatch):
+    monkeypatch.setattr(linops, "sp", _RefusingSparse())
+    for shape in ((41, 33), (13, 15, 11)):
+        g = make_grid(box(*[1.0] * len(shape)), shape)
+        reaction = concavelab.log_schrodinger()
+        assert solver.newton_solve(g, reaction, solver.initial_guess(g, reaction)).converged
+    builders = {path.name: _sparse_matrix_builders(ast.parse(path.read_text()))
+                for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in builders.items() if found} == {
+        "linops.py": {"neg_laplacian_matrix"}}
 
 
 KIND_NAMES = set(reactions.REACTIONS) | set(reactions.TRANSFORMS)
