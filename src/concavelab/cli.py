@@ -1,7 +1,8 @@
 """Experiment driver: the verifications as reproducible subcommands.
 
-Configs are YAML (nested key/value); artifacts are CSV for tables and
-JSON for reports, written into ``--out``.  Every artifact embeds the
+Configs are YAML (nested key/value); artifacts are CSV for tables, built as
+``(header, columns)`` and formatted a column at a time, and JSON for
+reports, written into ``--out``.  Every artifact embeds the
 tool version and a SHA-256 hash of the canonical config so reruns can be
 diffed byte for byte; nothing time- or machine-dependent is emitted.
 
@@ -315,12 +316,6 @@ def _resolution_pair(value) -> list[int]:
 # artifacts
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
@@ -333,15 +328,26 @@ def _jsonable(obj):
     return obj
 
 
+def _column_strings(column):
+    """One CSV column as strings.  An object array holds them already (the grid
+    coordinates); a float array is formatted by ``repr`` in one pass; any other
+    sequence value by value, ``repr(float(x))`` for a float and ``str(x)`` otherwise."""
+    if isinstance(column, np.ndarray):
+        values = column.ravel().tolist()
+        return values if column.dtype == object else map(repr, values)
+    return (repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in column)
+
+
 def _write(out: Path, artifacts: dict, cfg_hash: str, experiment: str) -> None:
-    """Write each artifact into ``out``: ``(header, rows)`` as CSV, a payload dict as
-    JSON; each carries the tool version and config hash, a JSON also the experiment."""
+    """Write each artifact into ``out``: ``(header, columns)`` as CSV, one value of each
+    column a line, a payload dict as JSON; each carries the tool version and config
+    hash, a JSON also the experiment."""
     out.mkdir(parents=True, exist_ok=True)
     for name, body in artifacts.items():
         if isinstance(body, tuple):
-            header, rows = body
-            lines = [f"# version={__version__} config_sha256={cfg_hash}", ",".join(header)]
-            lines += [",".join(_fmt(v) for v in row) for row in rows]
+            header, columns = body
+            lines = [f"# version={__version__} config_sha256={cfg_hash}", ",".join(header),
+                     *map(",".join, zip(*map(_column_strings, columns)))]
             text = "\n".join(lines)
         else:
             stamped = {"version": __version__, "config_sha256": cfg_hash,
@@ -350,16 +356,16 @@ def _write(out: Path, artifacts: dict, cfg_hash: str, experiment: str) -> None:
         (out / name).write_text(text + "\n")
 
 
-def _field_rows(field):
+def _field_columns(field):
+    """``(header, columns)`` of ``field.csv``: the coordinates, then ``u``, one node a
+    line in the order of ``grid.coordinate_arrays()``.  Each axis is formatted once
+    and its strings broadcast over the grid."""
     grid = field.grid
     if grid.is_radial:
-        return ["r", "u"], [
-            (float(r), float(v)) for r, v in zip(grid.axes[0], field.values)
-        ]
-    names = ["x", "y", "z"][: grid.ndim]
-    coords = grid.coordinate_arrays()
-    flat = [c.ravel() for c in coords] + [field.values.ravel()]
-    return names + ["u"], list(zip(*(map(float, col) for col in flat)))
+        return ["r", "u"], [grid.axes[0], field.values]
+    axes = [np.array(list(map(repr, ax.tolist())), dtype=object) for ax in grid.axes]
+    coords = [c.ravel() for c in np.meshgrid(*axes, indexing="ij")]
+    return ["x", "y", "z"][: grid.ndim] + ["u"], [*coords, field.values]
 
 
 def _solve_payload(result) -> dict:
@@ -388,7 +394,7 @@ def _concavity_report_payload(rep) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# runners: parsed values -> (exit code, {file name: JSON payload | (CSV header, rows)})
+# runners: parsed values -> (exit code, {file name: JSON payload | (CSV header, columns)})
 
 
 def _sweep_payload(sweep) -> dict:
@@ -413,7 +419,7 @@ def _branch(p):
 def _run_solve(p):
     result = _solve(p, p.reaction)
     payload = {"reaction": p.reaction.label, **_solve_payload(result)}
-    artifacts = {"solve.json": payload, "field.csv": _field_rows(result.field)}
+    artifacts = {"solve.json": payload, "field.csv": _field_columns(result.field)}
     return (0 if result.converged else 1), artifacts
 
 
@@ -427,7 +433,7 @@ def _run_branch(p):
     header = ["q", "sigma", "sup_norm", "sup_norm_pow_qm1", "energy", "nehari_residual",
               "residual_sup", "newton_iters"]
     payload = {"complete": branch.complete, "points": len(branch.entries)}
-    artifacts = {"branch.csv": (header, rows), "branch.json": payload}
+    artifacts = {"branch.csv": (header, list(zip(*rows))), "branch.json": payload}
     return (0 if branch.complete else 1), artifacts
 
 
@@ -454,7 +460,7 @@ def _run_converge_eigen(p):
         "strictly_decreasing": decreasing,
         "complete": branch.complete,
     }
-    artifacts = {"branch.csv": (header, rows), "converge_eigen.json": payload}
+    artifacts = {"branch.csv": (header, list(zip(*rows))), "converge_eigen.json": payload}
     return (0 if branch.complete and decreasing else 1), artifacts
 
 
@@ -475,7 +481,7 @@ def _run_converge_log(p):
         "complete": branch.complete,
         "terminal_sup": branch.entries[-1].result.sup_norm if branch.entries else None,
     }
-    artifacts = {"branch.csv": (header, rows), "converge_log.json": payload}
+    artifacts = {"branch.csv": (header, list(zip(*rows))), "converge_log.json": payload}
     return (0 if branch.complete and decreasing else 1), artifacts
 
 
@@ -486,7 +492,7 @@ def _run_concavity(p):
 
     failures = []
     report_payloads = []
-    header, rows = _field_rows(result.field)
+    header, columns = _field_columns(result.field)
     u_vals = result.field.values
     for check in p.transforms:
         tr = check["transform"]
@@ -507,8 +513,7 @@ def _run_concavity(p):
         with np.errstate(divide="ignore", invalid="ignore"):
             vals[in_dom] = np.atleast_1d(reactions.transform_value(tr, u_vals[in_dom]))
         header.append(rep.transform)
-        flat = vals.ravel()
-        rows = [row + (float(flat[i]),) for i, row in enumerate(rows)]
+        columns.append(vals)
 
     sweep_payload = None
     if p.alphas:
@@ -524,7 +529,7 @@ def _run_concavity(p):
         "alpha_sweep": sweep_payload,
         "failures": failures,
     }
-    artifacts = {"concavity.json": payload, "field.csv": (header, rows)}
+    artifacts = {"concavity.json": payload, "field.csv": (header, columns)}
     return (0 if not failures else 1), artifacts
 
 
@@ -604,7 +609,7 @@ def _run_oned_table(p):
         "alpha_decreasing": all(a > b for a, b in zip(alphas, alphas[1:])),
     }
     payload = {"rows": len(rows), **monotone}
-    artifacts = {"oned_table.csv": (header, rows), "oned_table.json": payload}
+    artifacts = {"oned_table.csv": (header, list(zip(*rows))), "oned_table.json": payload}
     return (0 if all(monotone.values()) else 1), artifacts
 
 

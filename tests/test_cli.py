@@ -2,11 +2,12 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from concavelab import cli
+from concavelab import cli, reactions
 from concavelab.cli import ConfigError, ExperimentConfig, config_hash, load_config, main, run
 from concavelab.linops import EigenSolveError
 
@@ -243,6 +244,100 @@ def test_branch_subcommand_csv_columns(tmp_path):
     assert main(["branch", "--config", str(cfg), "--out", str(out)]) == 0
     lines = (out / "branch.csv").read_text().splitlines()
     assert lines[1] == "q,sigma,sup_norm,sup_norm_pow_qm1,energy,nehari_residual,residual_sup,newton_iters"
+
+
+# ---------------------------------------------------------------------------
+# CSV bytes against references formatted value by value
+
+
+def _reference_lines(*columns):
+    """One line per node: ``repr(float(v))`` of each column's value, comma-joined."""
+    flat = [np.asarray(c).ravel() for c in columns]
+    return [",".join(repr(float(v)) for v in row) for row in zip(*flat)]
+
+
+@pytest.mark.parametrize("domain,n,header", [
+    ({"kind": "interval", "halfwidth": 1.0}, 41, "x,u"),
+    ({"kind": "box", "halfwidths": [1.0, 0.7]}, 21, "x,y,u"),
+    ({"kind": "box", "halfwidths": [1.0, 0.8, 0.6]}, 9, "x,y,z,u"),
+    ({"kind": "ball", "radius": 2.0, "ambient_dim": 2}, 41, "r,u"),
+], ids=["interval", "box-2d", "box-3d", "ball-2d"])
+def test_field_csv_matches_rows_formatted_value_by_value(tmp_path, domain, n, header):
+    data = {"domain": domain, "resolution": n, "reaction": {"kind": "log_schrodinger"}}
+    cfg = _write_cfg(tmp_path, "s.yaml", data)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    p = cli._parse("solve", load_config(cfg))
+    result = cli._solve(p, p.reaction)
+    grid = result.field.grid
+    lines = (out / "field.csv").read_text().splitlines()
+    assert lines[1] == header
+    assert lines[2:] == _reference_lines(*grid.coordinate_arrays(), result.field.values)
+
+
+def test_concavity_field_csv_appends_one_column_per_transform(tmp_path):
+    data = {
+        "domain": {"kind": "box", "halfwidths": [1.0, 1.0]},
+        "resolution": 21,
+        "reaction": {"kind": "log_schrodinger"},
+        "transforms": [{"kind": "log"}, {"kind": "power", "alpha": 0.5}],
+    }
+    cfg = _write_cfg(tmp_path, "c.yaml", data)
+    out = tmp_path / "out"
+    assert main(["concavity", "--config", str(cfg), "--out", str(out)]) == 0
+    p = cli._parse("concavity", load_config(cfg))
+    result = cli._solve(p, p.reaction)
+    u = result.field.values
+    columns = []
+    for check in p.transforms:
+        tr = check["transform"]
+        lo, hi = tr.validity
+        valid = (u > lo) & (u <= hi)
+        column = np.full(u.shape, np.nan)
+        column[valid] = reactions.transform_value(tr, u[valid])
+        columns.append(column)
+    lines = (out / "field.csv").read_text().splitlines()
+    assert lines[1] == "x,y,u,log,power(alpha=0.5)"
+    assert lines[2:] == _reference_lines(*result.field.grid.coordinate_arrays(), u, *columns)
+    boundary = [line for line, inside in zip(lines[2:], p.grid.interior_mask.ravel()) if not inside]
+    assert boundary and all(line.endswith(",0.0,nan,nan") for line in boundary)
+
+
+def _csv_columns(path):
+    lines = path.read_text().splitlines()
+    return dict(zip(lines[1].split(","), zip(*(line.split(",") for line in lines[2:]))))
+
+
+def test_table_csvs_keep_integers_and_round_trip_floats(tmp_path):
+    cfg = _write_cfg(
+        tmp_path,
+        "e.yaml",
+        {
+            "domain": {"kind": "interval", "halfwidth": 1.0},
+            "resolution": 101,
+            "schedule": {"sigma_rule": "fixed", "sigma": 1.0, "qs": [1.5, 1.25]},
+        },
+    )
+    out = tmp_path / "eigen"
+    assert main(["converge-eigen", "--config", str(cfg), "--out", str(out)]) == 0
+    branch = _csv_columns(out / "branch.csv")
+    assert all(text.isdigit() and int(text) > 0 for text in branch.pop("newton_iters"))
+    for texts in branch.values():
+        assert all(repr(float(text)) == text for text in texts)
+    errors = json.loads((out / "converge_eigen.json").read_text())["limit_errors"]
+    assert [float(text) for text in branch["limit_error"]] == errors
+
+    cfg = _write_cfg(
+        tmp_path,
+        "t.yaml",
+        {"b_grid": [0.8, 1.2, 2.0], "samples_per_unit": 1000},
+    )
+    out = tmp_path / "table"
+    assert main(["oned-table", "--config", str(cfg), "--out", str(out)]) == 0
+    table = _csv_columns(out / "oned_table.csv")
+    assert table["b"] == ("0.8", "1.2", "2.0")
+    for texts in table.values():
+        assert all(repr(float(text)) == text for text in texts)
 
 
 def test_experiment_config_round_trip():
