@@ -8,19 +8,20 @@ yields the time map
 
 This module provides the time map and its monotone inversion, the
 boundary slope ``sqrt(2 F(m))``, the sharp power-concavity exponent
-``alpha*(b)`` solving ``(1 - a) |u'(b)|^2 = a e^(-1/a)``, a fixed-step
-RK4 shooting integrator as an independent cross-check, tensor-product
-solutions on plurirectangles, and the explicit entire Gaussian-type
-profile ``e^(N/2) e^(-|x|^2 / 2)``.
+``alpha*(b)`` solving ``(1 - a) |u'(b)|^2 = a e^(-1/a)``, the profile
+itself by adaptive DOP853 shooting with event location as an independent
+cross-check of the time map, tensor-product solutions on plurirectangles,
+and the explicit entire Gaussian-type profile ``e^(N/2) e^(-|x|^2 / 2)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
@@ -50,6 +51,14 @@ __all__ = [
 ]
 
 SQRT_E = math.sqrt(math.e)
+# lower end of the time-map inversion; its time map, 6.0398, is the widest
+# halfwidth a profile reaches, which ``MAX_HALFWIDTH`` rounds up
+M_FLOOR = SQRT_E * (1.0 + 1e-14)
+MAX_HALFWIDTH = 6.04
+# the finest relative tolerance Brent's method accepts: the inversion finds
+# ``m`` to floating-point resolution, which wide intervals need (at b = 4 a
+# relative error of 1.6e-13 in m moves the time map by 1.7e-9)
+M_RTOL = 4.0 * np.finfo(float).eps
 
 
 class TimeMapError(ValueError):
@@ -99,37 +108,26 @@ def time_map(m: float, quad_tol: float = 1e-10) -> float:
     return i1 + i2
 
 
-def solve_m_of_b(b: float, tol: float = 1e-9, quad_tol: float = 1e-11) -> float:
+def solve_m_of_b(b: float, tol: float = M_RTOL, quad_tol: float = 1e-11) -> float:
     """Invert the time map: the sup norm ``m`` with ``time_map(m) = b``.
 
-    Bisection on ``(sqrt(e), cap]`` where the cap starts at 10 and doubles
-    up to 1e6; ``b`` values smaller than the time map at the largest cap
-    are reported as out of range.
+    The time map decreases in ``m``.  A cap starting at 10 doubles, up to
+    1e6, until its time map falls below ``b``; Brent's method then finds
+    ``m`` between the previous cap (or ``M_FLOOR``) and the cap, to the
+    relative tolerance ``tol``.  ``b`` values beyond the time map at
+    ``M_FLOOR`` or below the one at the largest cap are out of range.
     """
     if not b > 0:
         raise TimeMapError("halfwidth b must be positive")
-    lo = SQRT_E * (1.0 + 1e-14)
+    lo, hi = M_FLOOR, 10.0
     if time_map(lo, quad_tol) < b:
         raise TimeMapError(f"b = {b} too large: exceeds the reachable time-map range")
-    hi = 10.0
     while time_map(hi, quad_tol) > b:
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
         if hi > 1e6:
-            raise TimeMapError(
-                f"b = {b} too small: sup norm beyond the bisection cap 1e6"
-            )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        bm = time_map(mid, quad_tol)
-        if abs(bm - b) <= tol:
-            return mid
-        if bm > b:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * mid:
-            break
-    return 0.5 * (lo + hi)
+            raise TimeMapError(f"b = {b} too small: sup norm beyond the bracketing cap 1e6")
+    return brentq(lambda m: time_map(m, quad_tol) - b, lo, hi,
+                  xtol=np.finfo(float).tiny, rtol=tol)
 
 
 def boundary_slope(m: float) -> float:
@@ -179,99 +177,94 @@ def halfwidth_for_alpha(alpha: float, quad_tol: float = 1e-11) -> float:
 # shooting
 
 
+# DOP853 tolerances of the shooting pass and its window in units of length
+SHOOT_RTOL = 1e-13
+SHOOT_ATOL = 1e-15
+SHOOT_WINDOW = 60.0
+# peak bytes per sample of a solution with its interpolant (tracemalloc:
+# 72 while shooting, 112 once the PCHIP coefficients are built), and the
+# memory one profile may take
+SAMPLE_BYTES = 112
+PROFILE_BYTES_MAX = 2**30
+MAX_SAMPLES_PER_UNIT = int(PROFILE_BYTES_MAX / (SAMPLE_BYTES * MAX_HALFWIDTH))
+
+
 @dataclass
 class ShootResult:
     b: float                 # crossing abscissa
-    xs: np.ndarray           # abscissae 0 .. b (last entry is the crossing)
+    xs: np.ndarray           # abscissae k / n below the crossing, then the crossing
     us: np.ndarray           # profile values, us[-1] ~ 0
     ps: np.ndarray           # derivative values
     energy_drift: float      # max |p^2/2 + F(u) - F(m)| over the samples
     boundary_slope: float    # |u'| at the crossing
+    x_star: float            # u(x_star) = 1
 
 
-def _rhs(u: float) -> float:
+def _phase_rhs(x, y):
+    u, p = y
     # odd extension through 0; the isolated log singularity is harmless
-    return -u * math.log(u * u) if u != 0.0 else 0.0
+    return p, (-u * math.log(u * u) if u != 0.0 else 0.0)
 
 
-def _rk4_step(u: float, p: float, h: float) -> tuple[float, float]:
-    k1u, k1p = p, _rhs(u)
-    k2u, k2p = p + 0.5 * h * k1p, _rhs(u + 0.5 * h * k1u)
-    k3u, k3p = p + 0.5 * h * k2p, _rhs(u + 0.5 * h * k2u)
-    k4u, k4p = p + h * k3p, _rhs(u + h * k3u)
-    return (
-        u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-        p + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-    )
+def _crossing(x, y):
+    return y[0]
 
 
-def check_steps_per_unit(n: int) -> None:
-    """Raise ``ValueError`` if ``n`` RK4 steps per unit length are too few."""
+def _unit_value(x, y):
+    return y[0] - 1.0
+
+
+_crossing.terminal = True
+_crossing.direction = -1.0
+_unit_value.direction = -1.0
+
+
+def check_samples_per_unit(n: int) -> None:
+    """Raise ``ValueError`` unless ``n`` samples per unit length lie in
+    ``[100, MAX_SAMPLES_PER_UNIT]``: a profile holds up to
+    ``MAX_HALFWIDTH * n`` samples."""
     if n < 100:
-        raise ValueError("need at least 100 steps per unit length")
+        raise ValueError("need at least 100 samples per unit length")
+    if n > MAX_SAMPLES_PER_UNIT:
+        raise ValueError(f"{n} samples per unit length exceed the cap {MAX_SAMPLES_PER_UNIT}")
 
 
 def shoot_profile(m: float, n: int = 10_000) -> ShootResult:
     """Integrate ``u'' = -u log u^2`` from ``u(0) = m``, ``u'(0) = 0`` with
-    fixed step ``1/n`` until the profile crosses zero.
+    DOP853 until the profile crosses zero.
 
-    The crossing is located by root-finding on a single RK4 substep from
-    the last positive sample.  ``n`` is the number of steps per unit
-    length; the total step budget is capped at ``60 n``.
+    The crossing and the unit value ``u(x*) = 1`` are located as events of
+    the integrator within a window of ``SHOOT_WINDOW`` units.  ``n`` is the
+    number of samples per unit length: the profile is the dense output at
+    ``x = k / n`` below the crossing, followed by the crossing itself.
     """
     if not m > SQRT_E:
         raise TimeMapError("shooting requires m > sqrt(e)")
-    check_steps_per_unit(n)
-    h = 1.0 / float(n)
-    cap = 60 * n
-    f_m = _F(m)
-    xs = [0.0]
-    us = [m]
-    ps = [0.0]
-    u, p, x = m, 0.0, 0.0
-    crossed = False
-    for _ in range(cap):
-        u_new, p_new = _rk4_step(u, p, h)
-        if u_new <= 0.0:
-            crossed = True
-            break
-        x += h
-        u, p = u_new, p_new
-        xs.append(x)
-        us.append(u)
-        ps.append(p)
-    if not crossed:
+    check_samples_per_unit(n)
+    ivp = solve_ivp(_phase_rhs, (0.0, SHOOT_WINDOW), (m, 0.0), method="DOP853",
+                    rtol=SHOOT_RTOL, atol=SHOOT_ATOL, dense_output=True,
+                    events=(_crossing, _unit_value))
+    if ivp.status != 1:
         raise TimeMapError(
-            f"profile failed to cross zero within {cap} steps; is m > sqrt(e)?"
+            f"profile failed to cross zero within {SHOOT_WINDOW:g} units "
+            f"({ivp.message}); is m > sqrt(e)?"
         )
-    tau = brentq(lambda s: _rk4_step(u, p, s)[0], 0.0, h, xtol=1e-15)
-    ub, pb = _rk4_step(u, p, tau)
-    xs.append(x + tau)
-    us.append(ub)
-    ps.append(pb)
-    xs = np.asarray(xs)
-    us_arr = np.asarray(us)
-    ps_arr = np.asarray(ps)
+    b = float(ivp.t_events[0][0])
+    xs = np.arange(math.ceil(b * n)) / n
+    xs = xs[xs < b]
+    us, ps = ivp.sol(xs)
+    ub, pb = ivp.y_events[0][0]
+    xs, us, ps = np.append(xs, b), np.append(us, ub), np.append(ps, pb)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f_vals = np.where(us_arr > 0, 0.5 * us_arr**2 * (np.log(us_arr**2) - 1.0), 0.0)
-    drift = float(np.max(np.abs(0.5 * ps_arr**2 + f_vals - f_m)))
-    return ShootResult(float(x + tau), xs, us_arr, ps_arr, drift, abs(pb))
+        f_vals = np.where(us > 0, 0.5 * us**2 * (np.log(us**2) - 1.0), 0.0)
+    drift = float(np.max(np.abs(0.5 * ps**2 + f_vals - _F(m))))
+    return ShootResult(b, xs, us, ps, drift, abs(float(pb)), float(ivp.t_events[1][0]))
 
 
 def locate_unit_value(shoot: ShootResult) -> float:
     """Abscissa ``x*`` with ``u(x*) = 1`` (the inflection of the profile),
-    refined by root-finding on an RK4 substep."""
-    us = shoot.us
-    idx = np.nonzero((us[:-1] - 1.0) * (us[1:] - 1.0) <= 0.0)[0]
-    if idx.size == 0:
-        raise TimeMapError("profile does not reach the value 1")
-    k = int(idx[0])
-    if us[k] == 1.0:
-        return float(shoot.xs[k])
-    h = shoot.xs[k + 1] - shoot.xs[k]
-    u0, p0 = float(us[k]), float(shoot.ps[k])
-    tau = brentq(lambda s: _rk4_step(u0, p0, s)[0] - 1.0, 0.0, h, xtol=1e-15)
-    return float(shoot.xs[k] + tau)
+    located as an event of the shooting pass."""
+    return shoot.x_star
 
 
 def sqrtlog_concavity_criterion(t, m: float):
@@ -315,17 +308,23 @@ class OneDimSolution:
     def slope(self) -> float:
         return math.sqrt(2.0 * self.C)
 
+    @cached_property
+    def interpolant(self) -> PchipInterpolator:
+        """Monotone cubic interpolant of the half-profile, built once;
+        evaluate at ``|x|``."""
+        return PchipInterpolator(self.xs, self.us, extrapolate=False)
 
-def solve_interval(b: float, n: int = 20_000, tol: float = 1e-9) -> OneDimSolution:
+
+def solve_interval(b: float, n: int = 20_000) -> OneDimSolution:
     """Resolve the unique positive profile on ``(-b, b)`` through the
-    time-map inversion plus a shooting pass."""
-    m = solve_m_of_b(b, tol=tol)
+    time-map inversion plus a shooting pass with ``n`` samples per unit."""
+    m = solve_m_of_b(b)
     shot = shoot_profile(m, n)
     return OneDimSolution(
         b=b,
         m=m,
         C=_F(m),
-        x_star=locate_unit_value(shot),
+        x_star=shot.x_star,
         alpha_star=alpha_star(b, m=m),
         xs=shot.xs,
         us=shot.us,
@@ -336,12 +335,11 @@ def solve_interval(b: float, n: int = 20_000, tol: float = 1e-9) -> OneDimSoluti
 
 def profile_interpolator(sol: OneDimSolution) -> PchipInterpolator:
     """Monotone cubic interpolant of the half-profile; evaluate at ``|x|``."""
-    return PchipInterpolator(sol.xs, sol.us, extrapolate=False)
+    return sol.interpolant
 
 
 def _profile_on_axis(sol: OneDimSolution, axis: np.ndarray) -> np.ndarray:
-    interp = profile_interpolator(sol)
-    vals = interp(np.minimum(np.abs(axis), sol.xs[-1]))
+    vals = sol.interpolant(np.minimum(np.abs(axis), sol.xs[-1]))
     vals = np.nan_to_num(vals, nan=0.0)
     vals[np.abs(np.abs(axis) - sol.b) < 1e-14] = 0.0
     return np.maximum(vals, 0.0)
@@ -355,7 +353,7 @@ def tensor_solution(
     its sup norm is the product of the factor sup norms.
 
     ``solutions`` maps halfwidths to their :class:`OneDimSolution`; a
-    halfwidth missing from it is solved with ``n`` steps per unit and
+    halfwidth missing from it is solved with ``n`` samples per unit and
     added, so calls that share one dict solve each halfwidth once."""
     bs = [float(b) for b in np.atleast_1d(bs)]
     grid = make_grid(box(*bs), resolution)

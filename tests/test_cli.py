@@ -7,7 +7,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from concavelab import cli, reactions
+from concavelab import cli, oned, reactions
 from concavelab.cli import ConfigError, ExperimentConfig, config_hash, load_config, main, run
 from concavelab.linops import EigenSolveError
 
@@ -492,6 +492,10 @@ INTERVAL_41 = {"domain": {"kind": "interval", "halfwidth": 1.0}, "resolution": 4
                      id="tensor-check-resolution-2"),
         pytest.param("oned-table", "b_grid: [1.0]\nsamples_per_unit: 50\n", [], 2, None,
                      id="samples-per-unit-50"),
+        # the parse stage refuses it by arithmetic; a profile at the cap is never shot
+        pytest.param("oned-table",
+                     f"b_grid: [1.0]\nsamples_per_unit: {oned.MAX_SAMPLES_PER_UNIT + 1}\n", [],
+                     2, None, id="samples-per-unit-above-cap"),
     ],
 )
 def test_exit_codes(tmp_path, experiment, text, argv, code, artifact):
@@ -570,8 +574,8 @@ BAD = {  # key -> values of the right type but wrong
     "tolerances": [{"newton": 0.0}, {"quad": 1e-10}, {"newton": "1e-30"}],
 }
 EXPENSIVE_DEFAULTS = {"resolution", "resolutions", "b_grid", "samples_per_unit"}
-# a tensor check shoots 10^5 RK4 steps twice (about half a second), so it is
-# drawn a third as often as the other experiments
+# a tensor check shoots each halfwidth at 10^5 samples per unit, so it is drawn
+# a third as often as the other experiments
 EXPERIMENT_DRAWS = [name for name in sorted(FUZZ)
                     for _ in range(1 if name == "tensor-check" else 3)]
 

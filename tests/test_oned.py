@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from concavelab import apply_laplacian, box, make_grid
 from concavelab import oned
@@ -38,6 +39,16 @@ def test_time_map_frozen_golden():
 def test_round_trip_m_to_b(m):
     b = oned.time_map(m, 1e-11)
     assert abs(oned.solve_m_of_b(b, tol=1e-10) - m) < 1e-8
+
+
+def test_widest_halfwidth_bounds_the_time_map():
+    # the sample cap of a profile rests on this bound
+    assert oned.time_map(oned.M_FLOOR) <= oned.MAX_HALFWIDTH
+    with pytest.raises(oned.TimeMapError):
+        oned.solve_m_of_b(oned.MAX_HALFWIDTH)
+    oned.check_samples_per_unit(oned.MAX_SAMPLES_PER_UNIT)
+    with pytest.raises(ValueError):
+        oned.check_samples_per_unit(oned.MAX_SAMPLES_PER_UNIT + 1)
 
 
 def test_solve_m_of_b_out_of_range():
@@ -128,6 +139,61 @@ def test_inflection_sits_at_unit_value(shot_m2):
     assert abs(u_at_star * math.log(u_at_star**2)) < 1e-5
 
 
+# fixed-step RK4, the reference for the adaptive shooting pass
+
+
+def _rhs(u: float) -> float:
+    # odd extension through 0; the isolated log singularity is harmless
+    return -u * math.log(u * u) if u != 0.0 else 0.0
+
+
+def _rk4_step(u: float, p: float, h: float) -> tuple[float, float]:
+    k1u, k1p = p, _rhs(u)
+    k2u, k2p = p + 0.5 * h * k1p, _rhs(u + 0.5 * h * k1u)
+    k3u, k3p = p + 0.5 * h * k2p, _rhs(u + 0.5 * h * k2u)
+    k4u, k4p = p + h * k3p, _rhs(u + h * k3u)
+    return (
+        u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+        p + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
+    )
+
+
+def _rk4_shoot(m: float, n: int):
+    """Profile values at ``x = k / n`` from ``u(0) = m``, ``u'(0) = 0`` until
+    the first step that crosses zero, then the crossing and ``x*`` with
+    ``u(x*) = 1``, each refined by root-finding on one RK4 substep."""
+    h = 1.0 / n
+    us, ps = [m], [0.0]
+    for _ in range(60 * n):
+        u, p = _rk4_step(us[-1], ps[-1], h)
+        if u <= 0.0:
+            break
+        us.append(u)
+        ps.append(p)
+    else:
+        raise AssertionError("no crossing within 60 units")
+    crossing = (len(us) - 1) * h + brentq(
+        lambda s: _rk4_step(us[-1], ps[-1], s)[0], 0.0, h, xtol=1e-15)
+    k = int(np.argmax(np.asarray(us) <= 1.0)) - 1
+    x_star = k * h + brentq(lambda s: _rk4_step(us[k], ps[k], s)[0] - 1.0, 0.0, h, xtol=1e-15)
+    return np.asarray(us), crossing, x_star
+
+
+@pytest.mark.parametrize("b", [1.0, 2.7])
+def test_shooting_matches_rk4_reference(b):
+    n = 20_000
+    m = oned.solve_m_of_b(b)
+    shot = oned.shoot_profile(m, n)
+    rk4_us, crossing, x_star = _rk4_shoot(m, n)
+    # both sample x = k / n below their crossings; compare 401 common samples
+    common = min(len(shot.xs) - 1, len(rk4_us))
+    idx = np.linspace(0, common - 1, 401).round().astype(int)
+    assert np.array_equal(shot.xs[idx], idx / n)
+    assert np.max(np.abs(shot.us[idx] - rk4_us[idx])) < 1e-10
+    assert abs(shot.b - crossing) < 1e-9
+    assert abs(shot.x_star - x_star) < 1e-9
+
+
 def test_profile_monotone_and_convexity_split():
     sol = oned.solve_interval(1.5, n=20_000)
     assert sol.m > SQRT_E
@@ -182,6 +248,22 @@ def test_tensor_anisotropic_box():
     m1 = oned.solve_m_of_b(1.0)
     m2 = oned.solve_m_of_b(1.5)
     assert abs(field.sup_norm() - m1 * m2) < 1e-6
+
+
+def test_tensor_builds_each_interpolant_once(monkeypatch):
+    built = []
+    pchip = oned.PchipInterpolator
+
+    def counting_pchip(*args, **kwargs):
+        built.append(args)
+        return pchip(*args, **kwargs)
+
+    monkeypatch.setattr(oned, "PchipInterpolator", counting_pchip)
+    profiles = {}
+    first = oned.tensor_solution([1.0, 1.0], 41, n=1000, solutions=profiles)
+    second = oned.tensor_solution([1.0, 1.0], 81, n=1000, solutions=profiles)
+    assert len(built) == 1
+    assert first.sup_norm() == second.sup_norm() == profiles[1.0].m ** 2
 
 
 def test_gausson_center_value_and_residual():
