@@ -10,7 +10,7 @@ solutions.
 
 __version__ = "0.1.0"
 
-from .grid import Domain, GeometrySummary, Grid, ball, box, geometry_summary, interval, make_grid
+from .grid import Domain, Grid, ball, box, interval, make_grid
 from .linops import (
     Eigenpair,
     ScalarField,
@@ -48,7 +48,6 @@ from .concavity import (
     alpha_sweep,
     check_transform_concavity,
     hessian_at,
-    level_set_curvature,
     quasiconcavity_check,
 )
 from .oned import (

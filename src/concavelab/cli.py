@@ -28,6 +28,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field as dataclass_field, replace
+from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,7 +36,7 @@ import numpy as np
 import yaml
 
 from . import __version__, concavity, oned, reactions, solver
-from .grid import Domain, ball, box, interval, make_grid
+from .grid import Domain, ball, box, check_nodes, interval, make_grid
 from .linops import principal_eigenpair
 from .solver import (
     InitialGuessError,
@@ -138,6 +139,9 @@ def _checked(reader, check):
     return read
 
 
+# libyaml's safe loader where PyYAML was built with it: the same dicts, about 7x faster
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 TOLERANCES = {"newton": (_positive, 1e-10), "eigen": (_positive, 1e-12)}
 
 # keys every experiment takes
@@ -167,7 +171,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "ExperimentConfig":
-        loaded = yaml.safe_load(text)
+        loaded = yaml.load(text, Loader=YAML_LOADER)
         return cls(loaded if loaded is not None else {})
 
     def hash(self) -> str:
@@ -177,7 +181,7 @@ class ExperimentConfig:
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=YAML_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -368,44 +372,43 @@ def _field_columns(field):
     return ["x", "y", "z"][: grid.ndim] + ["u"], [*coords, field.values]
 
 
-def _solve_payload(result) -> dict:
-    return {
-        "status": result.status,
-        "converged": result.converged,
-        "residual_sup": result.residual_sup,
-        "newton_iters": result.newton_iters,
-        "sup_norm": result.sup_norm,
-        "energy": result.energy,
-        "nehari_residual": result.nehari_residual,
-    }
+def _fields(record, *names) -> dict:
+    """The named fields of a result record, as a payload."""
+    return {name: getattr(record, name) for name in names}
+
+
+SOLVE_FIELDS = ("status", "converged", "residual_sup", "newton_iters", "sup_norm", "energy",
+                "nehari_residual")
 
 
 def _concavity_report_payload(rep) -> dict:
-    return {
-        "transform": rep.transform,
-        "check_mode": rep.check_mode,
-        "verdict": rep.verdict,
-        "extreme_eigenvalue": rep.extreme_eigenvalue,
-        "witness": list(rep.witness),
-        "margins": {"eps_floor": rep.eps_floor, "layer_k": rep.layer_k,
-                    "strict_margin": rep.margin},
-        "check_set_size": rep.check_set_size,
-    }
+    margins = {**_fields(rep, "eps_floor", "layer_k"), "strict_margin": rep.margin}
+    return {**_fields(rep, "transform", "check_mode", "verdict", "extreme_eigenvalue",
+                      "witness", "check_set_size"), "margins": margins}
+
+
+def _strictly_decreasing(values) -> bool:
+    return all(a > b for a, b in zip(values, values[1:]))
 
 
 # ---------------------------------------------------------------------------
 # runners: parsed values -> (exit code, {file name: JSON payload | (CSV header, columns)})
 
 
-def _sweep_payload(sweep) -> dict:
-    return {"alphas": list(sweep.alphas), "verdicts": list(sweep.verdicts),
-            "largest_passing": sweep.largest_passing}
-
-
 def _solve(p, reaction):
     """Newton solve of ``reaction`` on the experiment's grid from its Nehari guess."""
     guess = initial_guess(p.grid, reaction)
     return newton_solve(p.grid, reaction, guess, p.tolerances["newton"])
+
+
+# branch.csv columns any branch experiment may name: column -> its value at a BranchEntry
+BRANCH_COLUMNS = {
+    "q": attrgetter("q"),
+    "sigma": attrgetter("sigma"),
+    "sup_norm_pow_qm1": lambda e: e.result.sup_norm ** (e.q - 1.0),
+    **{name: attrgetter(f"result.{name}")
+       for name in ("sup_norm", "energy", "nehari_residual", "residual_sup", "newton_iters")},
+}
 
 
 def _branch(p):
@@ -416,72 +419,63 @@ def _branch(p):
     )
 
 
+def _branch_table(branch, header, **columns) -> dict:
+    """The columns of ``branch.csv`` by name, in the order of ``header``: each the value
+    that ``columns`` or ``BRANCH_COLUMNS`` defines, at every entry of ``branch``."""
+    columns = {**BRANCH_COLUMNS, **columns}
+    return {name: [columns[name](e) for e in branch.entries] for name in header}
+
+
+def _csv(columns: dict):
+    """A CSV artifact, ``(header, columns)``, from its columns by name."""
+    return list(columns), list(columns.values())
+
+
 def _run_solve(p):
     result = _solve(p, p.reaction)
-    payload = {"reaction": p.reaction.label, **_solve_payload(result)}
+    payload = {"reaction": p.reaction.label, **_fields(result, *SOLVE_FIELDS)}
     artifacts = {"solve.json": payload, "field.csv": _field_columns(result.field)}
     return (0 if result.converged else 1), artifacts
 
 
 def _run_branch(p):
     branch = _branch(p)
-    rows = []
-    for e in branch.entries:
-        r = e.result
-        rows.append((e.q, e.sigma, r.sup_norm, r.sup_norm ** (e.q - 1.0), r.energy,
-                     r.nehari_residual, r.residual_sup, r.newton_iters))
-    header = ["q", "sigma", "sup_norm", "sup_norm_pow_qm1", "energy", "nehari_residual",
-              "residual_sup", "newton_iters"]
+    table = _branch_table(branch, ["q", "sigma", "sup_norm", "sup_norm_pow_qm1", "energy",
+                                   "nehari_residual", "residual_sup", "newton_iters"])
     payload = {"complete": branch.complete, "points": len(branch.entries)}
-    artifacts = {"branch.csv": (header, list(zip(*rows))), "branch.json": payload}
-    return (0 if branch.complete else 1), artifacts
+    return (0 if branch.complete else 1), {"branch.csv": _csv(table), "branch.json": payload}
 
 
 def _run_converge_eigen(p):
     pair = principal_eigenpair(p.grid, p.tolerances["eigen"])
     target = 1.0 + pair.lambda1 / p.schedule[2]
     branch = _branch(p)
-    rows = []
-    errors = []
-    for e in branch.entries:
-        r = e.result
-        power = r.sup_norm ** (e.q - 1.0)
-        err = abs(power - target)
-        errors.append(err)
-        dist = float(np.max(np.abs(r.field.values / r.sup_norm - pair.phi1.values)))
-        rows.append((e.q, e.sigma, r.sup_norm, power, err, dist, r.residual_sup, r.newton_iters))
-    header = ["q", "sigma", "sup_norm", "sup_norm_pow_qm1", "limit_error", "phi1_sup_dist",
-              "residual_sup", "newton_iters"]
-    decreasing = all(a > b for a, b in zip(errors, errors[1:]))
-    payload = {
-        "lambda1": pair.lambda1,
-        "target": target,
-        "limit_errors": errors,
-        "strictly_decreasing": decreasing,
-        "complete": branch.complete,
-    }
-    artifacts = {"branch.csv": (header, list(zip(*rows))), "converge_eigen.json": payload}
+    table = _branch_table(
+        branch,
+        ["q", "sigma", "sup_norm", "sup_norm_pow_qm1", "limit_error", "phi1_sup_dist",
+         "residual_sup", "newton_iters"],
+        limit_error=lambda e: abs(e.result.sup_norm ** (e.q - 1.0) - target),
+        phi1_sup_dist=lambda e: float(np.max(np.abs(e.result.field.values / e.result.sup_norm
+                                                    - pair.phi1.values))),
+    )
+    decreasing = _strictly_decreasing(table["limit_error"])
+    payload = {"lambda1": pair.lambda1, "target": target, "limit_errors": table["limit_error"],
+               "strictly_decreasing": decreasing, "complete": branch.complete}
+    artifacts = {"branch.csv": _csv(table), "converge_eigen.json": payload}
     return (0 if branch.complete and decreasing else 1), artifacts
 
 
 def _run_converge_log(p):
     branch = _branch(p)
-    rows = []
-    residuals = []
-    for e in branch.entries:
-        r = e.result
-        rel = log_residual_sup(r.field) / max(1.0, r.sup_norm)
-        residuals.append(rel)
-        rows.append((e.q, e.sigma, r.sup_norm, rel, r.energy, r.newton_iters))
-    header = ["q", "sigma", "sup_norm", "log_residual_rel", "energy", "newton_iters"]
-    decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
-    payload = {
-        "log_residuals_rel": residuals,
-        "strictly_decreasing": decreasing,
-        "complete": branch.complete,
-        "terminal_sup": branch.entries[-1].result.sup_norm if branch.entries else None,
-    }
-    artifacts = {"branch.csv": (header, list(zip(*rows))), "converge_log.json": payload}
+    table = _branch_table(
+        branch, ["q", "sigma", "sup_norm", "log_residual_rel", "energy", "newton_iters"],
+        log_residual_rel=lambda e: log_residual_sup(e.result.field) / max(1.0, e.result.sup_norm),
+    )
+    decreasing = _strictly_decreasing(table["log_residual_rel"])
+    terminal_sup = branch.entries[-1].result.sup_norm if branch.entries else None
+    payload = {"log_residuals_rel": table["log_residual_rel"], "strictly_decreasing": decreasing,
+               "complete": branch.complete, "terminal_sup": terminal_sup}
+    artifacts = {"branch.csv": _csv(table), "converge_log.json": payload}
     return (0 if branch.complete and decreasing else 1), artifacts
 
 
@@ -518,13 +512,13 @@ def _run_concavity(p):
     sweep_payload = None
     if p.alphas:
         sweep = concavity.alpha_sweep(result.field, p.alphas)
-        sweep_payload = {**_sweep_payload(sweep), "consistent": sweep.consistent}
+        sweep_payload = _fields(sweep, "alphas", "verdicts", "largest_passing", "consistent")
         if p.strict and not sweep.consistent:
             failures.append("alpha sweep verdicts not monotone")
 
     payload = {
         "reaction": p.reaction.label,
-        "solve": _solve_payload(result),
+        "solve": _fields(result, *SOLVE_FIELDS),
         "reports": report_payloads,
         "alpha_sweep": sweep_payload,
         "failures": failures,
@@ -535,38 +529,24 @@ def _run_concavity(p):
 
 def _run_quasiconcavity(p):
     result = _solve(p, p.reaction)
-    report = concavity.quasiconcavity_check(
-        result.field,
-        [f * result.sup_norm for f in p.level_fractions],
-        sample_pairs=p.sample_pairs,
-        seed=p.seed,
-    )
-    payload = {
-        "passed": report.passed,
-        "levels": list(report.levels),
-        "sample_pairs": report.sample_pairs,
-        "seed": report.seed,
-        "slack": report.slack,
-        "failures": [list(f[1]) for f in report.failures],
-    }
+    levels = [f * result.sup_norm for f in p.level_fractions]
+    report = concavity.quasiconcavity_check(result.field, levels, p.sample_pairs, p.seed)
+    payload = {**_fields(report, "passed", "levels", "sample_pairs", "seed", "slack"),
+               "failures": [f[1] for f in report.failures]}  # the midpoints only
     return (0 if report.passed and result.converged else 1), {"quasiconcavity.json": payload}
 
 
 def _run_pohozaev(p):
     result = _solve(p, reactions.log_schrodinger())
     report = pohozaev_check(result, p.domain)
-    payload = {
-        "sup_norm": report.sup_norm,
-        "threshold": report.threshold,
-        "ambient_dim": report.ambient_dim,
-        "passed": report.passed and result.converged,
-    }
+    payload = {**_fields(report, "sup_norm", "threshold", "ambient_dim"),
+               "passed": report.passed and result.converged}
     return (0 if payload["passed"] else 1), {"pohozaev.json": payload}
 
 
 def _run_dispersive(p):
     failures = []
-    payload = {"q": p.q, "sigma": p.sigma}
+    payload = _fields(p, "q", "sigma")
     halves = [
         ("polynomial", p.reaction, reactions.atanh_poly(p.q), "atanh transform"),
         ("logarithmic", reactions.dispersive_log(), reactions.sqrt_one_minus_log(),
@@ -581,7 +561,7 @@ def _run_dispersive(p):
             failures.append(f"{half}: {exc}")
             continue
         payload[half] = {
-            "solve": _solve_payload(result),
+            "solve": _fields(result, *SOLVE_FIELDS),
             "transform": _concavity_report_payload(rep),
         }
         if not result.converged:
@@ -597,17 +577,13 @@ def _run_dispersive(p):
 
 def _run_oned_table(p):
     rows = []
-    for b in p.b_grid:
+    for b in p.b_grid:  # one profile at a time, freed before the next
         sol = oned.solve_interval(b, n=p.samples_per_unit)
         rows.append((b, sol.m, sol.slope, sol.alpha_star, sol.x_star, abs(sol.b_shoot - b),
                      sol.energy_drift))
     header = ["b", "m", "slope", "alpha_star", "x_star", "b_shoot_error", "energy_drift"]
-    ms, slopes, alphas = ([r[i] for r in rows] for i in (1, 2, 3))
-    monotone = {
-        "m_decreasing": all(a > b for a, b in zip(ms, ms[1:])),
-        "slope_decreasing": all(a > b for a, b in zip(slopes, slopes[1:])),
-        "alpha_decreasing": all(a > b for a, b in zip(alphas, alphas[1:])),
-    }
+    monotone = {f"{name}_decreasing": _strictly_decreasing([row[i] for row in rows])
+                for i, name in ((1, "m"), (2, "slope"), (3, "alpha"))}
     payload = {"rows": len(rows), **monotone}
     artifacts = {"oned_table.csv": (header, list(zip(*rows))), "oned_table.json": payload}
     return (0 if all(monotone.values()) else 1), artifacts
@@ -626,7 +602,7 @@ def _run_tensor_check(p):
     residual_half = log_residual_sup(refined, boundary_margin=margin)
     ratio = residual / residual_half
     payload = {
-        "halfwidths": list(bs),
+        "halfwidths": bs,
         "sup_norm": sup,
         "expected_sup": expected,
         "sup_error": abs(sup - expected),
@@ -642,7 +618,7 @@ def _run_tensor_check(p):
         failures.append("residual does not contract like h^2")
     if p.alphas:
         sweep = concavity.alpha_sweep(field, p.alphas)
-        payload["alpha_sweep"] = _sweep_payload(sweep)
+        payload["alpha_sweep"] = _fields(sweep, "alphas", "verdicts", "largest_passing")
     payload["failures"] = failures
     return (0 if not failures else 1), {"tensor.json": payload}
 
@@ -663,13 +639,8 @@ def _run_energy_bound(p):
     result = _solve(p, p.reaction)
     pair = principal_eigenpair(p.grid, p.tolerances["eigen"])
     bound = energy_upper_bound(p.grid, p.q, p.sigma, pair.phi1)
-    payload = {
-        "q": p.q,
-        "sigma": p.sigma,
-        "energy": result.energy,
-        "bound": bound,
-        "passed": bool(result.converged and result.energy <= bound),
-    }
+    payload = {**_fields(p, "q", "sigma"), "energy": result.energy, "bound": bound,
+               "passed": bool(result.converged and result.energy <= bound)}
     return (0 if payload["passed"] else 1), {"energy_bound.json": payload}
 
 
@@ -735,9 +706,12 @@ def _parse(experiment: str, cfg) -> SimpleNamespace:
         if "domain" in p and "resolution" in p:
             n, default = p["resolution"], DEFAULT_RESOLUTION[p["domain"].kind]
             p["grid"] = make_grid(p["domain"], default if n is None else n)
-        if "halfwidths" in p:  # the tensor check's grid, built again in the run
-            make_grid(box(*p["halfwidths"]), p["resolution"])
-        if "resolutions" in p:
+        if "halfwidths" in p:  # the tensor check holds grids at n and 2n - 1 in the run
+            n, dim = p["resolution"], len(p["halfwidths"])
+            check_nodes(n**dim + (2 * n - 1) ** dim)
+            make_grid(box(*p["halfwidths"]), n)
+        if "resolutions" in p:  # both grids are held through the run
+            check_nodes(sum(n ** p["domain"].dim for n in p["resolutions"]))
             p["grids"] = [make_grid(p["domain"], n) for n in p["resolutions"]]
         if experiment in FLAT_REACTION:
             p["reaction"] = getattr(reactions, FLAT_REACTION[experiment])(p["q"], p["sigma"])
@@ -798,7 +772,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot write to --out {args.out!r}: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ValueError) as exc:
+    # a MemoryError past the grid cap's estimate is a numerical failure too
+    except (RuntimeError, ValueError, MemoryError) as exc:
         failure = {"failure.json": {"error": str(exc)}}
         _write(Path(args.out), failure, config_hash(cfg), args.experiment)
         print(f"failure: {exc}", file=sys.stderr)

@@ -32,7 +32,6 @@ __all__ = [
     "ConcavityReport",
     "AlphaSweepResult",
     "QuasiconcavityReport",
-    "LevelSetCurvature",
     "EmptyCheckSetError",
     "hessian_at",
     "check_transform_concavity",
@@ -41,7 +40,6 @@ __all__ = [
     "transformed_equation_residual",
     "alpha_sweep",
     "quasiconcavity_check",
-    "level_set_curvature",
 ]
 
 STRICT_MARGIN_FACTOR = 1e-8
@@ -503,48 +501,3 @@ def quasiconcavity_check(
         slack=slack,
         failures=tuple(failures),
     )
-
-
-# ---------------------------------------------------------------------------
-# level-set geometry
-
-
-@dataclass(frozen=True)
-class LevelSetCurvature:
-    ii_min: float            # smallest second-fundamental-form eigenvalue
-    mean_curvature: float    # trace of the second fundamental form
-    identity_residual: float # Delta_h v - (<H g, g>/|g|^2 + K |g|) at the node
-
-
-def level_set_curvature(
-    field: ScalarField, node, grad_floor: float = 1e-6
-) -> LevelSetCurvature:
-    """Second fundamental form ``<H z, z>/|Dv|`` of the level set through a
-    node, its mean curvature, and the decomposition residual of the
-    Laplacian along normal/tangential directions."""
-    grid = field.grid
-    if grid.ambient_dim < 2:
-        raise ValueError("level sets of one-dimensional fields are points")
-    idx = (int(node),) if np.isscalar(node) else tuple(int(i) for i in node)
-    hess = hessian_at(field, idx)
-    # in the radial frame of hessian_at the gradient is (u', 0, ..., 0)
-    g = np.zeros(grid.ambient_dim)
-    g[: grid.ndim] = [comp[idx] for comp in gradient_components(field)]
-    gnorm = float(np.linalg.norm(g))
-    if gnorm < grad_floor:
-        raise ValueError(f"gradient magnitude {gnorm:.3e} below floor {grad_floor:.1e}")
-    d = len(g)
-    basis = np.eye(d)
-    basis[:, 0] = g / gnorm
-    q_mat, _ = np.linalg.qr(basis)
-    # keep the first column aligned with the gradient direction
-    if float(q_mat[:, 0] @ g) < 0:
-        q_mat = -q_mat
-    tangent = q_mat[:, 1:]
-    ii_mat = tangent.T @ hess @ tangent / gnorm
-    eigs = np.linalg.eigvalsh(ii_mat)
-    mean_curv = float(np.trace(ii_mat))
-    lap = float(np.trace(hess))
-    normal_part = float(g @ hess @ g) / gnorm**2
-    residual = lap - (normal_part + mean_curv * gnorm)
-    return LevelSetCurvature(float(eigs[0]), mean_curv, abs(residual))

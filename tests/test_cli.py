@@ -1,3 +1,4 @@
+import importlib
 import json
 import tempfile
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from concavelab import cli, oned, reactions
+from concavelab import cli, grid, oned, reactions
 from concavelab.cli import ConfigError, ExperimentConfig, config_hash, load_config, main, run
 from concavelab.linops import EigenSolveError
 
@@ -340,6 +341,34 @@ def test_table_csvs_keep_integers_and_round_trip_floats(tmp_path):
         assert all(repr(float(text)) == text for text in texts)
 
 
+BRANCH_HEADERS = {  # experiment -> (sigma rule, branch.csv header)
+    "branch": ("fixed", "q,sigma,sup_norm,sup_norm_pow_qm1,energy,nehari_residual,residual_sup,"
+                        "newton_iters"),
+    "converge-eigen": ("fixed", "q,sigma,sup_norm,sup_norm_pow_qm1,limit_error,phi1_sup_dist,"
+                                "residual_sup,newton_iters"),
+    "converge-log": ("log_path", "q,sigma,sup_norm,log_residual_rel,energy,newton_iters"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(BRANCH_HEADERS))
+def test_branch_tables_hold_the_branch_entries(tmp_path, experiment):
+    rule, header = BRANCH_HEADERS[experiment]
+    schedule = {"sigma_rule": rule, "qs": [1.2, 1.1, 1.05]}
+    if rule == "fixed":
+        schedule["sigma"] = 1.0
+    data = {"domain": {"kind": "interval", "halfwidth": 1.0}, "resolution": 41,
+            "schedule": schedule}
+    cfg = _write_cfg(tmp_path, "b.yaml", data)
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "branch.csv").read_text().splitlines()[1] == header
+    table = _csv_columns(out / "branch.csv")
+    entries = cli._branch(cli._parse(experiment, data)).entries
+    assert table["q"] == tuple(repr(e.q) for e in entries)
+    assert table["sup_norm"] == tuple(repr(e.result.sup_norm) for e in entries)
+    assert table["newton_iters"] == tuple(str(e.result.newton_iters) for e in entries)
+
+
 def test_experiment_config_round_trip():
     cfg = ExperimentConfig(
         {
@@ -377,6 +406,41 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def test_committed_configs_pass(tmp_path, path):
     experiment = load_config(path)["experiment"]
     assert main([experiment, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+def _deck_config_texts(monkeypatch):
+    """The YAML of pass 0 of each benchmark deck and of the known-failure deck."""
+    monkeypatch.syspath_prepend(str(CONFIGS.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    refs = workloads.References(oned)
+    cases = workloads.generate_known_failures(801, 0, refs)
+    for workload in workloads.WORKLOADS:
+        cases += workloads.generate_pass(workload, 801, 0, refs)
+    return [yaml.safe_dump(case.config, sort_keys=True) for case in cases]
+
+
+def test_config_loaders_agree(monkeypatch):
+    if yaml.__with_libyaml__:
+        assert cli.YAML_LOADER is yaml.CSafeLoader
+    texts = [path.read_text() for path in sorted(CONFIGS.glob("*.yaml"))]
+    texts += _deck_config_texts(monkeypatch)
+    for text in texts:
+        assert yaml.load(text, Loader=cli.YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, cli.YAML_LOADER],
+                         ids=lambda loader: loader.__name__)
+def test_unreadable_configs_exit_alike_under_both_loaders(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr(cli, "YAML_LOADER", loader)
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text("domain: {kind: interval\n")
+    assert main(["solve", "--config", str(malformed), "--out", str(tmp_path / "m")]) == 2
+    assert not (tmp_path / "m").exists()
+    binary = tmp_path / "binary.yaml"
+    binary.write_bytes(b"domain: \xff\xfe\n")
+    # a file that is not UTF-8 ends the same way under either loader
+    assert main(["solve", "--config", str(binary), "--out", str(tmp_path / "b")]) == 1
+    assert (tmp_path / "b" / "failure.json").exists()
 
 
 def test_concavity_expectation_is_checked(tmp_path):
@@ -432,7 +496,43 @@ def test_eigen_solve_error_exits_1_with_failure_json(tmp_path, monkeypatch):
     assert payload["experiment"] == "converge-eigen"
 
 
+def test_memory_error_exits_1_with_failure_json(tmp_path, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(cli, "newton_solve", exhausted)
+    cfg = _write_cfg(tmp_path, "m.yaml", BASE_SOLVE)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert json.loads((out / "failure.json").read_text())["error"] == "cannot allocate"
+
+
 INTERVAL_41 = {"domain": {"kind": "interval", "halfwidth": 1.0}, "resolution": 41}
+
+
+def _first_past_cap(nodes) -> int:
+    """The least resolution ``n`` whose grids hold more than ``grid.MAX_NODES``
+    nodes, ``nodes(n)`` of them, found by bisection."""
+    lo, hi = 3, grid.MAX_NODES + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if nodes(mid) > grid.MAX_NODES else (mid + 1, hi)
+    return lo
+
+
+BOX_3D = {"domain": {"kind": "box", "halfwidths": [1.0, 1.0, 1.0]},
+          "reaction": {"kind": "log_schrodinger"}}
+# the tensor check holds its grids at n and 2n - 1, gausson-residual both of its grids
+N_BOX_3D = _first_past_cap(lambda n: n**3)
+N_TENSOR_2D = _first_past_cap(lambda n: n**2 + (2 * n - 1) ** 2)
+N_GAUSSON_2D = _first_past_cap(lambda n: 2 * n**2)
+
+
+def test_node_cap_counts_the_grids_an_experiment_holds():
+    # one grid of the tensor-check and gausson-residual cases is under the cap;
+    # they are refused for the grids they hold together
+    assert N_TENSOR_2D**2 <= grid.MAX_NODES and N_GAUSSON_2D**2 <= grid.MAX_NODES
+    assert (N_BOX_3D - 1) ** 3 <= grid.MAX_NODES < N_BOX_3D**3
 
 
 @pytest.mark.parametrize(
@@ -496,6 +596,25 @@ INTERVAL_41 = {"domain": {"kind": "interval", "halfwidth": 1.0}, "resolution": 4
         pytest.param("oned-table",
                      f"b_grid: [1.0]\nsamples_per_unit: {oned.MAX_SAMPLES_PER_UNIT + 1}\n", [],
                      2, None, id="samples-per-unit-above-cap"),
+        # grids past the node cap are refused by arithmetic before any allocation
+        pytest.param("solve", yaml.safe_dump({**BASE_SOLVE, "resolution": grid.MAX_NODES + 1}),
+                     [], 2, None, id="interval-above-node-cap"),
+        pytest.param("solve", yaml.safe_dump({**BOX_3D, "resolution": N_BOX_3D}), [], 2, None,
+                     id="box-3d-above-node-cap"),
+        pytest.param("solve", yaml.safe_dump(BOX_3D), ["--resolution", str(N_BOX_3D)], 2, None,
+                     id="resolution-flag-above-node-cap"),
+        pytest.param("solve", yaml.safe_dump({**BOX_3D, "resolution": 5000}), [], 2, None,
+                     id="box-3d-resolution-5000"),
+        pytest.param("pohozaev",
+                     yaml.safe_dump({"domain": {"kind": "ball", "radius": 1.0, "ambient_dim": 3},
+                                     "resolution": grid.MAX_NODES + 1}),
+                     [], 2, None, id="ball-above-node-cap"),
+        pytest.param("tensor-check", f"halfwidths: [1.0, 1.0]\nresolution: {N_TENSOR_2D}\n", [],
+                     2, None, id="tensor-check-refined-grid-above-node-cap"),
+        pytest.param("gausson-residual",
+                     yaml.safe_dump({"domain": {"kind": "box", "halfwidths": [3.0, 3.0]},
+                                     "resolutions": [N_GAUSSON_2D, N_GAUSSON_2D]}),
+                     [], 2, None, id="gausson-grids-above-node-cap"),
     ],
 )
 def test_exit_codes(tmp_path, experiment, text, argv, code, artifact):

@@ -11,8 +11,6 @@ from concavelab import (
     check_transform_concavity,
     hessian_at,
     initial_guess,
-    interval,
-    level_set_curvature,
     log_schrodinger,
     make_grid,
     newton_solve,
@@ -255,71 +253,3 @@ def test_quasiconcavity_validates_inputs(log_solve_box):
         quasiconcavity_check(log_solve_box.field, [2.0 * log_solve_box.sup_norm], 10, 1)
     with pytest.raises(ValueError):
         quasiconcavity_check(log_solve_box.field, [0.5], 0, 1)
-
-
-# ---------------------------------------------------------------------------
-# level-set geometry
-
-
-def test_level_set_curvature_of_paraboloid():
-    vals = []
-    for n in (41, 81):
-        g = make_grid(box(2.0, 2.0), n)
-        x, y = g.coordinate_arrays()
-        fld = ScalarField(g, x**2 + y**2, validate=False)
-        node = (3 * (n - 1) // 4, (n - 1) // 2)  # x = 1, y = 0
-        rep = level_set_curvature(fld, node)
-        vals.append(abs(rep.mean_curvature - 1.0))
-        assert rep.identity_residual < 1e-9
-    assert vals[0] < 1e-9 and vals[1] < 1e-9  # stencils exact on quadratics
-
-
-def test_level_set_curvature_in_three_dimensions():
-    g = make_grid(box(1.5, 1.5, 1.5), 31)
-    x, y, z = g.coordinate_arrays()
-    fld = ScalarField(g, x**2 + y**2 + z**2, validate=False)
-    node = (22, 15, 15)  # on the positive x axis
-    rep = level_set_curvature(fld, node)
-    r = float(g.axes[0][22])
-    assert math.isclose(rep.mean_curvature, 2.0 / r, rel_tol=1e-9)
-    assert rep.ii_min > 0.0
-
-
-def test_level_set_rejects_vanishing_gradient():
-    g = make_grid(box(1.0, 1.0), 41)
-    x, y = g.coordinate_arrays()
-    fld = ScalarField(g, x**2 + y**2, validate=False)
-    with pytest.raises(ValueError):
-        level_set_curvature(fld, (20, 20))  # critical point at the origin
-
-
-def test_level_set_rejects_one_dimensional_fields():
-    g = make_grid(interval(1.0), 41)
-    fld = ScalarField.zeros(g)
-    with pytest.raises(ValueError):
-        level_set_curvature(fld, 20)
-
-
-def test_negative_log_level_sets_curve_positively(log_solve_box):
-    # w = -log u has convex sublevel sets on the solved field: positive
-    # mean curvature where the gradient is meaningful
-    g = log_solve_box.field.grid
-    w = np.zeros(g.shape)
-    pos = log_solve_box.field.values > 0
-    w[pos] = -np.log(log_solve_box.field.values[pos])
-    fld = ScalarField(g, w, validate=False)
-    n = g.shape[0]
-    for node in [(n // 2 + 8, n // 2), (n // 2, n // 2 - 11), (n // 2 + 6, n // 2 + 6)]:
-        rep = level_set_curvature(fld, node)
-        assert rep.mean_curvature > 0.0
-        assert rep.identity_residual < 1e-9
-
-
-def test_identity_residual_on_smooth_synthetic_field():
-    g = make_grid(box(1.0, 1.0), 81)
-    x, y = g.coordinate_arrays()
-    fld = ScalarField(g, np.sin(1.3 * x + 0.4) * np.cos(0.9 * y - 0.2), validate=False)
-    rep = level_set_curvature(fld, (30, 47))
-    # the decomposition is evaluated from one consistent Hessian, so the
-    # residual sits at roundoff rather than at O(h^2)
-    assert rep.identity_residual < 1e-10

@@ -1,11 +1,9 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from concavelab import ball, box, geometry_summary, interval, make_grid
+from concavelab import ball, box, interval, make_grid
 from concavelab.grid import Domain
 
 
@@ -46,57 +44,6 @@ def test_domain_rejects_bad_sizes():
         ball(1.0, 0)
     with pytest.raises(ValueError):
         Domain("box", halfwidths=(1.0,) * 4)
-
-
-def test_geometry_ball():
-    s = geometry_summary(ball(3.0, 2))
-    assert s.diameter == 6.0
-    assert s.eccentricity == 1.0
-
-
-def test_geometry_square():
-    s = geometry_summary(box(1.0, 1.0))
-    assert math.isclose(s.diameter, 2.0 * math.sqrt(2.0))
-    assert math.isclose(s.eccentricity, math.sqrt(2.0))
-
-
-def _brute_force_box_geometry(halfwidths):
-    # circumradius: farthest point of the box from the center is a corner;
-    # inradius: largest ball centered anywhere fits best at the center and
-    # is limited by the nearest face
-    corners = np.array(list(itertools.product(*[(-b, b) for b in halfwidths])))
-    circum = float(np.max(np.linalg.norm(corners, axis=1)))
-    inr = float(min(halfwidths))
-    return 2.0 * circum, circum / inr
-
-
-def test_geometry_thin_box_matches_brute_force():
-    diam, ecc = _brute_force_box_geometry((1.0, 0.1))
-    s = geometry_summary(box(1.0, 0.1))
-    assert math.isclose(s.diameter, diam)
-    assert math.isclose(s.eccentricity, ecc)
-    assert math.isclose(s.eccentricity, math.sqrt(1.01) / 0.1)
-
-
-@given(
-    st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=1, max_size=3)
-)
-def test_box_geometry_invariants(halfwidths):
-    s = geometry_summary(box(*halfwidths))
-    assert s.eccentricity >= 1.0
-    assert s.diameter > 0.0
-    assert math.isclose(s.diameter**2, 4.0 * sum(b * b for b in halfwidths), rel_tol=1e-12)
-    diam, ecc = _brute_force_box_geometry(tuple(halfwidths))
-    assert math.isclose(s.diameter, diam, rel_tol=1e-12)
-    assert math.isclose(s.eccentricity, ecc, rel_tol=1e-12)
-
-
-def test_refinement_leaves_geometry_unchanged():
-    g = make_grid(box(1.0, 0.5), 11)
-    before = geometry_summary(g.domain)
-    after = geometry_summary(g.refine().domain)
-    assert before == after
-    assert g.refine().shape == (21, 21)
 
 
 def test_boundary_distance():
