@@ -12,17 +12,21 @@ boundary slope ``sqrt(2 F(m))``, the sharp power-concavity exponent
 itself by adaptive DOP853 shooting with event location as an independent
 cross-check of the time map, tensor-product solutions on plurirectangles,
 and the explicit entire Gaussian-type profile ``e^(N/2) e^(-|x|^2 / 2)``.
+
+A profile is DOP853's dense output, its 7th-order interpolant per step
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.6): tensor products read
+it at their grid nodes, and half-profile samples ``x = k / n`` are drawn
+from it one step at a time, and only when they are read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import PchipInterpolator
+from scipy.integrate import OdeSolution, quad, solve_ivp
 from scipy.optimize import brentq
 
 from .grid import Grid, box, make_grid
@@ -44,7 +48,6 @@ __all__ = [
     "sqrtlog_concavity_criterion",
     "sqrtlog_concavity_check",
     "solve_interval",
-    "profile_interpolator",
     "tensor_solution",
     "gausson",
     "gausson_field",
@@ -181,9 +184,10 @@ def halfwidth_for_alpha(alpha: float, quad_tol: float = 1e-11) -> float:
 SHOOT_RTOL = 1e-13
 SHOOT_ATOL = 1e-15
 SHOOT_WINDOW = 60.0
-# peak bytes per sample of a solution with its interpolant (tracemalloc:
-# 72 while shooting, 112 once the PCHIP coefficients are built), and the
-# memory one profile may take
+# bytes per sample of a half-profile, and the memory one profile may take;
+# the bound dates from a PCHIP built on the samples (tracemalloc peak 112),
+# while sampling the dense output step by step peaks at 49 (b = 1 and 4,
+# n = 100,000)
 SAMPLE_BYTES = 112
 PROFILE_BYTES_MAX = 2**30
 MAX_SAMPLES_PER_UNIT = int(PROFILE_BYTES_MAX / (SAMPLE_BYTES * MAX_HALFWIDTH))
@@ -229,6 +233,55 @@ def check_samples_per_unit(n: int) -> None:
         raise ValueError(f"{n} samples per unit length exceed the cap {MAX_SAMPLES_PER_UNIT}")
 
 
+@dataclass(frozen=True)
+class _Shot:
+    m: float                # u(0)
+    dense: OdeSolution      # DOP853's dense output of (u, u') from 0 to the crossing
+    b: float                # crossing abscissa
+    crossing: np.ndarray    # (u, u') there
+    x_star: float           # u(x_star) = 1
+
+
+def _shoot(m: float) -> _Shot:
+    """Integrate ``u'' = -u log u^2`` from ``u(0) = m``, ``u'(0) = 0`` with
+    DOP853 until the profile crosses zero; the crossing and the unit value
+    are located as events within a window of ``SHOOT_WINDOW`` units."""
+    if not m > SQRT_E:
+        raise TimeMapError("shooting requires m > sqrt(e)")
+    ivp = solve_ivp(_phase_rhs, (0.0, SHOOT_WINDOW), (m, 0.0), method="DOP853",
+                    rtol=SHOOT_RTOL, atol=SHOOT_ATOL, dense_output=True,
+                    events=(_crossing, _unit_value))
+    if ivp.status != 1:
+        raise TimeMapError(
+            f"profile failed to cross zero within {SHOOT_WINDOW:g} units "
+            f"({ivp.message}); is m > sqrt(e)?"
+        )
+    return _Shot(m, ivp.sol, float(ivp.t_events[0][0]), ivp.y_events[0][0],
+                 float(ivp.t_events[1][0]))
+
+
+def _sample(dense: OdeSolution, xs: np.ndarray) -> np.ndarray:
+    """``dense(xs)`` for sorted ``xs``, bit for bit: each step's interpolant
+    is evaluated on its own slice, a sample on a step end going to the
+    earlier step as in ``OdeSolution``, without its per-sample sort and
+    grouping."""
+    cuts = np.searchsorted(xs, dense.ts[1:-1], side="right")
+    return np.hstack([step(part) for step, part in zip(dense.interpolants, np.split(xs, cuts))])
+
+
+def _half_profile(shot: _Shot, n: int):
+    """Abscissae ``k / n`` below the crossing, then the crossing, with the
+    profile and its derivative there and their energy drift."""
+    xs = np.arange(math.ceil(shot.b * n)) / n
+    xs = xs[xs < shot.b]
+    us, ps = _sample(shot.dense, xs)
+    ub, pb = shot.crossing
+    xs, us, ps = np.append(xs, shot.b), np.append(us, ub), np.append(ps, pb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_vals = np.where(us > 0, 0.5 * us**2 * (np.log(us**2) - 1.0), 0.0)
+    return xs, us, ps, float(np.max(np.abs(0.5 * ps**2 + f_vals - _F(shot.m))))
+
+
 def shoot_profile(m: float, n: int = 10_000) -> ShootResult:
     """Integrate ``u'' = -u log u^2`` from ``u(0) = m``, ``u'(0) = 0`` with
     DOP853 until the profile crosses zero.
@@ -238,27 +291,10 @@ def shoot_profile(m: float, n: int = 10_000) -> ShootResult:
     number of samples per unit length: the profile is the dense output at
     ``x = k / n`` below the crossing, followed by the crossing itself.
     """
-    if not m > SQRT_E:
-        raise TimeMapError("shooting requires m > sqrt(e)")
     check_samples_per_unit(n)
-    ivp = solve_ivp(_phase_rhs, (0.0, SHOOT_WINDOW), (m, 0.0), method="DOP853",
-                    rtol=SHOOT_RTOL, atol=SHOOT_ATOL, dense_output=True,
-                    events=(_crossing, _unit_value))
-    if ivp.status != 1:
-        raise TimeMapError(
-            f"profile failed to cross zero within {SHOOT_WINDOW:g} units "
-            f"({ivp.message}); is m > sqrt(e)?"
-        )
-    b = float(ivp.t_events[0][0])
-    xs = np.arange(math.ceil(b * n)) / n
-    xs = xs[xs < b]
-    us, ps = ivp.sol(xs)
-    ub, pb = ivp.y_events[0][0]
-    xs, us, ps = np.append(xs, b), np.append(us, ub), np.append(ps, pb)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f_vals = np.where(us > 0, 0.5 * us**2 * (np.log(us**2) - 1.0), 0.0)
-    drift = float(np.max(np.abs(0.5 * ps**2 + f_vals - _F(m))))
-    return ShootResult(b, xs, us, ps, drift, abs(float(pb)), float(ivp.t_events[1][0]))
+    shot = _shoot(m)
+    xs, us, ps, drift = _half_profile(shot, n)
+    return ShootResult(shot.b, xs, us, ps, drift, abs(float(shot.crossing[1])), shot.x_star)
 
 
 def locate_unit_value(shoot: ShootResult) -> float:
@@ -292,55 +328,62 @@ def sqrtlog_concavity_check(profile, m: float, slack: float = 1e-12) -> bool:
 
 @dataclass
 class OneDimSolution:
-    """Fully resolved profile on ``(-b, b)`` with its derived quantities."""
+    """Fully resolved profile on ``(-b, b)`` with its derived quantities.
+
+    The profile is DOP853's dense output; the half-profile samples ``xs``,
+    ``us`` and their ``energy_drift`` are evaluated from it, ``n`` per unit
+    length, on first read."""
 
     b: float
     m: float
     C: float                # F(m) = |u'(b)|^2 / 2
     x_star: float           # u(x_star) = 1, concave/convex switch
     alpha_star: float
-    xs: np.ndarray          # half-profile abscissae from the shooting pass
-    us: np.ndarray
-    b_shoot: float          # the shooting pass's crossing abscissa
-    energy_drift: float     # and its energy drift
+    n: int                  # samples per unit length of the half-profile
+    shot: _Shot = field(repr=False, compare=False)
 
     @property
     def slope(self) -> float:
         return math.sqrt(2.0 * self.C)
 
+    @property
+    def b_shoot(self) -> float:
+        """The shooting pass's crossing abscissa."""
+        return self.shot.b
+
     @cached_property
-    def interpolant(self) -> PchipInterpolator:
-        """Monotone cubic interpolant of the half-profile, built once;
-        evaluate at ``|x|``."""
-        return PchipInterpolator(self.xs, self.us, extrapolate=False)
+    def _samples(self) -> tuple[np.ndarray, np.ndarray, float]:
+        xs, us, _, drift = _half_profile(self.shot, self.n)
+        return xs, us, drift
+
+    @property
+    def xs(self) -> np.ndarray:
+        """Half-profile abscissae ``k / n`` below the crossing, then the crossing."""
+        return self._samples[0]
+
+    @property
+    def us(self) -> np.ndarray:
+        return self._samples[1]
+
+    @property
+    def energy_drift(self) -> float:
+        """``max |p^2/2 + F(u) - F(m)|`` over the samples."""
+        return self._samples[2]
 
 
 def solve_interval(b: float, n: int = 20_000) -> OneDimSolution:
     """Resolve the unique positive profile on ``(-b, b)`` through the
-    time-map inversion plus a shooting pass with ``n`` samples per unit."""
+    time-map inversion plus a shooting pass; ``n`` samples per unit length
+    are drawn from its dense output when ``xs`` or ``us`` are read."""
+    check_samples_per_unit(n)
     m = solve_m_of_b(b)
-    shot = shoot_profile(m, n)
-    return OneDimSolution(
-        b=b,
-        m=m,
-        C=_F(m),
-        x_star=shot.x_star,
-        alpha_star=alpha_star(b, m=m),
-        xs=shot.xs,
-        us=shot.us,
-        b_shoot=shot.b,
-        energy_drift=shot.energy_drift,
-    )
-
-
-def profile_interpolator(sol: OneDimSolution) -> PchipInterpolator:
-    """Monotone cubic interpolant of the half-profile; evaluate at ``|x|``."""
-    return sol.interpolant
+    shot = _shoot(m)
+    return OneDimSolution(b=b, m=m, C=_F(m), x_star=shot.x_star,
+                          alpha_star=alpha_star(b, m=m), n=n, shot=shot)
 
 
 def _profile_on_axis(sol: OneDimSolution, axis: np.ndarray) -> np.ndarray:
-    vals = sol.interpolant(np.minimum(np.abs(axis), sol.xs[-1]))
-    vals = np.nan_to_num(vals, nan=0.0)
+    vals = sol.shot.dense(np.minimum(np.abs(axis), sol.b_shoot))[0]
     vals[np.abs(np.abs(axis) - sol.b) < 1e-14] = 0.0
     return np.maximum(vals, 0.0)
 
@@ -353,8 +396,10 @@ def tensor_solution(
     its sup norm is the product of the factor sup norms.
 
     ``solutions`` maps halfwidths to their :class:`OneDimSolution`; a
-    halfwidth missing from it is solved with ``n`` samples per unit and
-    added, so calls that share one dict solve each halfwidth once."""
+    halfwidth missing from it is solved and added, so calls that share one
+    dict solve each halfwidth once.  Grid values are the dense output of
+    each profile at its axis nodes; ``n`` sets only the sample density of
+    the returned solutions' ``xs`` and ``us``, which are not drawn here."""
     bs = [float(b) for b in np.atleast_1d(bs)]
     grid = make_grid(box(*bs), resolution)
     values = np.ones(grid.shape)

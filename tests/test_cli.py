@@ -438,9 +438,9 @@ def test_unreadable_configs_exit_alike_under_both_loaders(tmp_path, monkeypatch,
     assert not (tmp_path / "m").exists()
     binary = tmp_path / "binary.yaml"
     binary.write_bytes(b"domain: \xff\xfe\n")
-    # a file that is not UTF-8 ends the same way under either loader
-    assert main(["solve", "--config", str(binary), "--out", str(tmp_path / "b")]) == 1
-    assert (tmp_path / "b" / "failure.json").exists()
+    # a file that is not UTF-8 is an invalid config under either loader
+    assert main(["solve", "--config", str(binary), "--out", str(tmp_path / "b")]) == 2
+    assert not (tmp_path / "b").exists()
 
 
 def test_concavity_expectation_is_checked(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
 from scipy.optimize import brentq
 
 from concavelab import apply_laplacian, box, make_grid
@@ -250,20 +251,76 @@ def test_tensor_anisotropic_box():
     assert abs(field.sup_norm() - m1 * m2) < 1e-6
 
 
-def test_tensor_builds_each_interpolant_once(monkeypatch):
-    built = []
-    pchip = oned.PchipInterpolator
+def test_tensor_integrates_each_halfwidth_once(monkeypatch):
+    shots = []
+    shoot = oned._shoot
 
-    def counting_pchip(*args, **kwargs):
-        built.append(args)
-        return pchip(*args, **kwargs)
+    def counting_shoot(m):
+        shots.append(m)
+        return shoot(m)
 
-    monkeypatch.setattr(oned, "PchipInterpolator", counting_pchip)
+    monkeypatch.setattr(oned, "_shoot", counting_shoot)
     profiles = {}
-    first = oned.tensor_solution([1.0, 1.0], 41, n=1000, solutions=profiles)
-    second = oned.tensor_solution([1.0, 1.0], 81, n=1000, solutions=profiles)
-    assert len(built) == 1
-    assert first.sup_norm() == second.sup_norm() == profiles[1.0].m ** 2
+    first = oned.tensor_solution([1.0, 1.5, 1.0], 41, n=1000, solutions=profiles)
+    second = oned.tensor_solution([1.0, 1.5, 1.0], 81, n=1000, solutions=profiles)
+    assert len(shots) == 2 and sorted(profiles) == [1.0, 1.5]
+    expected = profiles[1.0].m ** 2 * profiles[1.5].m
+    assert first.sup_norm() == second.sup_norm() == pytest.approx(expected, rel=1e-12)
+
+
+def test_tensor_never_samples_the_profile(monkeypatch):
+    def no_sampling(dense, xs):
+        raise AssertionError("tensor_solution drew half-profile samples")
+
+    monkeypatch.setattr(oned, "_sample", no_sampling)
+    profiles = {}
+    field = oned.tensor_solution([1.0, 1.5], (41, 61), solutions=profiles)
+    assert field.sup_norm() > 0.0
+    with pytest.raises(AssertionError):
+        profiles[1.0].us
+
+
+@pytest.mark.parametrize("b", [0.912347, 1.083219, 1.187731])
+def test_tensor_values_agree_with_the_pchip_of_dense_samples(b):
+    from scipy.interpolate import PchipInterpolator
+
+    # the grid values tensor products were once read from: a PCHIP through
+    # the half-profile sampled at 100,000 points per unit length
+    shot = oned.shoot_profile(oned.solve_m_of_b(b), 100_000)
+    pchip = PchipInterpolator(shot.xs, shot.us, extrapolate=False)
+    profiles = {}
+    for resolution in (41, 81, 161):
+        axis = make_grid(box(b), resolution).axes[0]
+        old = np.nan_to_num(pchip(np.minimum(np.abs(axis), shot.xs[-1])), nan=0.0)
+        old[np.abs(np.abs(axis) - b) < 1e-14] = 0.0
+        values = oned.tensor_solution([b], resolution, solutions=profiles).values
+        np.testing.assert_allclose(values, np.maximum(old, 0.0), rtol=1e-12, atol=0)
+
+
+def _constant(k: int):
+    return lambda t: np.full((2, len(t)), float(k))
+
+
+@pytest.mark.parametrize("b", [0.35, 1.0, 4.0])
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_step_by_step_samples_equal_the_dense_output(b, n):
+    shot = oned._shoot(oned.solve_m_of_b(b))
+    xs = np.arange(math.ceil(shot.b * n)) / n
+    # one abscissa exactly on a step end, which OdeSolution gives to the earlier step
+    ts = shot.dense.ts
+    xs = np.sort(np.append(xs[xs < shot.b], ts[len(ts) // 2]))
+    assert np.array_equal(oned._sample(shot.dense, xs), shot.dense(xs))
+    # both neighbouring steps agree there, so compare the step each sample goes to
+    step_index = OdeSolution(ts, [_constant(k) for k in range(len(ts) - 1)])
+    assert np.array_equal(oned._sample(step_index, xs), step_index(xs))
+
+
+def test_solution_samples_equal_the_shooting_pass():
+    b, n = 1.3, 20_000
+    sol = oned.solve_interval(b, n)
+    shot = oned.shoot_profile(sol.m, n)
+    assert np.array_equal(sol.xs, shot.xs) and np.array_equal(sol.us, shot.us)
+    assert sol.energy_drift == shot.energy_drift and sol.b_shoot == shot.b
 
 
 def test_gausson_center_value_and_residual():
