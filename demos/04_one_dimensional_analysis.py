@@ -14,7 +14,7 @@ import numpy as np
 from concavelab import oned
 
 print("cross-validation at m = 2:")
-b = oned.time_map(2.0, 1e-11)
+b = oned.time_map(2.0)
 shot = oned.shoot_profile(2.0, 100_000)
 print(f"  time map b           = {b:.12f}")
 print(f"  shooting crossing    = {shot.b:.12f}   (gap {abs(shot.b - b):.2e})")

@@ -364,13 +364,9 @@ def check_sweep_exponents(alphas) -> None:
         raise ValueError("sweep exponents must be sorted ascending")
 
 
-def alpha_sweep(
-    field: ScalarField,
-    alphas,
-    eps_floor: float | None = None,
-    layer_k: int = 3,
-) -> AlphaSweepResult:
-    """Power-concavity verdicts over a sorted list of exponents in (0, 1).
+def alpha_sweep(field: ScalarField, alphas) -> AlphaSweepResult:
+    """Power-concavity verdicts over a sorted list of exponents in (0, 1),
+    each on the default check set of :func:`check_transform_concavity`.
 
     Passing is monotone downward in the exponent for exact profiles; a
     pass above a fail in the sweep is flagged as a numerical artifact
@@ -378,10 +374,7 @@ def alpha_sweep(
     """
     alphas = tuple(float(a) for a in alphas)
     check_sweep_exponents(alphas)
-    reports = tuple(
-        check_transform_concavity(field, reactions.power(a), eps_floor, layer_k)
-        for a in alphas
-    )
+    reports = tuple(check_transform_concavity(field, reactions.power(a)) for a in alphas)
     passing = [r.passed for r in reports]
     largest = None
     for a, ok in zip(alphas, passing):
@@ -417,15 +410,6 @@ class QuasiconcavityReport:
     failures: tuple[tuple[float, tuple[float, ...], float], ...]  # (level, midpoint, value)
 
 
-def _nearest_node_value(grid: Grid, values: np.ndarray, point: np.ndarray) -> tuple[tuple[int, ...], float]:
-    idx = []
-    for a, (ax, h) in enumerate(zip(grid.axes, grid.spacing)):
-        j = int(round((point[a] - ax[0]) / h))
-        idx.append(min(max(j, 0), grid.shape[a] - 1))
-    idx = tuple(idx)
-    return idx, float(values[idx])
-
-
 def check_levels(levels, sup: float) -> None:
     """Raise ``ValueError`` unless every level lies strictly between 0 and ``sup``."""
     if any(not 0.0 < t < sup for t in levels):
@@ -449,7 +433,8 @@ def quasiconcavity_check(
     For every level ``t`` draw seeded pairs from ``{u >= t}``, map each
     midpoint to its nearest node and require ``u >= t - delta`` there,
     where ``delta = 2 h max|Du|`` absorbs one node snap plus the field's
-    Lipschitz variation.
+    Lipschitz variation.  On radial grids each pair's radii point along
+    seeded random directions and the midpoint is snapped by its norm.
     """
     grid = field.grid
     levels = tuple(float(t) for t in levels)
@@ -460,38 +445,28 @@ def quasiconcavity_check(
     grad_mag = np.sqrt(sum(g * g for g in grads))
     slack = 2.0 * max(grid.spacing) * float(np.max(grad_mag))
     values = field.values
+    # the nodes as points, one row each: the radius on radial grids
+    points = np.stack([c.ravel() for c in grid.coordinate_arrays()], axis=1)
+    origin = np.array([ax[0] for ax in grid.axes])
+    last = np.array(grid.shape) - 1
     failures = []
-
-    if grid.is_radial:
-        n_amb = grid.ambient_dim
-        r = grid.axes[0]
-        for t in levels:
-            nodes = np.flatnonzero(values >= t)
-            if nodes.size == 0:
-                continue
-            picks = rng.integers(0, nodes.size, size=(sample_pairs, 2))
-            dirs = rng.normal(size=(sample_pairs, 2, n_amb))
+    for t in levels:
+        nodes = np.flatnonzero(values.ravel() >= t)
+        if nodes.size == 0:
+            continue
+        ends = points[nodes[rng.integers(0, nodes.size, size=(sample_pairs, 2))]]
+        if grid.is_radial:
+            dirs = rng.normal(size=(sample_pairs, 2, grid.ambient_dim))
             dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-            for (i1, i2), (d1v, d2v) in zip(picks, dirs):
-                x1 = r[nodes[i1]] * d1v
-                x2 = r[nodes[i2]] * d2v
-                mid_r = float(np.linalg.norm(0.5 * (x1 + x2)))
-                idx, val = _nearest_node_value(grid, values, np.array([mid_r]))
-                if val < t - slack:
-                    failures.append((t, (mid_r,), val))
-    else:
-        coords = np.stack([c.ravel() for c in grid.coordinate_arrays()], axis=1)
-        flat = values.ravel()
-        for t in levels:
-            nodes = np.flatnonzero(flat >= t)
-            if nodes.size == 0:
-                continue
-            picks = rng.integers(0, nodes.size, size=(sample_pairs, 2))
-            mids = 0.5 * (coords[nodes[picks[:, 0]]] + coords[nodes[picks[:, 1]]])
-            for mid in mids:
-                idx, val = _nearest_node_value(grid, values, mid)
-                if val < t - slack:
-                    failures.append((t, tuple(float(c) for c in mid), val))
+            mids = 0.5 * (ends[:, 0] * dirs[:, 0] + ends[:, 1] * dirs[:, 1])
+            # batched dots round as np.linalg.norm does on one vector; norm(axis=-1) may not
+            mids = np.sqrt(mids[:, None, :] @ mids[:, :, None])[:, 0]
+        else:
+            mids = 0.5 * (ends[:, 0] + ends[:, 1])
+        idx = np.clip(np.rint((mids - origin) / grid.spacing), 0, last).astype(int)
+        vals = values[tuple(idx.T)]
+        failures += [(t, tuple(float(c) for c in mids[k]), float(vals[k]))
+                     for k in np.flatnonzero(vals < t - slack)]
 
     return QuasiconcavityReport(
         passed=not failures,

@@ -294,7 +294,7 @@ class GridOperator:
         self.weights = _trapezoid_weights(grid)
         self.weights.setflags(write=False)
         self._build()
-        self.eigenpair = self.compute_eigenpair(EIGEN_TOL, EIGEN_MAX_ITER)
+        self.eigenpair = self.compute_eigenpair(EIGEN_TOL)
 
     @staticmethod
     def for_grid(grid: Grid) -> "GridOperator":
@@ -311,10 +311,10 @@ class GridOperator:
         padded[self._inner] = x.reshape(self._shape)
         return _apply_rows(rows, padded).ravel()
 
-    def compute_eigenpair(self, tol: float, max_iter: int) -> Eigenpair:
+    def compute_eigenpair(self, tol: float) -> Eigenpair:
         """Principal pair, ``phi1`` positive and sup-normalized, with its
         sup-norm eigen-residual on this operator."""
-        lam, v, iterations = self._principal(tol, max_iter)
+        lam, v, iterations = self._principal(tol)
         if np.sum(v) < 0:
             v = -v
         if np.any(v <= 0):
@@ -351,14 +351,14 @@ class TridiagonalOperator(GridOperator):
         _check_info(info, "dgtsv")
         return x[:rhs.size]
 
-    def _principal(self, tol: float, max_iter: int):
-        """Inverse power iteration on the factors; :func:`principal_eigenpair`
-        states the stopping rule."""
+    def _principal(self, tol: float):
+        """Inverse power iteration on the factors, at most ``EIGEN_MAX_ITER``
+        steps; :func:`principal_eigenpair` states the stopping rule."""
         v = np.ones(self.d.size)
         v /= np.linalg.norm(v)
         lam_prev = np.inf
         residual = np.inf
-        for iteration in range(1, max_iter + 1):
+        for iteration in range(1, EIGEN_MAX_ITER + 1):
             v = self.inverse(v)
             v /= np.linalg.norm(v)
             av = self.apply(v)
@@ -368,7 +368,7 @@ class TridiagonalOperator(GridOperator):
                 return lam, v, iteration
             lam_prev = lam
         raise EigenSolveError(
-            f"inverse power iteration did not converge in {max_iter} iterations "
+            f"inverse power iteration did not converge in {EIGEN_MAX_ITER} iterations "
             f"(last residual {residual:.3e})"
         )
 
@@ -415,7 +415,7 @@ class SineOperator(GridOperator):
             )
         return x
 
-    def _principal(self, tol: float, max_iter: int):
+    def _principal(self, tol: float):
         """The closed form: ``lambda_1 = sum_i (2 - 2cos(pi/(n_i-1)))/h_i^2``
         and the product of ``sin(pi k/(n_i-1))``, with 0 iterations."""
         pairs = zip(self.grid.shape, self.grid.spacing)
@@ -477,9 +477,7 @@ def solve_shifted(grid: Grid, shift, rhs) -> np.ndarray:
     return grid.operator.solve_shifted(shift, rhs)
 
 
-def principal_eigenpair(
-    grid: Grid, tol: float = EIGEN_TOL, max_iter: int = EIGEN_MAX_ITER
-) -> Eigenpair:
+def principal_eigenpair(grid: Grid, tol: float = EIGEN_TOL) -> Eigenpair:
     """Principal Dirichlet eigenpair.
 
     On box grids it is the closed form, reported with 0 iterations.
@@ -488,15 +486,15 @@ def principal_eigenpair(
     ``tol`` (relative) and the sup-norm eigen-residual must fall below
     ``1e-8 * lambda``, so the extra polishing steps are cheap.  Either way
     ``residual_sup`` is measured on the operator.  The pair at the default
-    ``tol`` and ``max_iter`` is the one the grid's operator holds; other
-    settings compute a new one on each call.
+    ``tol`` is the one the grid's operator holds; another ``tol`` computes a
+    new one on each call.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     op = grid.operator
-    if tol == EIGEN_TOL and max_iter == EIGEN_MAX_ITER:
+    if tol == EIGEN_TOL:
         return op.eigenpair
-    return op.compute_eigenpair(tol, max_iter)
+    return op.compute_eigenpair(tol)
 
 
 def gradient_components(field: ScalarField) -> list[np.ndarray]:

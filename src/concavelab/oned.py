@@ -44,7 +44,6 @@ __all__ = [
     "alpha_equality_lhs",
     "halfwidth_for_alpha",
     "shoot_profile",
-    "locate_unit_value",
     "sqrtlog_concavity_criterion",
     "sqrtlog_concavity_check",
     "solve_interval",
@@ -62,6 +61,8 @@ MAX_HALFWIDTH = 6.04
 # ``m`` to floating-point resolution, which wide intervals need (at b = 4 a
 # relative error of 1.6e-13 in m moves the time map by 1.7e-9)
 M_RTOL = 4.0 * np.finfo(float).eps
+# absolute error budget of the time-map quadrature
+QUAD_TOL = 1e-11
 
 
 class TimeMapError(ValueError):
@@ -84,7 +85,7 @@ def _F_gap(m: float, t: float) -> float:
     return 0.5 * ((m * m - t * t) * (math.log(m * m) - 1.0) + 2.0 * t * t * math.log(m / t))
 
 
-def time_map(m: float, quad_tol: float = 1e-10) -> float:
+def time_map(m: float, quad_tol: float = QUAD_TOL) -> float:
     """Halfwidth ``b`` of the interval on which the profile peaking at ``m``
     solves the problem.
 
@@ -111,7 +112,7 @@ def time_map(m: float, quad_tol: float = 1e-10) -> float:
     return i1 + i2
 
 
-def solve_m_of_b(b: float, tol: float = M_RTOL, quad_tol: float = 1e-11) -> float:
+def solve_m_of_b(b: float, tol: float = M_RTOL) -> float:
     """Invert the time map: the sup norm ``m`` with ``time_map(m) = b``.
 
     The time map decreases in ``m``.  A cap starting at 10 doubles, up to
@@ -123,13 +124,13 @@ def solve_m_of_b(b: float, tol: float = M_RTOL, quad_tol: float = 1e-11) -> floa
     if not b > 0:
         raise TimeMapError("halfwidth b must be positive")
     lo, hi = M_FLOOR, 10.0
-    if time_map(lo, quad_tol) < b:
+    if time_map(lo) < b:
         raise TimeMapError(f"b = {b} too large: exceeds the reachable time-map range")
-    while time_map(hi, quad_tol) > b:
+    while time_map(hi) > b:
         lo, hi = hi, 2.0 * hi
         if hi > 1e6:
             raise TimeMapError(f"b = {b} too small: sup norm beyond the bracketing cap 1e6")
-    return brentq(lambda m: time_map(m, quad_tol) - b, lo, hi,
+    return brentq(lambda m: time_map(m) - b, lo, hi,
                   xtol=np.finfo(float).tiny, rtol=tol)
 
 
@@ -146,9 +147,10 @@ def alpha_equality_lhs(alpha: float) -> float:
     return alpha / (1.0 - alpha) * math.exp(-1.0 / alpha)
 
 
-def alpha_star(b: float, tol: float = 1e-12, m: float | None = None) -> float:
+def alpha_star(b: float, m: float | None = None) -> float:
     """Critical exponent in (0, 1): the profile on ``(-b, b)`` is
-    ``a``-power concave exactly for ``a <= alpha_star(b)``."""
+    ``a``-power concave exactly for ``a <= alpha_star(b)``; bisection to a
+    bracket of width 1e-12."""
     if m is None:
         m = solve_m_of_b(b)
     slope_sq = 2.0 * _F(m)
@@ -159,12 +161,12 @@ def alpha_star(b: float, tol: float = 1e-12, m: float | None = None) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol:
+        if hi - lo <= 1e-12:
             break
     return 0.5 * (lo + hi)
 
 
-def halfwidth_for_alpha(alpha: float, quad_tol: float = 1e-11) -> float:
+def halfwidth_for_alpha(alpha: float) -> float:
     """Halfwidth ``b`` whose profile has ``alpha_star(b) = alpha``."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -173,7 +175,7 @@ def halfwidth_for_alpha(alpha: float, quad_tol: float = 1e-11) -> float:
     while _F(hi) < target_F:
         hi *= 2.0
     m = brentq(lambda t: _F(t) - target_F, SQRT_E * (1 + 1e-15), hi, xtol=1e-14)
-    return time_map(m, quad_tol)
+    return time_map(m)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +299,6 @@ def shoot_profile(m: float, n: int = 10_000) -> ShootResult:
     return ShootResult(shot.b, xs, us, ps, drift, abs(float(shot.crossing[1])), shot.x_star)
 
 
-def locate_unit_value(shoot: ShootResult) -> float:
-    """Abscissa ``x*`` with ``u(x*) = 1`` (the inflection of the profile),
-    located as an event of the shooting pass."""
-    return shoot.x_star
-
-
 def sqrtlog_concavity_criterion(t, m: float):
     """``(log(t^2/m^2) + 1) t^2/m^2 - 1``; nonpositive on ``(0, m]`` exactly
     when ``-sqrt(-log(u/m))`` is concave along the profile."""
@@ -314,12 +310,12 @@ def sqrtlog_concavity_criterion(t, m: float):
     return out
 
 
-def sqrtlog_concavity_check(profile, m: float, slack: float = 1e-12) -> bool:
+def sqrtlog_concavity_check(profile, m: float) -> bool:
     """True when the criterion holds at every positive sample of ``profile``
-    not exceeding ``m``, up to the given slack."""
+    not exceeding ``m``, up to a slack of 1e-12."""
     t = np.asarray(profile, dtype=float)
     t = t[(t > 0) & (t <= m)]
-    return bool(np.max(sqrtlog_concavity_criterion(t, m)) <= slack)
+    return bool(np.max(sqrtlog_concavity_criterion(t, m)) <= 1e-12)
 
 
 # ---------------------------------------------------------------------------

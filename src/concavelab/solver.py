@@ -131,22 +131,20 @@ def nehari_residual(grid: Grid, reaction: Reaction, field: ScalarField) -> float
     return _quadrature(grid, integrand)
 
 
-def log_residual_sup(
-    field: ScalarField, eps_floor: float = 0.0, boundary_margin: float = 0.0
-) -> float:
-    """Sup norm of ``-Delta_h u - u log u^2`` over interior nodes.
+def log_residual_sup(field: ScalarField, boundary_margin: float = 0.0) -> float:
+    """Sup norm of ``-Delta_h u - u log u^2`` over the interior nodes where
+    ``u >= 0``.
 
     The reaction is not Lipschitz at 0, so stencil consistency degrades
     to O(h) in a shrinking collar around the boundary where the field
-    vanishes; ``boundary_margin`` (a fixed metric distance) and
-    ``eps_floor`` restrict the measurement to the region where the O(h^2)
-    claim applies.
+    vanishes; ``boundary_margin`` (a fixed metric distance) restricts the
+    measurement to the region where the O(h^2) claim applies.
     """
     grid = field.grid
     g = -apply_laplacian(field).values - reactions.f(
         reactions.log_schrodinger(), field.values
     )
-    mask = grid.interior_mask & (field.values >= eps_floor)
+    mask = grid.interior_mask & (field.values >= 0.0)
     if boundary_margin > 0.0:
         mask = mask & (grid.boundary_distance() >= boundary_margin)
     if not np.any(mask):
@@ -206,7 +204,7 @@ def initial_guess(grid: Grid, reaction: Reaction) -> ScalarField:
     reaction; the scale is the closed form for the power families and a
     scalar bisection for the logarithmic ones."""
     validate_exponent(reaction, grid.ambient_dim)
-    pair = principal_eigenpair(grid, 1e-12)
+    pair = principal_eigenpair(grid)
     power = reaction.family is reactions.POWER
     scale = (_nehari_scaling_lane_emden if power else _nehari_scaling_log)(grid, reaction, pair)
     return ScalarField(grid, scale * pair.phi1.values)
@@ -269,7 +267,6 @@ def newton_solve(grid: Grid, reaction: Reaction, guess: ScalarField,
 
     g_vec = residual(u)
     status = "max_iterations"
-    iters = 0
     for iters in range(1, NEWTON_MAX_ITER + 1):
         sup_u = float(np.max(np.abs(u))) if u.size else 0.0
         res_sup = float(np.max(np.abs(g_vec)))
@@ -294,13 +291,9 @@ def newton_solve(grid: Grid, reaction: Reaction, guess: ScalarField,
         if not accepted:
             status = "line_search_failed"
             break
-    else:
-        iters = NEWTON_MAX_ITER
 
     field = ScalarField.from_interior(grid, u)
     sup_u = field.sup_norm()
-    if status == "converged" and sup_u < TRIVIAL_SUP:
-        status = "trivial"
     res_sup = float(np.max(np.abs(g_vec)))
     return SolveResult(
         field=field,
@@ -371,24 +364,19 @@ def check_q_schedule(qs, sigma_rule: str, sigma: float | None) -> None:
 
 def continuation_branch(
     grid: Grid,
-    q_hi: float | None = None,
-    q_lo: float | None = None,
-    steps: int | None = None,
+    qs,
     sigma_rule: str = "fixed",
     sigma: float | None = None,
     tol: float = 1e-10,
-    qs=None,
 ) -> Branch:
-    """Warm-started solves along a monotone schedule in ``q``.
+    """Warm-started solves along the monotone exponents ``qs``
+    (:func:`geometric_q_schedule` builds a geometric one).
 
-    Pass either ``(q_hi, q_lo, steps)`` for a geometric schedule or an
-    explicit monotone ``qs``.  The first solve starts from the Nehari
-    scaling of the eigenfunction; each later solve starts from its
-    predecessor's field.  The branch is cut at the first failed solve and
-    marked incomplete, with the partial entries retained.
+    The first solve starts from the Nehari scaling of the eigenfunction;
+    each later solve starts from its predecessor's field.  The branch is
+    cut at the first failed solve and marked incomplete, with the partial
+    entries retained.
     """
-    if qs is None:
-        qs = geometric_q_schedule(q_hi, q_lo, steps)
     qs = [float(q) for q in qs]
     check_q_schedule(qs, sigma_rule, sigma)
 

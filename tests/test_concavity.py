@@ -253,3 +253,91 @@ def test_quasiconcavity_validates_inputs(log_solve_box):
         quasiconcavity_check(log_solve_box.field, [2.0 * log_solve_box.sup_norm], 10, 1)
     with pytest.raises(ValueError):
         quasiconcavity_check(log_solve_box.field, [0.5], 0, 1)
+
+
+# the per-pair sampler the vectorized check replaced, kept as its reference
+
+
+def _nearest_node_value(grid, values, point):
+    idx = []
+    for a, (ax, h) in enumerate(zip(grid.axes, grid.spacing)):
+        j = int(round((point[a] - ax[0]) / h))
+        idx.append(min(max(j, 0), grid.shape[a] - 1))
+    return float(values[tuple(idx)])
+
+
+def _reference_quasiconcavity(field, levels, sample_pairs, seed):
+    grid = field.grid
+    levels = tuple(float(t) for t in levels)
+    rng = np.random.default_rng(seed)
+    grad_mag = np.sqrt(sum(g * g for g in concavity.gradient_components(field)))
+    slack = 2.0 * max(grid.spacing) * float(np.max(grad_mag))
+    values = field.values
+    failures = []
+    if grid.is_radial:
+        r = grid.axes[0]
+        for t in levels:
+            nodes = np.flatnonzero(values >= t)
+            picks = rng.integers(0, nodes.size, size=(sample_pairs, 2))
+            dirs = rng.normal(size=(sample_pairs, 2, grid.ambient_dim))
+            dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+            for (i1, i2), (d1v, d2v) in zip(picks, dirs):
+                mid_r = float(np.linalg.norm(0.5 * (r[nodes[i1]] * d1v + r[nodes[i2]] * d2v)))
+                val = _nearest_node_value(grid, values, np.array([mid_r]))
+                if val < t - slack:
+                    failures.append((t, (mid_r,), val))
+    else:
+        coords = np.stack([c.ravel() for c in grid.coordinate_arrays()], axis=1)
+        flat = values.ravel()
+        for t in levels:
+            nodes = np.flatnonzero(flat >= t)
+            picks = rng.integers(0, nodes.size, size=(sample_pairs, 2))
+            mids = 0.5 * (coords[nodes[picks[:, 0]]] + coords[nodes[picks[:, 1]]])
+            for mid in mids:
+                val = _nearest_node_value(grid, values, mid)
+                if val < t - slack:
+                    failures.append((t, tuple(float(c) for c in mid), val))
+    return concavity.QuasiconcavityReport(
+        passed=not failures, levels=levels, sample_pairs=sample_pairs, seed=seed,
+        slack=slack, failures=tuple(failures),
+    )
+
+
+def _radial_field(dim, bump):
+    g = make_grid(ball(1.5, dim), 121)
+    r = g.axes[0]
+    if bump:  # superlevel sets are annuli around r = 0.8
+        vals = np.exp(-20.0 * (r - 0.8) ** 2) * (1.0 - (r / 1.5) ** 2)
+    else:
+        vals = np.cos(0.5 * np.pi * r / 1.5)
+    vals[-1] = 0.0
+    return ScalarField(g, vals)
+
+
+def _box_field(dim, bump):
+    g = make_grid(box(*[1.0 + 0.1 * a for a in range(dim)]), 41 if dim < 3 else 21)
+    coords = g.coordinate_arrays()
+    if bump:  # two peaks, so the upper superlevel sets are not connected
+        vals = sum(np.exp(-30.0 * ((coords[0] - s) ** 2 + sum(c**2 for c in coords[1:])))
+                   for s in (-0.5, 0.5))
+    else:
+        vals = np.prod([np.cos(0.5 * np.pi * c / (1.0 + 0.1 * a))
+                        for a, c in enumerate(coords)], axis=0)
+    vals[~g.interior_mask] = 0.0
+    return ScalarField(g, vals)
+
+
+@pytest.mark.parametrize("make", [_radial_field, _box_field], ids=["ball", "box"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("bump", [False, True], ids=["concave", "bump"])
+def test_quasiconcavity_matches_per_pair_reference(make, dim, bump):
+    fld = make(dim, bump)
+    sup = fld.sup_norm()
+    levels = [0.3 * sup, 0.6 * sup, 0.9 * sup]
+    failing = 0
+    for seed in (0, 7, 2024, 99991):
+        rep = quasiconcavity_check(fld, levels, 150, seed)
+        assert rep == _reference_quasiconcavity(fld, levels, 150, seed)
+        failing += len(rep.failures)
+    # the bumps exercise the failure branch, the concave fields pass
+    assert (failing > 0) == bump

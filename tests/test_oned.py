@@ -132,7 +132,7 @@ def test_shoot_rejects_small_peak():
 def test_inflection_sits_at_unit_value(shot_m2):
     from scipy.interpolate import PchipInterpolator
 
-    x_star = oned.locate_unit_value(shot_m2)
+    x_star = shot_m2.x_star
     assert 0.0 < x_star < shot_m2.b
     u_at_star = float(PchipInterpolator(shot_m2.xs, shot_m2.us)(x_star))
     assert abs(u_at_star - 1.0) < 1e-6

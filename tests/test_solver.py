@@ -274,13 +274,6 @@ def test_log_path_residual_decreases(interval201):
     assert branch.entries[-1].result.sup_norm > SQRT_E
 
 
-def test_branch_geometric_signature(interval201):
-    branch = continuation_branch(
-        interval201, 1.5, 1.05, 4, sigma_rule="fixed", sigma=1.0
-    )
-    assert branch.complete and len(branch.entries) == 4
-
-
 def test_branch_aborts_with_partial_results(interval201):
     # an unreachable tolerance forces a failure that cuts the branch
     branch = continuation_branch(

@@ -1,10 +1,10 @@
 """SHA-256 digests of every CLI artifact on a fixed set of cases.
 
 Runs ``concavelab.cli.main`` in-process on the four committed configs, on
-pass 0 of the three benchmark decks and on pass 0 of the known-failure
-deck, all at one seed, and prints sorted JSON: for each case its exit code
-and the SHA-256 of each file it wrote.  Case generation comes from
-``bench/workloads.py``, which is only imported.
+pass 0 of the three benchmark decks, on pass 0 of the known-failure deck,
+all at one seed, and on ``FIXED_CASES``, and prints sorted JSON: for each
+case its exit code and the SHA-256 of each file it wrote.  Case generation
+comes from ``bench/workloads.py``, which is only imported.
 
 A change that should keep behaviour is checked by running this on both
 checkouts and comparing the outputs::
@@ -29,6 +29,16 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 SEED = 801
+# paths that no deck reaches: quasi-concavity on balls, the radial sampler
+FIXED_CASES = {
+    f"quasiconcavity-ball{dim}-{kind}": {
+        "experiment": "quasiconcavity", "resolution": 201, "seed": SEED,
+        "domain": {"kind": "ball", "radius": 1.5, "ambient_dim": dim}, "reaction": reaction,
+    }
+    for dim in (2, 3)
+    for kind, reaction in (("lane_emden", {"kind": "lane_emden", "q": 2.0, "sigma": 1.0}),
+                           ("log", {"kind": "log_schrodinger"}))
+}
 
 
 def _digests(directory: Path) -> dict:
@@ -68,6 +78,8 @@ def main(argv=None) -> int:
     for workload in workloads.WORKLOADS:
         decks[workload] = workloads.generate_pass(workload, SEED, 0, refs)
     decks[workloads.KNOWN_FAILURE_KEY] = workloads.generate_known_failures(SEED, 0, refs)
+    decks["fixed"] = [workloads.Case(case_id, case_id, cfg["experiment"], cfg)
+                      for case_id, cfg in FIXED_CASES.items()]
 
     report = {}
     with tempfile.TemporaryDirectory() as tmp:
