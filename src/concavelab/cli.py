@@ -22,12 +22,11 @@ invalid config or an ``--out`` that cannot be written.
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -152,30 +151,14 @@ COMMON = {
 }
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; round-trips through YAML losslessly."""
+    """The common keys of a config (``experiment``, ``seed``, ``tolerances``),
+    validated on construction; :func:`run` reads the rest."""
 
-    data: dict = dataclass_field(default_factory=dict)
-
-    def __post_init__(self):
-        if not isinstance(self.data, dict):
+    def __init__(self, data: dict):
+        if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
-        _read({k: v for k, v in self.data.items() if k in COMMON}, COMMON, "config")
-
-    def to_dict(self) -> dict:
-        return copy.deepcopy(self.data)
-
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.data, sort_keys=True)
-
-    @classmethod
-    def from_yaml(cls, text: str) -> "ExperimentConfig":
-        loaded = yaml.load(text, Loader=YAML_LOADER)
-        return cls(loaded if loaded is not None else {})
-
-    def hash(self) -> str:
-        return config_hash(self.data)
+        _read({k: v for k, v in data.items() if k in COMMON}, COMMON, "config")
 
 
 def load_config(path) -> dict:
@@ -281,8 +264,6 @@ def _schedule(section, rule: str | None = None):
     allowed = (rule,) if rule else ("fixed", "log_path")
     if s["sigma_rule"] not in allowed:
         raise ConfigError(f"schedule.sigma_rule must be {' or '.join(allowed)}")
-    if s["sigma_rule"] == "fixed" and s["sigma"] is None:
-        raise ConfigError("fixed sigma rule needs schedule.sigma")
     qs = s["qs"]
     if qs is None:
         if s["q_hi"] is None or s["q_lo"] is None:
@@ -322,16 +303,11 @@ def _resolution_pair(value) -> list[int]:
 # artifacts
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+def _json_default(obj):
+    """Numpy scalars and arrays as Python values, for ``json.dumps``."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _column_strings(column):
@@ -357,8 +333,8 @@ def _write(out: Path, artifacts: dict, cfg_hash: str, experiment: str) -> None:
             text = "\n".join(lines)
         else:
             stamped = {"version": __version__, "config_sha256": cfg_hash,
-                       "experiment": experiment, **_jsonable(body)}
-            text = json.dumps(stamped, sort_keys=True, indent=2)
+                       "experiment": experiment, **body}
+            text = json.dumps(stamped, sort_keys=True, indent=2, default=_json_default)
         (out / name).write_text(text + "\n")
 
 
@@ -474,9 +450,8 @@ def _run_converge_log(p):
         log_residual_rel=lambda e: log_residual_sup(e.result.field) / max(1.0, e.result.sup_norm),
     )
     decreasing = _strictly_decreasing(table["log_residual_rel"])
-    terminal_sup = branch.entries[-1].result.sup_norm if branch.entries else None
     payload = {"log_residuals_rel": table["log_residual_rel"], "strictly_decreasing": decreasing,
-               "complete": branch.complete, "terminal_sup": terminal_sup}
+               "complete": branch.complete, "terminal_sup": branch.entries[-1].result.sup_norm}
     artifacts = {"branch.csv": _csv(table), "converge_log.json": payload}
     return (0 if branch.complete and decreasing else 1), artifacts
 
@@ -582,8 +557,8 @@ def _run_oned_table(p):
     for b in p.b_grid:  # one profile at a time, freed before the next
         sol = oned.solve_interval(b, n=p.samples_per_unit)
         rows.append((b, sol.m, sol.slope, sol.alpha_star, sol.x_star, abs(sol.b_shoot - b),
-                     sol.energy_drift))
-    header = ["b", "m", "slope", "alpha_star", "x_star", "b_shoot_error", "energy_drift"]
+                     sol.energy_drift / max(1.0, sol.C)))  # relative to F(m) where it passes 1
+    header = ["b", "m", "slope", "alpha_star", "x_star", "b_shoot_error", "energy_drift_rel"]
     monotone = {f"{name}_decreasing": _strictly_decreasing([row[i] for row in rows])
                 for i, name in ((1, "m"), (2, "slope"), (3, "alpha"))}
     payload = {"rows": len(rows), **monotone}
@@ -724,8 +699,6 @@ def _parse(experiment: str, cfg) -> SimpleNamespace:
 
 def run(experiment: str, cfg, out_dir) -> int:
     """Execute one subcommand; returns the process exit code."""
-    if isinstance(cfg, ExperimentConfig):
-        cfg = cfg.to_dict()
     params = _parse(experiment, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before any solve

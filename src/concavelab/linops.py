@@ -13,11 +13,11 @@ built once and immutable.  The grid alone picks its backend
 (:meth:`GridOperator.for_grid`):
 
 * intervals, 1-D boxes and radial grids (:class:`TridiagonalOperator`):
-  LAPACK ``dgttrf`` factors of the rows, LU with partial pivoting (LAPACK
-  Users' Guide, 3rd ed., SIAM 1999), for Poisson solves and inverse power
-  iteration; a Newton step is one ``dgtsv`` on ``(dl, d - shift, du)``.
-  Radial rows are not symmetric, and the pivoted routines do not need them
-  to be.
+  the rows as three diagonals.  Every solve is one LAPACK ``dgtsv``, LU
+  with partial pivoting (LAPACK Users' Guide, 3rd ed., SIAM 1999), on
+  ``(dl, d - shift, du)``: a Newton step at the Jacobian's shift, a Poisson
+  solve and each step of inverse power iteration at shift 0.  Radial rows
+  are not symmetric, and the pivoted routine does not need them to be.
 * 2D and 3D box grids (:class:`SineOperator`): the type-I discrete sine
   transform diagonalizes the 5- and 7-point Laplacian exactly (Buzbee,
   Golub & Nielsen 1970).  Poisson solves are a forward and an inverse
@@ -241,9 +241,9 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
     return w
 
 
-# scipy's wrappers of ?gtsv and ?gttrf take the order of the system from
-# len(dl) and reject orders below 3; smaller systems get decoupled identity rows.
-LAPACK_MIN_ORDER = 3
+# scipy's wrapper of ?gtsv takes the order of the system from len(dl) + 1 and
+# rejects order 1 (an empty dl); such a system gets a decoupled identity row.
+LAPACK_MIN_ORDER = 2
 
 
 def _lapack_sized(dl, d, du):
@@ -260,16 +260,6 @@ def _lapack_sized(dl, d, du):
 
 def _rhs_sized(b, order: int):
     return b if b.size == order else np.concatenate([b, np.zeros(order - b.size)])
-
-
-def _check_info(info: int, routine: str) -> None:
-    """Raise on a zero pivot; the arguments are well formed by construction,
-    so ``info < 0`` does not occur."""
-    if info > 0:
-        raise LinearSolveError(
-            f"singular tridiagonal matrix: LAPACK {routine} found a zero pivot at "
-            f"unknown {info}", math.inf
-        )
 
 
 class GridOperator:
@@ -325,34 +315,32 @@ class GridOperator:
 
 
 class TridiagonalOperator(GridOperator):
-    """Intervals, 1-D boxes and radial grids: the rows as three diagonals and
-    their LAPACK ``dgttrf`` factors, which Poisson solves and inverse power
-    iteration run ``dgttrs`` on."""
+    """Intervals, 1-D boxes and radial grids: the rows as three diagonals,
+    which every solve hands to LAPACK ``dgtsv``."""
 
     def _build(self):
         lower, centre, upper = (np.broadcast_to(c, self._shape).copy() for c in
                                 (*self.rows.lower, self.rows.centre, *self.rows.upper))
         self.dl, self.d, self.du = lower[1:], centre, upper[:-1]
-        *factors, info = lapack.dgttrf(*_lapack_sized(self.dl, self.d, self.du))
-        _check_info(info, "dgttrf")
-        self._factors = factors
-        for array in (self.dl, self.d, self.du, *factors):
+        for array in (self.dl, self.d, self.du):
             array.setflags(write=False)
 
     def inverse(self, b: np.ndarray) -> np.ndarray:
-        x, info = lapack.dgttrs(*self._factors, _rhs_sized(b, self._factors[1].size))
-        _check_info(info, "dgttrs")
-        return x[:b.size]
+        """The Poisson solve: :meth:`solve_shifted` at zero shift."""
+        return self.solve_shifted(0.0, b)
 
     def solve_shifted(self, shift, rhs) -> np.ndarray:
         """One LAPACK ``dgtsv``, LU with partial pivoting, on ``(dl, d - shift, du)``."""
         dl, d, du = _lapack_sized(self.dl, self.d - shift, self.du)
         *_, x, info = lapack.dgtsv(dl, d, du, _rhs_sized(rhs, d.size), overwrite_d=1)
-        _check_info(info, "dgtsv")
+        if info > 0:  # the arguments are well formed by construction, so info >= 0
+            raise LinearSolveError(
+                f"singular tridiagonal matrix: LAPACK dgtsv found a zero pivot at unknown {info}",
+                math.inf)
         return x[:rhs.size]
 
     def _principal(self, tol: float):
-        """Inverse power iteration on the factors, at most ``EIGEN_MAX_ITER``
+        """Inverse power iteration, one ``dgtsv`` a step, at most ``EIGEN_MAX_ITER``
         steps; :func:`principal_eigenpair` states the stopping rule."""
         v = np.ones(self.d.size)
         v /= np.linalg.norm(v)
@@ -443,7 +431,7 @@ def neg_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
 def solve_poisson(rhs: ScalarField, tol: float = 1e-12) -> ScalarField:
     """Solve ``-Laplacian v = rhs`` with zero Dirichlet data.
 
-    DST-I on box grids, the stored tridiagonal LU factors otherwise; the
+    DST-I on box grids, one tridiagonal ``dgtsv`` otherwise; the
     relative residual in the discrete 2-norm is verified against ``tol``
     and a failure raises :class:`LinearSolveError` carrying the achieved
     residual.
@@ -481,8 +469,8 @@ def principal_eigenpair(grid: Grid, tol: float = EIGEN_TOL) -> Eigenpair:
     """Principal Dirichlet eigenpair.
 
     On box grids it is the closed form, reported with 0 iterations.
-    Elsewhere it is inverse power iteration on the stored tridiagonal
-    factors: successive eigenvalue estimates must differ by less than
+    Elsewhere it is inverse power iteration, one tridiagonal ``dgtsv`` a
+    step: successive eigenvalue estimates must differ by less than
     ``tol`` (relative) and the sup-norm eigen-residual must fall below
     ``1e-8 * lambda``, so the extra polishing steps are cheap.  Either way
     ``residual_sup`` is measured on the operator.  The pair at the default

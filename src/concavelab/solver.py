@@ -353,8 +353,10 @@ def _sigma_for(sigma_rule: str, sigma: float | None, q: float) -> float:
 
 
 def check_q_schedule(qs, sigma_rule: str, sigma: float | None) -> None:
-    """Raise ``ValueError`` unless the exponents are strictly monotone and
-    each gives a Lane-Emden reaction under the sigma rule."""
+    """Raise ``ValueError`` unless there are exponents, they are strictly
+    monotone and each gives a Lane-Emden reaction under the sigma rule."""
+    if len(qs) == 0:
+        raise ValueError("q schedule is empty")
     diffs = np.diff(qs)
     if len(qs) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("q schedule must be strictly monotone")

@@ -9,7 +9,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from concavelab import cli, grid, oned, reactions
-from concavelab.cli import ConfigError, ExperimentConfig, config_hash, load_config, main, run
+from concavelab.cli import ConfigError, ExperimentConfig, config_hash, load_config, main
 from concavelab.linops import EigenSolveError
 
 
@@ -184,7 +184,7 @@ def test_oned_table_subcommand(tmp_path):
     assert main(["oned-table", "--config", str(cfg), "--out", str(out)]) == 0
     lines = (out / "oned_table.csv").read_text().splitlines()
     assert lines[1].split(",") == [
-        "b", "m", "slope", "alpha_star", "x_star", "b_shoot_error", "energy_drift",
+        "b", "m", "slope", "alpha_star", "x_star", "b_shoot_error", "energy_drift_rel",
     ]
     assert len(lines) == 2 + 4
 
@@ -369,21 +369,6 @@ def test_branch_tables_hold_the_branch_entries(tmp_path, experiment):
     assert table["newton_iters"] == tuple(str(e.result.newton_iters) for e in entries)
 
 
-def test_experiment_config_round_trip():
-    cfg = ExperimentConfig(
-        {
-            "experiment": "solve",
-            "domain": {"kind": "interval", "halfwidth": 1.0},
-            "tolerances": {"newton": 1e-9},
-            "seed": 3,
-        }
-    )
-    again = ExperimentConfig.from_yaml(cfg.to_yaml())
-    assert again == cfg
-    assert again.hash() == cfg.hash()
-    assert cfg.to_dict() == cfg.data and cfg.to_dict() is not cfg.data
-
-
 def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig({"tolerances": {"newton": 0.0}})
@@ -391,9 +376,17 @@ def test_experiment_config_validation():
         ExperimentConfig({"seed": -1})
 
 
-def test_run_accepts_config_object(tmp_path):
-    cfg = ExperimentConfig(dict(BASE_SOLVE))
-    assert run("solve", cfg, tmp_path / "o") == 0
+def test_json_artifacts_write_numpy_values_as_python_values(tmp_path):
+    numpy_payload = {"x": np.float64(0.1), "n": np.int64(3), "ok": np.bool_(True),
+                     "v": np.array([[1.5, np.nan], [2.0, 3.0]]), "f": np.float32(0.5)}
+    python_payload = {"x": 0.1, "n": 3, "ok": True, "v": [[1.5, float("nan")], [2.0, 3.0]],
+                      "f": 0.5}
+    for name, payload in (("numpy", numpy_payload), ("python", python_payload)):
+        cli._write(tmp_path / name, {"p.json": payload}, "0" * 64, "solve")
+    written = [(tmp_path / name / "p.json").read_bytes() for name in ("numpy", "python")]
+    assert written[0] == written[1]
+    with pytest.raises(TypeError):
+        cli._write(tmp_path / "set", {"p.json": {"s": {1, 2}}}, "0" * 64, "solve")
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +553,14 @@ def test_node_cap_counts_the_grids_an_experiment_holds():
         pytest.param("converge-log",
                      yaml.safe_dump({**INTERVAL_41, "schedule": {"qs": [1.2, 1.1]}}), [], 2,
                      None, id="converge-log-at-fixed-sigma"),
+        pytest.param("converge-eigen",
+                     yaml.safe_dump({**INTERVAL_41, "schedule": {"sigma_rule": "fixed",
+                                                                 "sigma": 1.0, "qs": []}}),
+                     [], 2, None, id="empty-schedule"),
+        pytest.param("branch",
+                     yaml.safe_dump({**INTERVAL_41, "schedule": {"sigma_rule": "fixed",
+                                                                 "qs": [1.5, 1.25]}}),
+                     [], 2, None, id="fixed-sigma-rule-without-sigma"),
         # an --out that names an existing file (the config itself) cannot be made
         pytest.param("converge-eigen",
                      yaml.safe_dump({**INTERVAL_41, "schedule": {"sigma_rule": "fixed",

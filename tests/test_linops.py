@@ -273,3 +273,40 @@ def test_backend_choice_follows_the_grid():
     assert principal_eigenpair(make_grid(ball(1.0, 3), 41)).iterations > 0
     assert principal_eigenpair(make_grid(box(1.0), 41)).iterations > 0
     assert principal_eigenpair(make_grid(box(1.0, 1.0), 41)).iterations == 0
+
+
+def _dgttrs_reference(grid, b):
+    """The LAPACK ``dgttrf``/``dgttrs`` pair on the diagonals of
+    ``neg_laplacian_matrix``, padded with decoupled identity rows to order 3,
+    below which scipy's wrapper of ``dgttrf`` refuses a system."""
+    a_mat = neg_laplacian_matrix(grid)
+    dl, d, du = a_mat.diagonal(-1), a_mat.diagonal(), a_mat.diagonal(1)
+    k = max(0, 3 - d.size)
+    dl, du = np.concatenate([dl, np.zeros(k)]), np.concatenate([du, np.zeros(k)])
+    *factors, info = scipy.linalg.lapack.dgttrf(dl, np.concatenate([d, np.ones(k)]), du)
+    assert info == 0
+    x, info = scipy.linalg.lapack.dgttrs(*factors, np.concatenate([b, np.zeros(k)]))
+    assert info == 0
+    return x[:b.size]
+
+
+@pytest.mark.parametrize(
+    "domain, n",
+    [pytest.param(domain, n, id=f"{name}-{n}")
+     for name, domain, ns in (("interval", interval(1.0), (3, 4, 41, 2001)),
+                              *((f"ball{dim}", ball(1.0, dim), (3, 401)) for dim in (1, 2, 3)),
+                              ("box1d", box(1.5), (41,)))
+     for n in ns],
+)
+def test_tridiagonal_solves_match_dgttrf_factors(domain, n):
+    # Poisson solves and inverse iteration run dgtsv at zero shift; it
+    # reproduces the stored-factor dgttrs solve bit for bit
+    g = make_grid(domain, n)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        b = rng.standard_normal(g.num_interior)
+        ref = _dgttrs_reference(g, b)
+        assert np.array_equal(g.operator.inverse(b), ref)
+        # the default tol of 1e-12 is below rounding at cond ~ 1.6e6 (n = 2001)
+        x = solve_poisson(ScalarField.from_interior(g, b), 1e-9).interior()
+        assert np.array_equal(x, ref)

@@ -4,7 +4,10 @@ Runs ``concavelab.cli.main`` in-process on the four committed configs, on
 pass 0 of the three benchmark decks, on pass 0 of the known-failure deck,
 all at one seed, and on ``FIXED_CASES``, and prints sorted JSON: for each
 case its exit code and the SHA-256 of each file it wrote.  Case generation
-comes from ``bench/workloads.py``, which is only imported.
+comes from ``bench/workloads.py``, which is only imported.  Each
+``demos/*.py`` runs in a subprocess with the checkout's ``src/`` as
+``PYTHONPATH``; the ``demos`` deck records its exit code and the SHA-256 of
+its standard output.
 
 A change that should keep behaviour is checked by running this on both
 checkouts and comparing the outputs::
@@ -23,6 +26,8 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -62,6 +67,18 @@ def _run(cli, cases, out_dir: Path) -> dict:
     return results
 
 
+def _run_demos(root: Path, cwd: Path) -> dict:
+    """Exit code and stdout digest of each demo of ``root``, run from ``cwd``."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    results = {}
+    for demo in sorted((root / "demos").glob("*.py")):
+        done = subprocess.run([sys.executable, str(demo)], cwd=cwd, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        results[f"demos/{demo.name}"] = {
+            "exit": done.returncode, "files": {"stdout": hashlib.sha256(done.stdout).hexdigest()}}
+    return results
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("root", nargs="?", type=Path,
@@ -89,6 +106,7 @@ def main(argv=None) -> int:
             workloads.write_configs(cases, work / "configs")
             for case_id, result in _run(cli, cases, work / "out").items():
                 report[f"{name}/{case_id}"] = result
+        report.update(_run_demos(root, Path(tmp)))
     json.dump(report, sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
