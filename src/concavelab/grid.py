@@ -187,8 +187,10 @@ class Grid:
         if self.is_radial:
             return self.domain.radius - self.axes[0]
         dist = np.full(self.shape, np.inf)
-        for b, x in zip(self.domain.halfwidths, self.coordinate_arrays()):
-            dist = np.minimum(dist, b - np.abs(x))
+        for axis, (b, x) in enumerate(zip(self.domain.halfwidths, self.axes)):
+            shape = [1] * self.ndim
+            shape[axis] = x.size
+            np.minimum(dist, (b - np.abs(x)).reshape(shape), out=dist)
         return dist
 
     def node_coordinates(self, index) -> tuple[float, ...]:

@@ -55,6 +55,16 @@ def test_boundary_distance():
     assert math.isclose(float(gr.boundary_distance()[0]), 2.0)
 
 
+@pytest.mark.parametrize("halfwidths, resolution", [
+    ((1.3,), 41), ((1.0, 0.5), 21), ((1.0, 0.5), (21, 30)), ((1.0, 1.5, 0.7), (11, 15, 9))])
+def test_boundary_distance_equals_the_meshgrid_form(halfwidths, resolution):
+    g = make_grid(box(*halfwidths), resolution)
+    dist = np.full(g.shape, np.inf)
+    for b, x in zip(halfwidths, g.coordinate_arrays()):
+        dist = np.minimum(dist, b - np.abs(x))
+    assert np.array_equal(g.boundary_distance(), dist)
+
+
 def test_quadrature_weights_measure():
     g = make_grid(box(1.0, 0.5), 41)
     assert math.isclose(float(np.sum(g.quadrature_weights())), 2.0 * 1.0, rel_tol=1e-12)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution
+from scipy.integrate import OdeSolution, quad
 from scipy.optimize import brentq
 
 from concavelab import apply_laplacian, box, make_grid
@@ -34,6 +34,56 @@ def test_time_map_limits():
 def test_time_map_frozen_golden():
     # frozen after the quadrature and shooting routes agreed to 2e-13
     assert abs(oned.time_map(math.e, 1e-11) - 1.2586883392959585) < 1e-9
+
+
+def _reference_time_map(m: float) -> float:
+    """The reference for the tanh-sinh time map: two adaptive ``quad``s,
+    ``[0, m/2]`` directly and ``[m/2, m]`` after ``t = m - s^2`` removes the
+    inverse-square-root singularity at ``t = m``."""
+    log_m2 = math.log(m * m)
+
+    def gap(t):  # 2 F(m) - 2 F(t), free of cancellation
+        if t <= 0:
+            return m * m * (log_m2 - 1.0)
+        return (m * m - t * t) * (log_m2 - 1.0) + 2.0 * t * t * math.log(m / t)
+
+    def lower(t):
+        return 1.0 / math.sqrt(gap(t))
+
+    def upper(s):
+        g = gap(m - s * s)
+        return 2.0 / math.sqrt(2.0 * m * log_m2) if g <= 0.0 else 2.0 * s / math.sqrt(g)
+
+    tol = oned.QUAD_TOL / 2.0
+    i1, _ = quad(lower, 0.0, m / 2.0, epsabs=tol, epsrel=1e-13, limit=500)
+    i2, _ = quad(upper, 0.0, math.sqrt(m / 2.0), epsabs=tol, epsrel=1e-13, limit=500)
+    return i1 + i2
+
+
+# peaks from M_FLOOR, dense in m - sqrt(e) down to 1e-14, up to the 1e6 cap:
+# halfwidths from 6.04 down to 0.30
+REFERENCE_PEAKS = np.concatenate([SQRT_E * (1.0 + np.geomspace(1e-14, 1e-1, 131)),
+                                  np.geomspace(2.0, 1e6, 60)])
+
+
+def test_time_map_agrees_with_adaptive_quadrature():
+    assert REFERENCE_PEAKS[0] == oned.M_FLOOR
+    rule = np.array([oned.time_map(float(m)) for m in REFERENCE_PEAKS])
+    reference = np.array([_reference_time_map(float(m)) for m in REFERENCE_PEAKS])
+    assert np.max(np.abs(rule - reference)) <= oned.QUAD_TOL
+    assert rule[0] <= oned.MAX_HALFWIDTH and rule[-1] < 0.31
+
+
+def test_time_map_strictly_decreases():
+    # Brent's bracket in solve_m_of_b rests on it
+    rule = np.array([oned.time_map(float(m)) for m in REFERENCE_PEAKS])
+    assert np.all(np.diff(rule) < 0.0)
+
+
+def test_time_map_refuses_a_budget_below_its_rule():
+    assert oned.time_map(math.e, 1e-6) == oned.time_map(math.e)
+    with pytest.raises(ValueError, match="QUAD_TOL"):
+        oned.time_map(math.e, 1e-13)
 
 
 @pytest.mark.parametrize("m", [1.7, 2.0, math.e, 5.0])
@@ -114,6 +164,13 @@ def shot_m2():
 
 def test_shoot_agrees_with_time_map(shot_m2):
     assert abs(shot_m2.b - oned.time_map(2.0, 1e-11)) < 1e-6
+
+
+def test_shooting_crossing_matches_the_halfwidth():
+    # a bias of 6e-12 at t = m, inside QUAD_TOL, would show here
+    bs = [b for b in np.geomspace(0.4, 4.0, 20) if b <= 3.14] + [3.14]
+    errors = [abs(oned.solve_interval(float(b)).b_shoot - b) for b in bs]
+    assert max(errors) <= 1e-12
 
 
 def test_shoot_energy_conservation(shot_m2):
@@ -269,10 +326,10 @@ def test_tensor_integrates_each_halfwidth_once(monkeypatch):
 
 
 def test_tensor_never_samples_the_profile(monkeypatch):
-    def no_sampling(dense, xs):
+    def no_sampling(shot, n):
         raise AssertionError("tensor_solution drew half-profile samples")
 
-    monkeypatch.setattr(oned, "_sample", no_sampling)
+    monkeypatch.setattr(oned, "_half_profile", no_sampling)
     profiles = {}
     field = oned.tensor_solution([1.0, 1.5], (41, 61), solutions=profiles)
     assert field.sup_norm() > 0.0
@@ -295,6 +352,16 @@ def test_tensor_values_agree_with_the_pchip_of_dense_samples(b):
         old[np.abs(np.abs(axis) - b) < 1e-14] = 0.0
         values = oned.tensor_solution([b], resolution, solutions=profiles).values
         np.testing.assert_allclose(values, np.maximum(old, 0.0), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("b", [0.35, 1.0, 4.0])
+@pytest.mark.parametrize("resolution", [41, 81, 160])
+def test_axis_values_equal_the_dense_output(b, resolution):
+    sol = oned.solve_interval(b)
+    axis = make_grid(box(b), resolution).axes[0]
+    dense = sol.shot.dense(np.minimum(np.abs(axis), sol.b_shoot))[0]
+    dense[np.abs(np.abs(axis) - b) < 1e-14] = 0.0
+    assert np.array_equal(oned._profile_on_axis(sol, axis), np.maximum(dense, 0.0))
 
 
 def _constant(k: int):
