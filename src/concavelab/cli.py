@@ -26,7 +26,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 from types import SimpleNamespace
@@ -141,7 +140,7 @@ def _checked(reader, check):
 # libyaml's safe loader where PyYAML was built with it: the same dicts, about 7x faster
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-TOLERANCES = {"newton": (_positive, 1e-10), "eigen": (_positive, 1e-12)}
+TOLERANCES = {"newton": (_positive, 1e-10)}
 
 # keys every experiment takes
 COMMON = {
@@ -192,9 +191,6 @@ DOMAIN_KEYS = {
     "ball": {"radius": (_float, REQUIRED), "ambient_dim": (_int, REQUIRED)},
 }
 
-# every transform kind, and the one alias: ``neg_log``, made negated by its own factory
-TRANSFORMS = {**reactions.TRANSFORMS,
-              "neg_log": replace(reactions.TRANSFORMS["log"], factory="neg_log")}
 # how a concavity check of one transform runs and what it must find
 CHECK_KEYS = {
     "negate": (_typed(bool), False),
@@ -242,7 +238,7 @@ def _reaction_from(section) -> reactions.Reaction:
 
 def _check(section) -> dict:
     """One entry of ``transforms``: the transform and how to check it."""
-    transform, check = _made(TRANSFORMS, section, "transform", CHECK_KEYS)
+    transform, check = _made(reactions.TRANSFORMS, section, "transform", CHECK_KEYS)
     check["transform"] = transform.negate() if check["negate"] else transform
     return check
 
@@ -425,7 +421,7 @@ def _run_branch(p):
 
 
 def _run_converge_eigen(p):
-    pair = principal_eigenpair(p.grid, p.tolerances["eigen"])
+    pair = principal_eigenpair(p.grid)
     target = 1.0 + pair.lambda1 / p.schedule[2]
     branch = _branch(p)
     table = _branch_table(
@@ -614,7 +610,7 @@ def _run_gausson_residual(p):
 
 def _run_energy_bound(p):
     result = _solve(p, p.reaction)
-    pair = principal_eigenpair(p.grid, p.tolerances["eigen"])
+    pair = principal_eigenpair(p.grid)
     bound = energy_upper_bound(p.grid, p.q, p.sigma, pair.phi1)
     payload = {**_fields(p, "q", "sigma"), "energy": result.energy, "bound": bound,
                "passed": bool(result.converged and result.energy <= bound)}

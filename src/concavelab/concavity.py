@@ -216,7 +216,6 @@ class ConcavityReport:
     eps_floor: float
     layer_k: int
     margin: float
-    scale: float
     verdict: str               # "holds strictly" | "holds weakly" | "fails"
 
     @property
@@ -285,7 +284,6 @@ def check_transform_concavity(
         eps_floor=eps,
         layer_k=layer_k,
         margin=margin,
-        scale=scale,
         verdict=verdict,
     )
 
@@ -353,7 +351,6 @@ class AlphaSweepResult:
     verdicts: tuple[str, ...]
     largest_passing: float | None
     consistent: bool
-    reports: tuple[ConcavityReport, ...]
 
 
 def check_sweep_exponents(alphas) -> None:
@@ -392,7 +389,6 @@ def alpha_sweep(field: ScalarField, alphas) -> AlphaSweepResult:
         verdicts=tuple(r.verdict for r in reports),
         largest_passing=largest,
         consistent=consistent,
-        reports=reports,
     )
 
 

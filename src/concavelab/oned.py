@@ -36,7 +36,6 @@ from .linops import ScalarField
 __all__ = [
     "SQRT_E",
     "OneDimSolution",
-    "ShootResult",
     "TimeMapError",
     "time_map",
     "solve_m_of_b",
@@ -214,17 +213,6 @@ PROFILE_BYTES_MAX = 2**30
 MAX_SAMPLES_PER_UNIT = int(PROFILE_BYTES_MAX / (SAMPLE_BYTES * MAX_HALFWIDTH))
 
 
-@dataclass
-class ShootResult:
-    b: float                 # crossing abscissa
-    xs: np.ndarray           # abscissae k / n below the crossing, then the crossing
-    us: np.ndarray           # profile values, us[-1] ~ 0
-    ps: np.ndarray           # derivative values
-    energy_drift: float      # max |p^2/2 + F(u) - F(m)| over the samples
-    boundary_slope: float    # |u'| at the crossing
-    x_star: float            # u(x_star) = 1
-
-
 def _phase_rhs(x, y):
     u, p = y
     # odd extension through 0; the isolated log singularity is harmless
@@ -293,7 +281,7 @@ def _sample(dense: OdeSolution, xs: np.ndarray) -> np.ndarray:
 
 def _half_profile(shot: _Shot, n: int):
     """Abscissae ``k / n`` below the crossing, then the crossing, with the
-    profile and its derivative there and their energy drift."""
+    profile there and the energy drift of the profile and its derivative."""
     xs = np.arange(math.ceil(shot.b * n)) / n
     xs = xs[xs < shot.b]
     us, ps = _sample(shot.dense, xs)
@@ -301,22 +289,22 @@ def _half_profile(shot: _Shot, n: int):
     xs, us, ps = np.append(xs, shot.b), np.append(us, ub), np.append(ps, pb)
     with np.errstate(divide="ignore", invalid="ignore"):
         f_vals = np.where(us > 0, 0.5 * us**2 * (np.log(us**2) - 1.0), 0.0)
-    return xs, us, ps, float(np.max(np.abs(0.5 * ps**2 + f_vals - _F(shot.m))))
+    return xs, us, float(np.max(np.abs(0.5 * ps**2 + f_vals - _F(shot.m))))
 
 
-def shoot_profile(m: float, n: int = 10_000) -> ShootResult:
+def shoot_profile(m: float, n: int = 10_000) -> OneDimSolution:
     """Integrate ``u'' = -u log u^2`` from ``u(0) = m``, ``u'(0) = 0`` with
     DOP853 until the profile crosses zero.
 
     The crossing and the unit value ``u(x*) = 1`` are located as events of
-    the integrator within a window of ``SHOOT_WINDOW`` units.  ``n`` is the
-    number of samples per unit length: the profile is the dense output at
-    ``x = k / n`` below the crossing, followed by the crossing itself.
+    the integrator within a window of ``SHOOT_WINDOW`` units.  The profile
+    on ``(-b, b)`` is returned with ``b`` the crossing; ``n`` is the number
+    of samples per unit length of its ``xs`` and ``us``.
     """
     check_samples_per_unit(n)
     shot = _shoot(m)
-    xs, us, ps, drift = _half_profile(shot, n)
-    return ShootResult(shot.b, xs, us, ps, drift, abs(float(shot.crossing[1])), shot.x_star)
+    return OneDimSolution(b=shot.b, m=m, C=_F(m), x_star=shot.x_star,
+                          alpha_star=alpha_star(shot.b, m=m), n=n, shot=shot)
 
 
 def sqrtlog_concavity_criterion(t, m: float):
@@ -348,7 +336,9 @@ class OneDimSolution:
 
     The profile is DOP853's dense output; the half-profile samples ``xs``,
     ``us`` and their ``energy_drift`` are evaluated from it, ``n`` per unit
-    length, on first read."""
+    length, on first read.  :func:`solve_interval` sets ``b`` and finds
+    ``m`` by the time map; :func:`shoot_profile` sets ``m`` and takes the
+    shooting pass's crossing as ``b``."""
 
     b: float
     m: float
@@ -367,10 +357,15 @@ class OneDimSolution:
         """The shooting pass's crossing abscissa."""
         return self.shot.b
 
+    @property
+    def boundary_slope(self) -> float:
+        """The integrator's ``|u'|`` at the crossing, against ``slope``
+        from the conserved quantity."""
+        return abs(float(self.shot.crossing[1]))
+
     @cached_property
     def _samples(self) -> tuple[np.ndarray, np.ndarray, float]:
-        xs, us, _, drift = _half_profile(self.shot, self.n)
-        return xs, us, drift
+        return _half_profile(self.shot, self.n)
 
     @property
     def xs(self) -> np.ndarray:

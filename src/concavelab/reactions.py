@@ -14,9 +14,10 @@ dispersive_log            log     -1    -t log t^2       -t^2 (log t^2 - 1) / 2
 A family record holds ``f``, ``f'``, ``F``, its parameters (``q > 1`` and
 ``sigma > 0`` for power, none for log) and whether ``f'`` diverges at 0 (log).
 Each transformation kind has one record: value, exact first and second
-derivatives, inverse, validity interval and orientation (sign of ``phi'``).
+derivatives, validity interval and orientation (sign of ``phi'``).
 :func:`transformed_rhs` is the right-hand side ``b(w, z)`` of the equation for
-``w = phi(u)`` when ``-Delta u = f(u)``; :func:`inverse` is ``psi = phi^-1``.
+``w = phi(u)`` when ``-Delta u = f(u)``; it takes ``t = psi(w)``, with
+``psi = phi^-1``, directly, so no inverse is needed.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ __all__ = [
     "transform_value",
     "transform_d1",
     "transform_d2",
-    "inverse",
     "transformed_rhs",
 ]
 
@@ -236,14 +236,13 @@ def F(reaction: Reaction, t):
 class TransformKind:
     """Formulas of one transformation kind at sign +1: ``value``, ``d1`` and ``d2``
     take ``(transform, t)`` with ``t`` a 1-D array in the validity interval,
-    ``inverse`` takes ``(transform, w)``, ``validity`` and ``increasing`` the transform."""
+    ``validity`` and ``increasing`` the transform."""
 
     factory: str  # the function of this module that makes the transform
     params: dict  # as in ReactionFamily
     value: Callable
     d1: Callable
     d2: Callable
-    inverse: Callable
     validity: Callable
     increasing: Callable
 
@@ -267,7 +266,6 @@ TRANSFORMS = {
         value=lambda tr, t: t**tr.alpha,
         d1=lambda tr, t: tr.alpha * t ** (tr.alpha - 1.0),
         d2=lambda tr, t: tr.alpha * (tr.alpha - 1.0) * t ** (tr.alpha - 2.0),
-        inverse=lambda tr, w: w ** (1.0 / tr.alpha),
         validity=lambda tr: (0.0, math.inf), increasing=lambda tr: tr.alpha > 0,
     ),
     "log": TransformKind(
@@ -275,7 +273,6 @@ TRANSFORMS = {
         value=lambda tr, t: np.log(t),
         d1=lambda tr, t: 1.0 / t,
         d2=lambda tr, t: -1.0 / (t * t),
-        inverse=lambda tr, w: np.exp(w),
         validity=lambda tr: (0.0, math.inf), increasing=lambda tr: True,
     ),
     "sqrt_log": TransformKind(
@@ -283,7 +280,6 @@ TRANSFORMS = {
         value=lambda tr, t: -np.sqrt(np.maximum(_ell(tr, t), 0.0)),
         d1=lambda tr, t: 1.0 / (2.0 * t * np.sqrt(_ell(tr, t))),
         d2=lambda tr, t: (0.5 / _ell(tr, t) - 1.0) / (2.0 * t * t * np.sqrt(_ell(tr, t))),
-        inverse=lambda tr, w: tr.m * np.exp(-(w * w)),
         validity=lambda tr: (0.0, tr.m), increasing=lambda tr: True,
     ),
     "atanh_poly": TransformKind(
@@ -292,8 +288,6 @@ TRANSFORMS = {
         d1=lambda tr, t: -(tr.q - 1.0) / (2.0 * t * _atanh_g(tr, t)),
         d2=lambda tr, t: (tr.q - 1.0) * (1.0 - t ** (tr.q - 1.0))
         / (2.0 * t * t * _atanh_g(tr, t) ** 3),
-        inverse=lambda tr, w: ((tr.q + 1.0) / 2.0 * (1.0 - np.tanh(w) ** 2))
-        ** (1.0 / (tr.q - 1.0)),
         validity=lambda tr: (0.0, ((tr.q + 1.0) / 2.0) ** (1.0 / (tr.q - 1.0))),
         increasing=lambda tr: False,
     ),
@@ -302,7 +296,6 @@ TRANSFORMS = {
         value=lambda tr, t: _s1ml(t),
         d1=lambda tr, t: -1.0 / (t * _s1ml(t)),
         d2=lambda tr, t: -log_square(t) / (t * t * _s1ml(t) ** 3),
-        inverse=lambda tr, w: np.exp((1.0 - w * w) / 2.0),
         # convex only below t = 1, which is where it is used
         validity=lambda tr: (0.0, 1.0), increasing=lambda tr: False,
     ),
@@ -404,13 +397,6 @@ def transform_d1(transform: Transform, t):
 def transform_d2(transform: Transform, t):
     with np.errstate(divide="ignore"):
         return _eval(transform, t, transform.record.d2)
-
-
-def inverse(transform: Transform, w):
-    """Inverse ``psi = phi^-1`` evaluated at ``w = phi(t)``."""
-    w = np.asarray(w, dtype=float) * transform.sign
-    out = transform.record.inverse(transform, w)
-    return float(out) if out.ndim == 0 else out
 
 
 def transformed_rhs(reaction: Reaction, transform: Transform, t, grad_norm_sq):

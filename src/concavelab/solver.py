@@ -319,8 +319,6 @@ class BranchEntry:
 
 @dataclass
 class Branch:
-    sigma_rule: str  # "fixed" | "log_path"
-    sigma: float | None
     entries: list[BranchEntry] = dataclass_field(default_factory=list)
     complete: bool = True
 
@@ -382,7 +380,7 @@ def continuation_branch(
     qs = [float(q) for q in qs]
     check_q_schedule(qs, sigma_rule, sigma)
 
-    branch = Branch(sigma_rule=sigma_rule, sigma=sigma)
+    branch = Branch()
     guess = None
     for q in qs:
         sig = _sigma_for(sigma_rule, sigma, q)

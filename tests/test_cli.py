@@ -454,6 +454,29 @@ def test_concavity_expectation_is_checked(tmp_path):
     assert payload["failures"] == ["log: holds strictly (expected fails)"]
 
 
+def test_eigen_tolerance_is_not_a_config_key(tmp_path, capsys):
+    # every experiment reads the one eigenpair each grid's operator holds
+    cfg = _write_cfg(tmp_path, "c.yaml", {**BASE_SOLVE, "tolerances": {"eigen": 1e-12}})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "'eigen'" in capsys.readouterr().err
+
+
+def test_neg_log_is_not_a_transform_kind(tmp_path, capsys):
+    data = {**BASE_SOLVE, "transforms": [{"kind": "neg_log"}]}
+    cfg = _write_cfg(tmp_path, "c.yaml", data)
+    assert main(["concavity", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "neg_log" in capsys.readouterr().err
+
+
+def test_negated_log_is_checked_for_convexity(tmp_path):
+    data = {**BASE_SOLVE, "transforms": [{"kind": "log", "negate": True}]}
+    cfg = _write_cfg(tmp_path, "c.yaml", data)
+    out = tmp_path / "out"
+    assert main(["concavity", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "concavity.json").read_text())["reports"][0]
+    assert report["transform"] == "neg[log]" and report["check_mode"] == "convexity"
+
+
 def test_strict_flag_enters_the_config_hash(tmp_path):
     data = {
         "domain": {"kind": "box", "halfwidths": [1.0, 1.0]},
@@ -674,7 +697,7 @@ FUZZ = {  # experiment -> key -> valid values
                          "resolutions": [[11, 21]]},
     "energy-bound": {**GRID_KEYS, "q": [1.5], "sigma": [1.0]},
 }
-COMMON_KEYS = {"seed": [3], "tolerances": [{"newton": 1e-9}, {"eigen": 1e-11}]}
+COMMON_KEYS = {"seed": [3], "tolerances": [{"newton": 1e-9}]}
 BAD = {  # key -> values of the right type but wrong
     "domain": [{"kind": "interval"}, {"kind": "box", "halfwidths": [1.0, -1.0]},
                {"kind": "interval", "halfwidth": 1.0, "extra": 1}, "interval"],
@@ -691,7 +714,7 @@ BAD = {  # key -> values of the right type but wrong
     "halfwidths": [[], [1.0, -1.0]],
     "resolutions": [[21], [2, 21], 41],
     "seed": [1.5],
-    "tolerances": [{"newton": 0.0}, {"quad": 1e-10}, {"newton": "1e-30"}],
+    "tolerances": [{"newton": 0.0}, {"quad": 1e-10}, {"newton": "1e-30"}, {"eigen": 1e-11}],
 }
 EXPENSIVE_DEFAULTS = {"resolution", "resolutions", "b_grid", "samples_per_unit"}
 # a tensor check shoots each halfwidth at 10^5 samples per unit, so it is drawn

@@ -18,10 +18,11 @@ from concavelab import (
     principal_eigenpair,
     solve_poisson,
 )
-from concavelab import linops
+from concavelab import linops, oned
 from concavelab.linops import LinearSolveError, neg_laplacian_matrix, solve_shifted
 from concavelab.oned import gausson_field
 from concavelab.reactions import f, log_schrodinger
+from concavelab.solver import initial_guess, newton_solve
 
 
 def _sine_field(grid):
@@ -163,6 +164,61 @@ def test_eigenvalue_mesh_convergence():
         for n in (101, 201)
     ]
     assert 3.5 < errs[0] / errs[1] < 4.5
+
+
+@pytest.mark.parametrize("domain", [interval(1.0), box(1.0, 1.3), ball(1.5, 3)],
+                         ids=["interval", "box", "ball"])
+def test_principal_eigenpair_is_the_held_pair(domain):
+    g = make_grid(domain, 41)
+    for tol in (1e-12, 1e-6):
+        assert principal_eigenpair(g, tol) is g.operator.eigenpair
+    with pytest.raises(ValueError, match="EIGEN_TOL"):
+        principal_eigenpair(g, 1e-13)
+
+
+@pytest.mark.parametrize("domain, n", [(interval(1.0), 4001), (ball(1.0, 3), 2001)],
+                         ids=["interval", "ball3"])
+def test_poisson_check_passes_a_backward_stable_solve(domain, n):
+    # a standard-normal right-hand side leaves a relative residual of 1e-12
+    # to 4e-12 here, above the default tol: rounding, not a bad solve
+    g = make_grid(domain, n)
+    b = np.random.default_rng(0).standard_normal(g.num_interior)
+    x = solve_poisson(ScalarField.from_interior(g, b)).interior()
+    assert np.array_equal(x, g.operator.inverse(b))
+
+
+def _lambda1_error(domain, exact):
+    return lambda n: abs(principal_eigenpair(make_grid(domain, n)).lambda1 - exact)
+
+
+def _tensor_sum(*halfwidths):
+    return sum((math.pi / (2.0 * b)) ** 2 for b in halfwidths)
+
+
+def _log_solve_error(n):
+    g = make_grid(box(1.0, 1.3), n)
+    result = newton_solve(g, log_schrodinger(), initial_guess(g, log_schrodinger()), 1e-10)
+    return float(np.max(np.abs(result.field.values - oned.tensor_solution([1.0, 1.3], n).values)))
+
+
+ORDER_CASES = {
+    "interval": (_lambda1_error(interval(1.0), _tensor_sum(1.0)), (101, 201, 401)),
+    "box2": (_lambda1_error(box(1.0, 1.3), _tensor_sum(1.0, 1.3)), (41, 81, 161)),
+    "box3": (_lambda1_error(box(1.0, 1.3, 0.8), _tensor_sum(1.0, 1.3, 0.8)), (21, 41, 81)),
+    "ball2": (_lambda1_error(ball(1.5, 2), (_first_bessel_j0_zero_by_bisection() / 1.5) ** 2),
+              (101, 201, 401)),
+    "ball3": (_lambda1_error(ball(1.5, 3), (math.pi / 1.5) ** 2), (101, 201, 401)),
+    "log-solve-box2": (_log_solve_error, (21, 41, 81)),
+}
+
+
+@pytest.mark.parametrize("case", list(ORDER_CASES))
+def test_observed_order_is_two(case):
+    # each refinement halves h, so the observed order is log2 of the error ratio
+    error, resolutions = ORDER_CASES[case]
+    errors = [error(n) for n in resolutions]
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+    assert all(1.9 <= order <= 2.1 for order in orders), orders
 
 
 def test_discrete_self_adjointness():

@@ -4,6 +4,7 @@ reference built here, the stencil rows its products share with
 guards on what left the package."""
 
 import ast
+import importlib
 import json
 import sys
 import threading
@@ -317,3 +318,15 @@ def test_reaction_and_transform_kinds_are_dispatched_in_reactions_only():
                 assert len(_kind_names(k for k in node.keys if k is not None)) < 2, where
             if isinstance(node, (ast.Set, ast.Tuple, ast.List)):
                 assert len(_kind_names(node.elts)) < 2, where
+
+
+MODULES = ["concavelab", *sorted(f"concavelab.{path.stem}" for path in PACKAGE.glob("*.py")
+                                 if path.stem != "__init__")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    # a retired name left in an export list would fail ``import *`` here and
+    # go unmeasured, without a word, in tracers that read ``__all__``
+    module = importlib.import_module(name)
+    assert [export for export in module.__all__ if not hasattr(module, export)] == []

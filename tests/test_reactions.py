@@ -177,13 +177,6 @@ def test_orientation_matches_slope_sign(transform, ts):
         assert np.all(d1 < 0)
 
 
-@pytest.mark.parametrize("transform,ts", _transforms_with_interior_points())
-def test_inverse_round_trip(transform, ts):
-    w = rx.transform_value(transform, ts)
-    back = rx.inverse(transform, w)
-    assert np.allclose(back, ts, rtol=1e-10, atol=1e-12)
-
-
 def test_negation_flips_orientation_and_values():
     tr = rx.log_transform()
     neg = tr.negate()
