@@ -2,8 +2,8 @@
 
 The conserved quantity |u'|^2/2 + F(u) links the peak value m = u(0) to
 the halfwidth b through a singular integral (the time map).  Two
-independent routes compute the same profile: adaptive quadrature of the
-time map and DOP853 shooting, whose events locate the zero crossing and
+independent routes compute the same profile: the time map by one fixed
+tanh-sinh quadrature rule and DOP853 shooting, whose events locate the zero crossing and
 the inflection u = 1.  The table scans b and
 reports the peak, the boundary slope sqrt(2 F(m)), the sharp
 power-concavity exponent alpha*(b), and the cross-validation errors.

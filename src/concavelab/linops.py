@@ -23,7 +23,10 @@ built once and immutable.  The grid alone picks its backend
   Golub & Nielsen 1970).  Poisson solves are a forward and an inverse
   DST-I, the principal eigenpair is the closed-form product of sines, and
   a Newton step is MINRES (Paige & Saunders 1975) on the rows with the
-  shift subtracted from their centre, preconditioned by the DST Poisson solve.
+  shift subtracted from their centre, preconditioned by a DST solve whose
+  symbol is moved by a weighted mean of the shift, to the relative residual
+  the caller asks for.  This backend alone imports ``scipy.fft`` and
+  ``scipy.sparse.linalg``, where it calls them.
 """
 
 from __future__ import annotations
@@ -34,9 +37,7 @@ from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .grid import Grid
@@ -56,14 +57,18 @@ __all__ = [
 ]
 
 
-# Shifted solves on box grids: MINRES's own relative tolerance and iteration
-# cap per sweep (Newton steps take 9-17 iterations; Jacobians with 1% of their
-# diagonal at the Newton floor of -1e6 take up to about 75), and the true
-# relative residual that the sweeps must reach.
-MINRES_RTOL = 1e-12
+# Shifted solves on box grids: MINRES's own relative tolerance as a fraction
+# of the goal, its iteration cap per sweep (Jacobians with 1% of their
+# diagonal at the Newton floor of -1e6 take 40-80 iterations up to 161^2
+# and 41^3 nodes), the number of sweeps, and the true relative residual the
+# sweeps must reach: SHIFTED_RESIDUAL unless the caller asks for less.
+# Newton asks for its forcing term, the rms of its residual capped at
+# FORCING_CAP.
+MINRES_MARGIN = 1e-3
 MINRES_MAXITER = 500
 MINRES_SWEEPS = 3
 SHIFTED_RESIDUAL = 1e-9
+FORCING_CAP = 1e-2
 
 # The principal eigenpair each grid's operator holds: inverse iteration's
 # relative tolerance on successive eigenvalues and its iteration cap.
@@ -324,8 +329,9 @@ class TridiagonalOperator(GridOperator):
         """The Poisson solve: :meth:`solve_shifted` at zero shift."""
         return self.solve_shifted(0.0, b)
 
-    def solve_shifted(self, shift, rhs) -> np.ndarray:
-        """One LAPACK ``dgtsv``, LU with partial pivoting, on ``(dl, d - shift, du)``."""
+    def solve_shifted(self, shift, rhs, rtol=SHIFTED_RESIDUAL) -> np.ndarray:
+        """One LAPACK ``dgtsv``, LU with partial pivoting, on ``(dl, d - shift, du)``;
+        a direct solve, so ``rtol`` asks for nothing."""
         dl, d, du = _lapack_sized(self.dl, self.d - shift, self.du)
         *_, x, info = lapack.dgtsv(dl, d, du, _rhs_sized(rhs, d.size), overwrite_d=1)
         if info > 0:  # the arguments are well formed by construction, so info >= 0
@@ -358,42 +364,74 @@ class TridiagonalOperator(GridOperator):
 
 class SineOperator(GridOperator):
     """2D and 3D boxes: the DST-I symbol, the eigenvalues of
-    ``-Laplacian_h`` in DST-I coefficient order; no matrix is stored."""
+    ``-Laplacian_h`` in DST-I coefficient order; no matrix is stored.
+    It is the one backend that uses ``scipy.fft`` and ``scipy.sparse.linalg``,
+    so it imports them where it calls them."""
 
     def _build(self):
         pairs = zip(self.grid.shape, self.grid.spacing)
         self.symbol = reduce(np.add.outer, [_sine_eigenvalues(n, h) for n, h in pairs])
         self.symbol.setflags(write=False)
+        sines = [np.sin(np.pi * np.arange(1, n - 1) / (n - 1)) for n in self.grid.shape]
+        self._phi = reduce(np.multiply.outer, sines).ravel()
+        self._phi.setflags(write=False)
+        self._phi_weights = self._phi**2 / np.sum(self._phi**2)
+
+    def _dst_solve(self, b: np.ndarray, divisor: np.ndarray) -> np.ndarray:
+        """DST-I, division by ``divisor``, inverse DST-I."""
+        import scipy.fft
+
+        coef = scipy.fft.dstn(np.reshape(b, self.symbol.shape), type=1, norm="ortho")
+        return scipy.fft.idstn(coef / divisor, type=1, norm="ortho").ravel()
 
     def inverse(self, b: np.ndarray) -> np.ndarray:
-        """DST-I, division by the symbol, inverse DST-I."""
-        coef = scipy.fft.dstn(np.reshape(b, self.symbol.shape), type=1, norm="ortho")
-        return scipy.fft.idstn(coef / self.symbol, type=1, norm="ortho").ravel()
+        """The Poisson solve: a DST-I, division by the symbol, inverse DST-I."""
+        return self._dst_solve(b, self.symbol)
 
-    def solve_shifted(self, shift, rhs) -> np.ndarray:
+    def solve_shifted(self, shift, rhs, rtol=SHIFTED_RESIDUAL) -> np.ndarray:
         """The matrix is symmetric but may be indefinite: MINRES on the
-        stencil rows with centre ``centre - shift``, preconditioned by the
-        DST-I Poisson solve.  MINRES stops on its own recurrence residual,
-        which drifts from the true one when floor shifts of -1e6 make the
-        matrix ill-conditioned, so each sweep restarts it on the true
-        residual until that is below ``SHIFTED_RESIDUAL * ||rhs||``."""
+        stencil rows with centre ``centre - shift``, to the true residual
+        ``rtol * ||rhs||``.
+
+        The preconditioner is the DST-I solve with the symbol moved to
+        ``max(|symbol - c|, symbol_min / 2)``, positive definite as MINRES
+        needs.  ``c`` is the ``phi_1^2``-weighted mean of the shift clipped
+        below at ``-symbol_min``: ``c >= -symbol_min`` keeps the divisor
+        within a factor 2 of the plain symbol where shifts are negative, so
+        a few nodes at the Newton floor of -1e6 cannot drag the
+        preconditioner far below the spectrum.
+
+        MINRES stops on its own test, ``||r|| / (||A|| ||x||)`` in the
+        preconditioner's norm on its recurrence residual, which can lie far
+        below the true relative residual when the matrix is ill-conditioned
+        or nearly singular.  So each sweep restarts it on the true residual,
+        its tolerance ``MINRES_MARGIN * rtol`` tightened by the shortfall of
+        the sweep before, until that is below ``rtol * ||rhs||``."""
+        import scipy.sparse.linalg as spla
+
         rows = self.rows._replace(centre=self.rows.centre - np.reshape(shift, self._shape))
+        symbol_min = self.symbol.flat[0]
+        c = float(np.dot(np.maximum(np.ravel(shift), -symbol_min), self._phi_weights))
+        divisor = np.maximum(np.abs(self.symbol - c), 0.5 * symbol_min)
         size = (rhs.size, rhs.size)
         mat = spla.LinearOperator(size, matvec=lambda x: self._apply(rows, x), dtype=float)
-        precond = spla.LinearOperator(size, matvec=self.inverse, dtype=float)
-        goal = SHIFTED_RESIDUAL * float(np.linalg.norm(rhs))
+        precond = spla.LinearOperator(size, matvec=lambda b: self._dst_solve(b, divisor),
+                                      dtype=float)
+        goal = rtol * float(np.linalg.norm(rhs))
         x = np.zeros(rhs.size)
         res = rhs
+        minres_rtol = MINRES_MARGIN * rtol
         for _ in range(MINRES_SWEEPS):
-            dx, info = spla.minres(mat, res, rtol=MINRES_RTOL, maxiter=MINRES_MAXITER, M=precond)
+            dx, info = spla.minres(mat, res, rtol=minres_rtol, maxiter=MINRES_MAXITER, M=precond)
             x += dx
             res = rhs - self._apply(rows, x)
             res_norm = float(np.linalg.norm(res))
             if info != 0 or res_norm <= goal:
                 break
+            minres_rtol *= goal / res_norm
         if info != 0 or res_norm > goal:
             raise LinearSolveError(
-                f"MINRES stopped at residual {res_norm:.3e} against {SHIFTED_RESIDUAL:.0e} "
+                f"MINRES stopped at residual {res_norm:.3e} against {rtol:.1e} "
                 f"* ||rhs|| (info {info}, cap {MINRES_MAXITER} iterations per sweep)", res_norm
             )
         return x
@@ -403,8 +441,7 @@ class SineOperator(GridOperator):
         and the product of ``sin(pi k/(n_i-1))``, with 0 iterations."""
         pairs = zip(self.grid.shape, self.grid.spacing)
         lam = float(sum(_sine_eigenvalues(n, h)[0] for n, h in pairs))
-        sines = [np.sin(np.pi * np.arange(1, n - 1) / (n - 1)) for n in self.grid.shape]
-        return lam, reduce(np.multiply.outer, sines).ravel(), 0
+        return lam, self._phi.copy(), 0
 
 
 def neg_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
@@ -453,16 +490,19 @@ def solve_poisson(rhs: ScalarField, tol: float = 1e-12) -> ScalarField:
     return ScalarField.from_interior(grid, x)
 
 
-def solve_shifted(grid: Grid, shift, rhs) -> np.ndarray:
+def solve_shifted(grid: Grid, shift, rhs, rtol: float = SHIFTED_RESIDUAL) -> np.ndarray:
     """Solve ``(-Laplacian_h - diag(shift)) x = rhs`` on interior unknowns.
 
     One LAPACK ``dgtsv`` on interval and radial grids; a singular matrix
-    raises :class:`LinearSolveError`.  On box grids, DST-preconditioned
-    MINRES on the stencil rows (:meth:`SineOperator.solve_shifted`): a sweep
-    that hits ``MINRES_MAXITER``, or ``MINRES_SWEEPS`` sweeps that fall
-    short, raise :class:`LinearSolveError` with the residual reached.
+    raises :class:`LinearSolveError`.  On box grids, MINRES on the stencil
+    rows with a shifted DST preconditioner (:meth:`SineOperator.solve_shifted`)
+    until the true residual is at most ``rtol * ||rhs||``: the default
+    ``SHIFTED_RESIDUAL`` for a full solve, and Newton's forcing term for an
+    inexact Newton step.  A sweep that hits ``MINRES_MAXITER``, or
+    ``MINRES_SWEEPS`` sweeps that fall short, raise :class:`LinearSolveError`
+    with the residual reached; its message names ``rtol``.
     """
-    return grid.operator.solve_shifted(shift, rhs)
+    return grid.operator.solve_shifted(shift, rhs, rtol)
 
 
 def principal_eigenpair(grid: Grid, tol: float = EIGEN_TOL) -> Eigenpair:

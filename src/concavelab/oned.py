@@ -25,13 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
-from scipy.optimize import brentq
 
 from .grid import Grid, box, make_grid
 from .linops import ScalarField
+
+if TYPE_CHECKING:  # ``scipy.integrate`` and ``scipy.optimize`` load where they are called
+    from scipy.integrate import OdeSolution
 
 __all__ = [
     "SQRT_E",
@@ -139,6 +141,8 @@ def solve_m_of_b(b: float, tol: float = M_RTOL) -> float:
     relative tolerance ``tol``.  ``b`` values beyond the time map at
     ``M_FLOOR`` or below the one at the largest cap are out of range.
     """
+    from scipy.optimize import brentq
+
     if not b > 0:
         raise TimeMapError("halfwidth b must be positive")
     lo, hi = M_FLOOR, 10.0
@@ -186,6 +190,8 @@ def alpha_star(b: float, m: float | None = None) -> float:
 
 def halfwidth_for_alpha(alpha: float) -> float:
     """Halfwidth ``b`` whose profile has ``alpha_star(b) = alpha``."""
+    from scipy.optimize import brentq
+
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     target_F = 0.5 * alpha_equality_lhs(alpha)
@@ -255,6 +261,8 @@ def _shoot(m: float) -> _Shot:
     """Integrate ``u'' = -u log u^2`` from ``u(0) = m``, ``u'(0) = 0`` with
     DOP853 until the profile crosses zero; the crossing and the unit value
     are located as events within a window of ``SHOOT_WINDOW`` units."""
+    from scipy.integrate import solve_ivp
+
     if not m > SQRT_E:
         raise TimeMapError("shooting requires m > sqrt(e)")
     ivp = solve_ivp(_phase_rhs, (0.0, SHOOT_WINDOW), (m, 0.0), method="DOP853",

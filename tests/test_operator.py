@@ -1,11 +1,13 @@
 """The per-grid operator: its tridiagonal LAPACK backend against a sparse-LU
 reference built here, the stencil rows its products share with
-``apply_laplacian`` and ``neg_laplacian_matrix``, its immutability, and
-guards on what left the package."""
+``apply_laplacian`` and ``neg_laplacian_matrix``, its immutability, the
+inexact box Newton steps against a Newton loop of direct sparse solves, and
+guards on what left the package and on what importing it loads."""
 
 import ast
 import importlib
 import json
+import subprocess
 import sys
 import threading
 import time
@@ -330,3 +332,114 @@ def test_every_exported_name_resolves(name):
     # go unmeasured, without a word, in tracers that read ``__all__``
     module = importlib.import_module(name)
     assert [export for export in module.__all__ if not hasattr(module, export)] == []
+
+
+def _direct_newton(g, reaction, u, tol):
+    """The damped, projected Newton loop of ``solver.newton_solve`` with each
+    step a sparse direct solve of the clamped Jacobian, built here."""
+    a_mat = _reference_matrix(g)
+
+    def residual(v):
+        return a_mat @ v - reactions.f(reaction, v)
+
+    res = residual(u)
+    for _ in range(solver.NEWTON_MAX_ITER):
+        if np.max(np.abs(res)) <= tol * max(1.0, np.max(u)):
+            return u
+        shift = solver._jacobian_diagonal(reaction, u, solver.JAC_FLOOR)
+        delta = spla.spsolve((a_mat - sp.diags(shift)).tocsc(), -res)
+        for k in range(solver.MAX_BACKTRACKS + 1):
+            u_try = np.maximum(u + 0.5**k * delta, 0.0)
+            res_try = residual(u_try)
+            if np.linalg.norm(res_try) < np.linalg.norm(res):
+                break
+        else:
+            raise AssertionError("the direct Newton line search failed")
+        u, res = u_try, res_try
+    raise AssertionError("the direct Newton loop did not converge")
+
+
+@pytest.mark.parametrize("reaction",
+                         [concavelab.log_schrodinger(), concavelab.lane_emden(2.0, 1.0)],
+                         ids=["log", "lane_emden"])
+@pytest.mark.parametrize("shape", [(41, 41), (13, 15, 11)], ids=["2d", "3d"])
+def test_inexact_box_newton_matches_direct_newton(shape, reaction):
+    # box steps are MINRES solves to Newton's forcing term; the converged
+    # field must agree with exact steps to the solve tolerance
+    tol = 1e-10
+    g = make_grid(box(*[1.0] * len(shape)), shape)
+    guess = solver.initial_guess(g, reaction)
+    result = solver.newton_solve(g, reaction, guess, tol)
+    assert result.converged
+    ref = _direct_newton(g, reaction, guess.interior().copy(), tol)
+    assert np.max(np.abs(result.field.interior() - ref)) <= tol * max(1.0, result.sup_norm)
+
+
+def _counting_minres(monkeypatch):
+    """Record the iterations of each MINRES sweep in the list returned."""
+    sweeps = []
+    minres = spla.minres
+
+    def counted(*args, **kwargs):
+        count = [0]
+        out = minres(*args, callback=lambda xk: count.__setitem__(0, count[0] + 1), **kwargs)
+        sweeps.append(count[0])
+        return out
+
+    monkeypatch.setattr(spla, "minres", counted)
+    return sweeps
+
+
+@pytest.mark.parametrize("rtol", [None, linops.FORCING_CAP], ids=["full", "forcing-cap"])
+@pytest.mark.parametrize("shape", [(81, 81), (13, 15, 11)], ids=["2d", "3d"])
+def test_floor_jacobian_solves_within_minres_maxiter(shape, rtol, monkeypatch):
+    # 1% of the diagonal at the Newton floor: the shifted preconditioner must
+    # not follow those nodes, and a call without a goal meets SHIFTED_RESIDUAL
+    g = make_grid(box(*[1.0] * len(shape)), shape)
+    m = g.num_interior
+    rng = np.random.default_rng(7)
+    shift = rng.uniform(-10.0, 10.0, m)
+    shift[rng.choice(m, m // 100, replace=False)] = solver.JAC_FLOOR
+    b = rng.standard_normal(m)
+    sweeps = _counting_minres(monkeypatch)
+    x = solve_shifted(g, shift, b) if rtol is None else solve_shifted(g, shift, b, rtol)
+    goal = linops.SHIFTED_RESIDUAL if rtol is None else rtol
+    jacobian = neg_laplacian_matrix(g) - sp.diags(shift)
+    assert np.linalg.norm(jacobian @ x - b) <= goal * np.linalg.norm(b)
+    assert 0 < sum(sweeps) < linops.MINRES_MAXITER
+    # its first sweep is no slower than one preconditioned by the plain Poisson solve
+    first = sweeps[0]
+    poisson = spla.LinearOperator(jacobian.shape, matvec=g.operator.inverse, dtype=float)
+    spla.minres(jacobian, b, rtol=linops.MINRES_MARGIN * goal, M=poisson)
+    assert first <= 1.25 * sweeps[-1]
+
+
+@pytest.mark.parametrize("rtol", [None, 1e-3])
+def test_minres_failure_names_the_goal_it_used(rtol, monkeypatch):
+    g = make_grid(box(1.0, 2.0), 21)
+    shift = np.random.default_rng(1).uniform(-10.0, 10.0, g.num_interior)
+    monkeypatch.setattr(linops, "MINRES_MAXITER", 2)
+    args = (g, shift, np.ones(g.num_interior)) + (() if rtol is None else (rtol,))
+    with pytest.raises(LinearSolveError, match="1.0e-09" if rtol is None else "1.0e-03"):
+        solve_shifted(*args)
+
+
+def test_importing_the_cli_loads_no_single_backend_module():
+    # scipy.fft and scipy.sparse.linalg serve the box backend only, and
+    # scipy.integrate and scipy.optimize the one-dimensional analysis
+    deferred = ("scipy.fft", "scipy.sparse.linalg", "scipy.integrate", "scipy.optimize")
+    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import concavelab.cli; "
+             f"print(sorted(m for m in {deferred!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_nearly_singular_box_jacobian_ends_newton_by_its_own_tests():
+    # Lane-Emden q = 3 on a coarse 3D box stalls with exact steps too.  On its
+    # nearly singular Jacobians MINRES's own stop lies far below the true
+    # residual, so the sweeps must tighten it rather than raise
+    g = make_grid(box(1.0, 1.0, 1.0), (13, 15, 11))
+    reaction = concavelab.lane_emden(3.0, 2.0)
+    result = solver.newton_solve(g, reaction, solver.initial_guess(g, reaction))
+    assert result.status in ("converged", "line_search_failed", "max_iterations")
