@@ -222,23 +222,23 @@ def _domain_from(cfg: dict) -> Domain:
     return _domain(cfg.get("domain"))
 
 
-def _made(records: dict, section, what: str, extra: dict | None = None):
-    """The object the ``reactions`` factory of the section's kind returns, and the
-    section's values; ``records`` maps kinds to their records there.  The factory
-    is looked up when it is called, so a rebinding of it (by a tracer) sees the call."""
-    record = records[_kind(section, records, what)]
-    params = {name: (_float, REQUIRED) for name in record.params}
+def _made(make, records: dict, section, what: str, extra: dict | None = None):
+    """``make(kind, **params)`` for the section's kind and parameters, and the
+    section's values; ``records`` maps kinds to their records in ``reactions``."""
+    kind = _kind(section, records, what)
+    params = {name: (_float, REQUIRED) for name in records[kind].params}
     values = _read(section, {"kind": (_typed(str), REQUIRED), **params, **(extra or {})}, what)
-    return getattr(reactions, record.factory)(*(values[n] for n in record.params)), values
+    return make(kind, **{name: values[name] for name in params}), values
 
 
 def _reaction_from(section) -> reactions.Reaction:
-    return _made(reactions.REACTIONS, section, "reaction")[0]
+    return _made(reactions.Reaction, reactions.REACTIONS, section, "reaction")[0]
 
 
 def _check(section) -> dict:
     """One entry of ``transforms``: the transform and how to check it."""
-    transform, check = _made(reactions.TRANSFORMS, section, "transform", CHECK_KEYS)
+    transform, check = _made(reactions.Transform, reactions.TRANSFORMS, section, "transform",
+                             CHECK_KEYS)
     check["transform"] = transform.negate() if check["negate"] else transform
     return check
 
@@ -663,7 +663,7 @@ SCHEMA = {
                      {**GRID, "q": (_float, REQUIRED), "sigma": (_float, REQUIRED)}),
 }
 
-# experiment -> the ``reactions`` factory its top-level q and sigma are passed to
+# experiment -> the reaction kind its top-level q and sigma are passed to
 FLAT_REACTION = {"dispersive": "dispersive_lane_emden", "energy-bound": "lane_emden"}
 
 
@@ -687,7 +687,8 @@ def _parse(experiment: str, cfg) -> SimpleNamespace:
             check_nodes(sum(n ** p["domain"].dim for n in p["resolutions"]))
             p["grids"] = [make_grid(p["domain"], n) for n in p["resolutions"]]
         if experiment in FLAT_REACTION:
-            p["reaction"] = getattr(reactions, FLAT_REACTION[experiment])(p["q"], p["sigma"])
+            p["reaction"] = reactions.Reaction(FLAT_REACTION[experiment], q=p["q"],
+                                               sigma=p["sigma"])
     except PARSE_ERRORS as exc:
         raise ConfigError(f"{experiment} config: {exc}") from exc
     return SimpleNamespace(**p)

@@ -32,7 +32,8 @@ import numpy as np
 from .grid import Grid, box, make_grid
 from .linops import ScalarField
 
-if TYPE_CHECKING:  # ``scipy.integrate`` and ``scipy.optimize`` load where they are called
+# ``scipy.integrate``, ``scipy.optimize`` and ``scipy.special`` load where they are called
+if TYPE_CHECKING:
     from scipy.integrate import OdeSolution
 
 __all__ = [
@@ -112,33 +113,28 @@ def _time_map_rule(step: float, span: float):
 _TIME_MAP_RULE = _time_map_rule(1.0 / 64.0, 4.0)
 
 
-def time_map(m: float, quad_tol: float = QUAD_TOL) -> float:
+def time_map(m: float) -> float:
     """Halfwidth ``b`` of the interval on which the profile peaking at ``m``
     solves the problem.
 
     One fixed tanh-sinh rule on ``[0, m]`` (see ``_time_map_rule``) takes
     both the inverse-square-root singularity at ``t = m`` and, as
     ``m -> sqrt(e)``, the near-singular layer at ``t = 0``; its absolute
-    error stays within ``QUAD_TOL``, so ``quad_tol`` may not ask for less.
+    error stays within ``QUAD_TOL``.
     """
-    if quad_tol < QUAD_TOL:
-        raise ValueError(
-            f"quad_tol = {quad_tol:g} is below the time-map rule's error budget "
-            f"QUAD_TOL = {QUAD_TOL:g}"
-        )
     if not m > SQRT_E:
         raise TimeMapError(f"time map requires m > sqrt(e) = {SQRT_E:.12f}, got {m}")
     weights, slope, offset = _TIME_MAP_RULE
     return float(np.sum(weights / np.sqrt(slope * (math.log(m * m) - 1.0) + offset)))
 
 
-def solve_m_of_b(b: float, tol: float = M_RTOL) -> float:
+def solve_m_of_b(b: float) -> float:
     """Invert the time map: the sup norm ``m`` with ``time_map(m) = b``.
 
     The time map decreases in ``m``.  A cap starting at 10 doubles, up to
     1e6, until its time map falls below ``b``; Brent's method then finds
     ``m`` between the previous cap (or ``M_FLOOR``) and the cap, to the
-    relative tolerance ``tol``.  ``b`` values beyond the time map at
+    relative tolerance ``M_RTOL``.  ``b`` values beyond the time map at
     ``M_FLOOR`` or below the one at the largest cap are out of range.
     """
     from scipy.optimize import brentq
@@ -153,7 +149,7 @@ def solve_m_of_b(b: float, tol: float = M_RTOL) -> float:
         if hi > 1e6:
             raise TimeMapError(f"b = {b} too small: sup norm beyond the bracketing cap 1e6")
     return brentq(lambda m: time_map(m) - b, lo, hi,
-                  xtol=np.finfo(float).tiny, rtol=tol)
+                  xtol=np.finfo(float).tiny, rtol=M_RTOL)
 
 
 def boundary_slope(m: float) -> float:
@@ -171,35 +167,31 @@ def alpha_equality_lhs(alpha: float) -> float:
 
 def alpha_star(b: float, m: float | None = None) -> float:
     """Critical exponent in (0, 1): the profile on ``(-b, b)`` is
-    ``a``-power concave exactly for ``a <= alpha_star(b)``; bisection to a
-    bracket of width 1e-12."""
+    ``a``-power concave exactly for ``a <= alpha_star(b)``.
+
+    With ``s = |u'(b)|^2 = 2 F(m)``, the equality ``(1 - a) s = a e^(-1/a)``
+    is ``y e^y = 1 / (e s)`` in ``y = 1/a - 1 > 0``, so
+    ``a = 1 / (1 + W0(1 / (e s)))`` with ``W0`` the principal branch of the
+    Lambert W function (Corless et al., Adv. Comput. Math. 5, 1996)."""
+    from scipy.special import lambertw
+
     if m is None:
         m = solve_m_of_b(b)
-    slope_sq = 2.0 * _F(m)
-    lo, hi = 1e-12, 1.0 - 1e-15
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if alpha_equality_lhs(mid) < slope_sq:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12:
-            break
-    return 0.5 * (lo + hi)
+    return 1.0 / (1.0 + lambertw(1.0 / (math.e * 2.0 * _F(m))).real)
 
 
 def halfwidth_for_alpha(alpha: float) -> float:
-    """Halfwidth ``b`` whose profile has ``alpha_star(b) = alpha``."""
-    from scipy.optimize import brentq
+    """Halfwidth ``b`` whose profile has ``alpha_star(b) = alpha``.
+
+    The peak solves ``2 F(m) = L`` with ``L = alpha_equality_lhs(alpha)``;
+    in ``z = log m^2 - 1`` that is ``z e^z = L / e``, so
+    ``m = exp((1 + W0(L / e)) / 2)``, and ``b`` is its time map."""
+    from scipy.special import lambertw
 
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    target_F = 0.5 * alpha_equality_lhs(alpha)
-    hi = 2.0 * SQRT_E
-    while _F(hi) < target_F:
-        hi *= 2.0
-    m = brentq(lambda t: _F(t) - target_F, SQRT_E * (1 + 1e-15), hi, xtol=1e-14)
-    return time_map(m)
+    z = lambertw(alpha_equality_lhs(alpha) / math.e).real
+    return time_map(math.exp(0.5 * (1.0 + z)))
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,6 @@ class ReactionFamily:
 
 @dataclass(frozen=True)
 class ReactionKind:
-    factory: str  # the function of this module that makes the reaction
     family: ReactionFamily
     sign: float
 
@@ -141,10 +140,10 @@ LOG = ReactionFamily(
     F=lambda r, t, s: s * _on_positive(t, lambda p: 0.5 * p * p * (log_square(p) - 1.0)),
 )
 REACTIONS = {
-    "lane_emden": ReactionKind("lane_emden", POWER, 1.0),
-    "log_schrodinger": ReactionKind("log_schrodinger", LOG, 1.0),
-    "dispersive_lane_emden": ReactionKind("dispersive_lane_emden", POWER, -1.0),
-    "dispersive_log": ReactionKind("dispersive_log", LOG, -1.0),
+    "lane_emden": ReactionKind(POWER, 1.0),
+    "log_schrodinger": ReactionKind(LOG, 1.0),
+    "dispersive_lane_emden": ReactionKind(POWER, -1.0),
+    "dispersive_log": ReactionKind(LOG, -1.0),
 }
 
 
@@ -238,7 +237,6 @@ class TransformKind:
     take ``(transform, t)`` with ``t`` a 1-D array in the validity interval,
     ``validity`` and ``increasing`` the transform."""
 
-    factory: str  # the function of this module that makes the transform
     params: dict  # as in ReactionFamily
     value: Callable
     d1: Callable
@@ -261,29 +259,29 @@ def _s1ml(t):
 
 TRANSFORMS = {
     "power": TransformKind(
-        "power", {"alpha": (lambda alpha: alpha != 0.0 and math.isfinite(alpha),
-                            "power exponent must be finite and nonzero")},
+        {"alpha": (lambda alpha: alpha != 0.0 and math.isfinite(alpha),
+                   "power exponent must be finite and nonzero")},
         value=lambda tr, t: t**tr.alpha,
         d1=lambda tr, t: tr.alpha * t ** (tr.alpha - 1.0),
         d2=lambda tr, t: tr.alpha * (tr.alpha - 1.0) * t ** (tr.alpha - 2.0),
         validity=lambda tr: (0.0, math.inf), increasing=lambda tr: tr.alpha > 0,
     ),
     "log": TransformKind(
-        "log_transform", {},
+        {},
         value=lambda tr, t: np.log(t),
         d1=lambda tr, t: 1.0 / t,
         d2=lambda tr, t: -1.0 / (t * t),
         validity=lambda tr: (0.0, math.inf), increasing=lambda tr: True,
     ),
     "sqrt_log": TransformKind(
-        "sqrt_log", {"m": (lambda m: m > 0, "sqrt_log scale m must be positive")},
+        {"m": (lambda m: m > 0, "sqrt_log scale m must be positive")},
         value=lambda tr, t: -np.sqrt(np.maximum(_ell(tr, t), 0.0)),
         d1=lambda tr, t: 1.0 / (2.0 * t * np.sqrt(_ell(tr, t))),
         d2=lambda tr, t: (0.5 / _ell(tr, t) - 1.0) / (2.0 * t * t * np.sqrt(_ell(tr, t))),
         validity=lambda tr: (0.0, tr.m), increasing=lambda tr: True,
     ),
     "atanh_poly": TransformKind(
-        "atanh_poly", {"q": (lambda q: q > 1, "atanh_poly exponent q must exceed 1")},
+        {"q": (lambda q: q > 1, "atanh_poly exponent q must exceed 1")},
         value=lambda tr, t: np.arctanh(_atanh_g(tr, t)),
         d1=lambda tr, t: -(tr.q - 1.0) / (2.0 * t * _atanh_g(tr, t)),
         d2=lambda tr, t: (tr.q - 1.0) * (1.0 - t ** (tr.q - 1.0))
@@ -292,7 +290,7 @@ TRANSFORMS = {
         increasing=lambda tr: False,
     ),
     "sqrt_one_minus_log": TransformKind(
-        "sqrt_one_minus_log", {},
+        {},
         value=lambda tr, t: _s1ml(t),
         d1=lambda tr, t: -1.0 / (t * _s1ml(t)),
         d2=lambda tr, t: -log_square(t) / (t * t * _s1ml(t) ** 3),

@@ -66,6 +66,8 @@ TRIVIAL_SUP = 1e-6
 NEWTON_MAX_ITER = 100
 MAX_BACKTRACKS = 30
 JAC_FLOOR = -1e6
+# the largest |log c| of a logarithmic guess's Nehari scale c: c in [1e-8, 1e8]
+LOG_SCALE_MAX = 8.0 * math.log(10.0)
 
 
 class InitialGuessError(RuntimeError):
@@ -179,36 +181,26 @@ def _nehari_scaling_lane_emden(
 
 
 def _nehari_scaling_log(grid: Grid, reaction: Reaction, pair: Eigenpair) -> float:
-    """Bisection for ``c`` with ``c phi1`` on the Nehari set of the
-    logarithmic reaction."""
+    """The ``c`` with ``c phi1`` on the Nehari set of the logarithmic
+    reaction: ``<J'(c phi1), c phi1> / c^2 = D - s (||phi1||^2 log c^2 + E)``
+    is affine in ``log c``, so ``c = exp((s D - E) / (2 ||phi1||^2))`` with
+    ``D`` the Dirichlet energy of ``phi1``, ``E = integral phi1^2 log phi1^2``
+    and ``s`` the sign of the reaction.  Scales outside ``[1e-8, 1e8]`` are
+    refused."""
     phi = pair.phi1
-    dir_energy = _dirichlet_energy(grid, phi)
-    norm2 = _norm_sq(grid, phi)
-    entropy = _entropy_integral(grid, phi)
-    sign = reaction.sign
-
-    def g(c):
-        # <J'(c phi), c phi> / c^2 up to the sign convention of the family
-        return dir_energy - sign * (math.log(c * c) * norm2 + entropy)
-
-    lo, hi = 1e-8, 1e8
-    if g(lo) * g(hi) > 0:
-        raise InitialGuessError("Nehari bisection found no sign change")
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if g(lo) * g(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi / lo < 1.0 + 1e-14:
-            break
-    return math.sqrt(lo * hi)
+    log_c = (reaction.sign * _dirichlet_energy(grid, phi) - _entropy_integral(grid, phi)) / (
+        2.0 * _norm_sq(grid, phi))
+    if abs(log_c) > LOG_SCALE_MAX:
+        raise InitialGuessError(
+            f"no Nehari scale in [1e-8, 1e8]: the logarithmic guess needs "
+            f"c = exp({log_c:.6g})"
+        )
+    return math.exp(log_c)
 
 
 def initial_guess(grid: Grid, reaction: Reaction) -> ScalarField:
     """Scaled principal eigenfunction lying on the Nehari set of the
-    reaction; the scale is the closed form for the power families and a
-    scalar bisection for the logarithmic ones."""
+    reaction; the scale is a closed form for every family."""
     validate_exponent(reaction, grid.ambient_dim)
     pair = principal_eigenpair(grid)
     power = reaction.family is reactions.POWER

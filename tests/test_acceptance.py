@@ -186,8 +186,8 @@ def test_criterion_4_log_path(domain, resolution, label):
 def test_criterion_5_exact_relations():
     worst_round = worst_shoot = worst_drift = worst_slope = 0.0
     for m in (1.7, 2.0, math.e, 5.0):
-        b = oned.time_map(m, 1e-11)
-        worst_round = max(worst_round, abs(oned.solve_m_of_b(b, tol=1e-10) - m))
+        b = oned.time_map(m)
+        worst_round = max(worst_round, abs(oned.solve_m_of_b(b) - m))
         shot = oned.shoot_profile(m, 100_000)
         worst_shoot = max(worst_shoot, abs(shot.b - b))
         worst_drift = max(worst_drift, shot.energy_drift)

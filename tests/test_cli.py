@@ -523,6 +523,18 @@ def test_memory_error_exits_1_with_failure_json(tmp_path, monkeypatch):
     assert json.loads((out / "failure.json").read_text())["error"] == "cannot allocate"
 
 
+def test_log_guess_beyond_its_scale_range_exits_1_with_failure_json(tmp_path, capsys):
+    # the Nehari scale of this guess is about e^3084, which overflows a float
+    data = {**BASE_SOLVE, "domain": {"kind": "interval", "halfwidth": 0.02}}
+    cfg = _write_cfg(tmp_path, "narrow.yaml", data)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "Nehari scale" in json.loads((out / "failure.json").read_text())["error"]
+    assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
+    err = capsys.readouterr().err
+    assert err.startswith("failure: ") and "Traceback" not in err
+
+
 INTERVAL_41 = {"domain": {"kind": "interval", "halfwidth": 1.0}, "resolution": 41}
 
 

@@ -22,6 +22,7 @@ from concavelab import (
     principal_eigenpair,
 )
 from concavelab import oned, reactions, solver
+from concavelab.linops import gradient_components
 from concavelab.solver import (
     EnergyBoundError,
     InitialGuessError,
@@ -103,6 +104,41 @@ def test_log_guess_exceeds_sqrt_e(interval201):
     log_c2 = (lam * np.sum(w * phi**2) - np.sum(w * ent)) / np.sum(w * phi**2)
     c_closed = math.exp(0.5 * float(log_c2))
     assert math.isclose(guess.sup_norm(), c_closed, rel_tol=1e-3)
+
+
+def _log_nehari_gap(guess: ScalarField, sign: float) -> float:
+    """``|<J'(u), u>| / integral |Du|^2`` for the logarithmic family of sign ``sign``."""
+    w = guess.grid.quadrature_weights()
+    u = guess.values
+    dirichlet = sum(float(np.sum(w * g * g)) for g in gradient_components(guess))
+    pos = u > 0
+    entropy = float(np.sum(w[pos] * u[pos] ** 2 * np.log(u[pos] ** 2)))
+    return abs(dirichlet - sign * entropy) / dirichlet
+
+
+@pytest.mark.parametrize("domain, n", [(interval(1.0), 201), (box(1.0, 1.0), 41),
+                                        (ball(1.0, 2), 201), (ball(1.0, 3), 201)],
+                         ids=["interval", "box2", "ball2", "ball3"])
+@pytest.mark.parametrize("reaction", [log_schrodinger(), reactions.dispersive_log()],
+                         ids=["log_schrodinger", "dispersive_log"])
+def test_log_guess_lands_on_nehari_set(domain, n, reaction):
+    # c phi1 with c = exp((s D - E) / (2 ||phi1||^2)): D - s(||phi1||^2 log c^2 + E)
+    # is the guess's own integral |Du|^2 - s integral u^2 log u^2 over c^2
+    guess = initial_guess(make_grid(domain, n), reaction)
+    assert _log_nehari_gap(guess, reaction.sign) <= 1e-12
+
+
+@pytest.mark.parametrize("halfwidth", [0.1, 0.02])
+def test_log_guess_refuses_a_scale_beyond_1e8(halfwidth):
+    # the scale is about e^124 at halfwidth 0.1 and e^3084, past a float, at 0.02
+    with pytest.raises(InitialGuessError, match="Nehari scale"):
+        initial_guess(make_grid(interval(halfwidth), 201), log_schrodinger())
+
+
+def test_dispersive_log_guess_refuses_a_scale_below_1e_minus_8():
+    # on a ball of radius 0.2 the scale is about e^-123
+    with pytest.raises(InitialGuessError, match="Nehari scale"):
+        initial_guess(make_grid(ball(0.2, 3), 201), reactions.dispersive_log())
 
 
 def test_dispersive_guess_requires_supercritical_sigma(box81):
