@@ -7,11 +7,12 @@ yields the time map
     b(m) = integral_0^m (2 F(m) - 2 F(t))^(-1/2) dt,        m > sqrt(e).
 
 This module provides the time map, by one fixed tanh-sinh rule whose
-nodes and weights are built at import, and its monotone inversion, the
-boundary slope ``sqrt(2 F(m))``, the sharp power-concavity exponent
-``alpha*(b)`` solving ``(1 - a) |u'(b)|^2 = a e^(-1/a)``, the profile
+nodes and weights are built at import, and its inversion by Newton's
+method in ``z = log m^2 - 1``, where the rule is convex; the boundary
+slope ``sqrt(2 F(m))``; the sharp power-concavity exponent ``alpha*(b)``
+solving ``(1 - a) |u'(b)|^2 = a e^(-1/a)``; the profile
 itself by adaptive DOP853 shooting with event location as an independent
-cross-check of the time map, tensor-product solutions on plurirectangles,
+cross-check of the time map; tensor-product solutions on plurirectangles;
 and the explicit entire Gaussian-type profile ``e^(N/2) e^(-|x|^2 / 2)``.
 
 A profile is DOP853's dense output, its 7th-order interpolant per step
@@ -32,7 +33,7 @@ import numpy as np
 from .grid import Grid, box, make_grid
 from .linops import ScalarField
 
-# ``scipy.integrate``, ``scipy.optimize`` and ``scipy.special`` load where they are called
+# ``scipy.integrate`` and ``scipy.special`` load where they are called
 if TYPE_CHECKING:
     from scipy.integrate import OdeSolution
 
@@ -60,10 +61,10 @@ SQRT_E = math.sqrt(math.e)
 # halfwidth a profile reaches, which ``MAX_HALFWIDTH`` rounds up
 M_FLOOR = SQRT_E * (1.0 + 1e-14)
 MAX_HALFWIDTH = 6.04
-# the finest relative tolerance Brent's method accepts: the inversion finds
-# ``m`` to floating-point resolution, which wide intervals need (at b = 4 a
-# relative error of 1.6e-13 in m moves the time map by 1.7e-9)
-M_RTOL = 4.0 * np.finfo(float).eps
+# the inversion works in ``z = log m^2 - 1``: it starts at ``M_FLOOR`` and
+# refuses peaks beyond the cap 1e6
+Z_FLOOR = math.log(M_FLOOR * M_FLOOR) - 1.0
+Z_CAP = math.log(1e12) - 1.0
 # absolute error budget of the time map's quadrature rule
 QUAD_TOL = 1e-11
 
@@ -113,6 +114,18 @@ def _time_map_rule(step: float, span: float):
 _TIME_MAP_RULE = _time_map_rule(1.0 / 64.0, 4.0)
 
 
+def _time_map_in_z(z: float) -> tuple[float, float]:
+    """The time map at ``z = log m^2 - 1`` and its derivative in ``z``.
+
+    Each term ``w / sqrt(slope * z + offset)`` of the rule has ``w`` and
+    ``slope`` positive and ``offset`` nonnegative, so the rule is convex and
+    decreasing in ``z``, as the exact map is."""
+    weights, slope, offset = _TIME_MAP_RULE
+    gap = slope * z + offset
+    terms = weights / np.sqrt(gap)
+    return float(np.sum(terms)), -0.5 * float(np.sum(terms * slope / gap))
+
+
 def time_map(m: float) -> float:
     """Halfwidth ``b`` of the interval on which the profile peaking at ``m``
     solves the problem.
@@ -124,32 +137,38 @@ def time_map(m: float) -> float:
     """
     if not m > SQRT_E:
         raise TimeMapError(f"time map requires m > sqrt(e) = {SQRT_E:.12f}, got {m}")
-    weights, slope, offset = _TIME_MAP_RULE
-    return float(np.sum(weights / np.sqrt(slope * (math.log(m * m) - 1.0) + offset)))
+    return _time_map_in_z(math.log(m * m) - 1.0)[0]
+
+
+def _solve_z(b: float) -> float:
+    """Invert the time map in ``z = log m^2 - 1``: the ``z`` with ``b(z) = b``.
+
+    Newton's method starts at ``Z_FLOOR``, left of the root.  The rule is
+    convex and decreasing in ``z``, so each tangent meets ``b`` left of the
+    root and the iterates rise monotonically to it; the first step that
+    does not raise ``z`` ends the iteration at rounding.  ``b`` values
+    beyond the time map at ``Z_FLOOR``, or whose iterates pass ``Z_CAP``,
+    are out of range."""
+    if not b > 0:
+        raise TimeMapError("halfwidth b must be positive")
+    z = Z_FLOOR
+    b_z, db_dz = _time_map_in_z(z)
+    if b_z < b:
+        raise TimeMapError(f"b = {b} too large: exceeds the reachable time-map range")
+    while True:
+        z_next = z - (b_z - b) / db_dz
+        if not z_next > z:
+            return z
+        if z_next > Z_CAP:
+            raise TimeMapError(f"b = {b} too small: sup norm beyond the cap 1e6")
+        z = z_next
+        b_z, db_dz = _time_map_in_z(z)
 
 
 def solve_m_of_b(b: float) -> float:
-    """Invert the time map: the sup norm ``m`` with ``time_map(m) = b``.
-
-    The time map decreases in ``m``.  A cap starting at 10 doubles, up to
-    1e6, until its time map falls below ``b``; Brent's method then finds
-    ``m`` between the previous cap (or ``M_FLOOR``) and the cap, to the
-    relative tolerance ``M_RTOL``.  ``b`` values beyond the time map at
-    ``M_FLOOR`` or below the one at the largest cap are out of range.
-    """
-    from scipy.optimize import brentq
-
-    if not b > 0:
-        raise TimeMapError("halfwidth b must be positive")
-    lo, hi = M_FLOOR, 10.0
-    if time_map(lo) < b:
-        raise TimeMapError(f"b = {b} too large: exceeds the reachable time-map range")
-    while time_map(hi) > b:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e6:
-            raise TimeMapError(f"b = {b} too small: sup norm beyond the bracketing cap 1e6")
-    return brentq(lambda m: time_map(m) - b, lo, hi,
-                  xtol=np.finfo(float).tiny, rtol=M_RTOL)
+    """Invert the time map: the sup norm ``m`` with ``time_map(m) = b``,
+    found in ``z = log m^2 - 1`` (see ``_solve_z``)."""
+    return math.exp(0.5 * (1.0 + _solve_z(b)))
 
 
 def boundary_slope(m: float) -> float:
@@ -165,6 +184,12 @@ def alpha_equality_lhs(alpha: float) -> float:
     return alpha / (1.0 - alpha) * math.exp(-1.0 / alpha)
 
 
+def _alpha_of_z(z: float) -> float:
+    from scipy.special import lambertw
+
+    return 1.0 / (1.0 + lambertw(math.exp(-2.0 - z) / z).real)
+
+
 def alpha_star(b: float, m: float | None = None) -> float:
     """Critical exponent in (0, 1): the profile on ``(-b, b)`` is
     ``a``-power concave exactly for ``a <= alpha_star(b)``.
@@ -172,26 +197,30 @@ def alpha_star(b: float, m: float | None = None) -> float:
     With ``s = |u'(b)|^2 = 2 F(m)``, the equality ``(1 - a) s = a e^(-1/a)``
     is ``y e^y = 1 / (e s)`` in ``y = 1/a - 1 > 0``, so
     ``a = 1 / (1 + W0(1 / (e s)))`` with ``W0`` the principal branch of the
-    Lambert W function (Corless et al., Adv. Comput. Math. 5, 1996)."""
-    from scipy.special import lambertw
-
-    if m is None:
-        m = solve_m_of_b(b)
-    return 1.0 / (1.0 + lambertw(1.0 / (math.e * 2.0 * _F(m))).real)
+    Lambert W function (Corless et al., Adv. Comput. Math. 5, 1996).  In
+    ``z = log m^2 - 1``, ``s = e^(1 + z) z``, and ``z`` is taken from the
+    time map's inversion unless the peak ``m`` is given."""
+    z = _solve_z(b) if m is None else math.log(m * m) - 1.0
+    return _alpha_of_z(z)
 
 
 def halfwidth_for_alpha(alpha: float) -> float:
     """Halfwidth ``b`` whose profile has ``alpha_star(b) = alpha``.
 
     The peak solves ``2 F(m) = L`` with ``L = alpha_equality_lhs(alpha)``;
-    in ``z = log m^2 - 1`` that is ``z e^z = L / e``, so
-    ``m = exp((1 + W0(L / e)) / 2)``, and ``b`` is its time map."""
+    in ``z = log m^2 - 1`` that is ``z e^z = L / e``, so ``z = W0(L / e)``,
+    and ``b`` is the time map there.  An ``alpha`` whose ``z`` lies below
+    ``Z_FLOOR`` would need a halfwidth beyond ``MAX_HALFWIDTH``."""
     from scipy.special import lambertw
 
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     z = lambertw(alpha_equality_lhs(alpha) / math.e).real
-    return time_map(math.exp(0.5 * (1.0 + z)))
+    if not z >= Z_FLOOR:
+        raise TimeMapError(
+            f"alpha = {alpha} out of range: exponents below {_alpha_of_z(Z_FLOOR):.5f} need "
+            f"halfwidths beyond the widest reachable, MAX_HALFWIDTH = {MAX_HALFWIDTH}")
+    return _time_map_in_z(z)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +414,14 @@ class OneDimSolution:
 def solve_interval(b: float, n: int = 20_000) -> OneDimSolution:
     """Resolve the unique positive profile on ``(-b, b)`` through the
     time-map inversion plus a shooting pass; ``n`` samples per unit length
-    are drawn from its dense output when ``xs`` or ``us`` are read."""
+    are drawn from its dense output when ``xs`` or ``us`` are read.  The
+    exponent is taken from the inversion's ``z``, not from the rounded
+    peak."""
     check_samples_per_unit(n)
     m = solve_m_of_b(b)
     shot = _shoot(m)
     return OneDimSolution(b=b, m=m, C=_F(m), x_star=shot.x_star,
-                          alpha_star=alpha_star(b, m=m), n=n, shot=shot)
+                          alpha_star=alpha_star(b), n=n, shot=shot)
 
 
 def _profile_on_axis(sol: OneDimSolution, axis: np.ndarray) -> np.ndarray:

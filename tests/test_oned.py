@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,9 +78,12 @@ def test_time_map_agrees_with_adaptive_quadrature():
 
 
 def test_time_map_strictly_decreases():
-    # Brent's bracket in solve_m_of_b rests on it
     rule = np.array([oned.time_map(float(m)) for m in REFERENCE_PEAKS])
     assert np.all(np.diff(rule) < 0.0)
+    # the rule is convex in z = log m^2 - 1, which makes the Newton iterates
+    # of the inversion rise monotonically to the root
+    z = np.array([math.log(m * m) - 1.0 for m in REFERENCE_PEAKS])
+    assert np.all(np.diff(np.diff(rule) / np.diff(z)) > 0.0)
 
 
 @pytest.mark.parametrize("m", [1.7, 2.0, math.e, 5.0])
@@ -98,7 +104,7 @@ def test_widest_halfwidth_bounds_the_time_map():
 
 def test_solve_m_of_b_out_of_range():
     with pytest.raises(oned.TimeMapError):
-        oned.solve_m_of_b(50.0)  # beyond the reachable map for the lower bracket
+        oned.solve_m_of_b(50.0)  # beyond the time map at M_FLOOR
     with pytest.raises(oned.TimeMapError):
         oned.solve_m_of_b(0.05)  # would need a peak beyond the 1e6 cap
 
@@ -109,6 +115,15 @@ def test_monotone_inversion_on_b_grid():
     assert all(a > b for a, b in zip(ms, ms[1:]))
     assert ms[-1] - SQRT_E < 0.01  # wide interval: peak approaches sqrt(e)
     assert ms[0] > 100.0           # narrow interval: peak blows up
+
+
+def test_inversion_loads_no_root_finder():
+    probe = (f"import sys; sys.path.insert(0, {str(Path(oned.__file__).parents[1])!r}); "
+             "from concavelab import oned; oned.solve_m_of_b(1.0); "
+             "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +162,32 @@ def test_halfwidth_for_alpha_inverts_alpha_star(alpha0):
     assert abs(oned.alpha_star(b) - alpha0) < 1e-8
 
 
-@pytest.mark.parametrize("alpha0", [0.25, 0.5, 0.75, 0.95])
+@pytest.mark.parametrize("alpha0", [0.04, 0.05, 0.25, 0.5, 0.75, 0.95])
 def test_alpha_round_trip_holds_to_rounding(alpha0):
-    # both maps are closed forms in the peak m; only the time map's inversion rounds
+    # both maps are closed forms in z = log m^2 - 1; only the time map's inversion rounds
     assert abs(oned.alpha_star(oned.halfwidth_for_alpha(alpha0)) - alpha0) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha0", [0.03, 0.031, 0.035])
+def test_halfwidth_for_alpha_refuses_exponents_beyond_the_widest_halfwidth(alpha0):
+    with pytest.raises(oned.TimeMapError, match=r"0\.03666.*MAX_HALFWIDTH = 6\.04"):
+        oned.halfwidth_for_alpha(alpha0)
+
+
+# alpha*(b) at 40 digits (mpmath at 100 digits): z = log m^2 - 1 solves
+# b = integral_0^1 (z (1 - r^2) - 2 r^2 log r)^(-1/2) dr, the time map under
+# t = m r, then alpha* = 1 / (1 + W0(e^(-2 - z) / z))
+ALPHA_STAR_REFERENCES = {
+    3.0: 0.2713404646857144561808941576874150299961,
+    4.0: 0.1124327052347323327628809211255768427075,
+    5.0: 0.05983687331124254542873463153615212383732,
+}
+
+
+@pytest.mark.parametrize("b", sorted(ALPHA_STAR_REFERENCES))
+def test_alpha_star_holds_to_rounding_on_wide_intervals(b):
+    reference = ALPHA_STAR_REFERENCES[b]
+    assert abs(oned.alpha_star(b) - reference) <= 1e-15 * reference
 
 
 # b(alpha) at 50 digits (mpmath): m = exp((1 + W0(L/e)) / 2) with

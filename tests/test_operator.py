@@ -426,7 +426,8 @@ def test_minres_failure_names_the_goal_it_used(rtol, monkeypatch):
 
 def test_importing_the_cli_loads_no_single_backend_module():
     # scipy.fft and scipy.sparse.linalg serve the box backend only, and
-    # scipy.integrate, scipy.optimize and scipy.special the one-dimensional analysis
+    # scipy.integrate (which loads scipy.optimize) and scipy.special the
+    # one-dimensional analysis
     deferred = ("scipy.fft", "scipy.sparse.linalg", "scipy.integrate", "scipy.optimize",
                 "scipy.special")
     probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import concavelab.cli; "
