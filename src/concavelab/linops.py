@@ -22,11 +22,12 @@ built once and immutable.  The grid alone picks its backend
   transform diagonalizes the 5- and 7-point Laplacian exactly (Buzbee,
   Golub & Nielsen 1970).  Poisson solves are a forward and an inverse
   DST-I, the principal eigenpair is the closed-form product of sines, and
-  a Newton step is MINRES (Paige & Saunders 1975) on the rows with the
-  shift subtracted from their centre, preconditioned by a DST solve whose
-  symbol is moved by a weighted mean of the shift, to the relative residual
-  the caller asks for.  This backend alone imports ``scipy.fft`` and
-  ``scipy.sparse.linalg``, where it calls them.
+  a Newton step is MINRES (Paige & Saunders 1975, :func:`minres`) run in
+  DST-I coefficients: the Jacobian preconditioned on both sides by the
+  square root of a DST solve whose symbol is moved by a weighted mean of
+  the shift, so each iteration is two DSTs and diagonal scalings, and the
+  stencil rows give only the true residual of each sweep.  This backend
+  alone imports ``scipy.fft``, where it calls it.
 """
 
 from __future__ import annotations
@@ -362,11 +363,75 @@ class TridiagonalOperator(GridOperator):
         )
 
 
+def minres(matvec, b: np.ndarray, rtol: float, scale: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """MINRES (Paige & Saunders 1975) on ``matvec(y) = b``, ``matvec``
+    symmetric and possibly indefinite, from ``y = 0``: the Lanczos
+    recurrence with Givens rotations, on vectors shaped like ``b``, step for
+    step as scipy's ``minres`` without a preconditioner.
+
+    It stops on scipy's two tests on the recurrence residual ``r``:
+    ``||r|| <= rtol ||A||_est ||scale * y||`` or ``||A r|| <= rtol ||A||_est
+    ||r||``, with ``||A||_est`` scipy's running estimate from the Lanczos
+    alphas and betas (``||b||`` is the first beta) and ``scale`` mapping
+    ``y`` to the unknowns whose norm counts (ones for ``y`` itself); a
+    ``rtol`` below machine epsilon stops at epsilon.  A zero Lanczos
+    ``beta`` means the Krylov space is invariant and ``y`` exact, and stops
+    it too.  Returns ``(y, info, iterations)``: ``info`` is 0 on a stop and
+    ``MINRES_MAXITER`` when that many iterations met none."""
+    eps = np.finfo(float).eps
+    tol = max(rtol, eps)
+    y = np.zeros_like(b)
+    beta1 = float(np.linalg.norm(b))
+    if beta1 == 0.0:
+        return y, 0, 0
+    r1, r2 = b, b  # the last two Lanczos vectors, scaled by their beta
+    v, w_old, w, tmp = np.empty_like(b), np.zeros_like(b), np.zeros_like(b), np.empty_like(b)
+    oldb, beta, tnorm2 = 0.0, beta1, 0.0
+    cs, sn, dbar, epsln, phibar = -1.0, 0.0, 0.0, 0.0, beta1
+    for iteration in range(1, MINRES_MAXITER + 1):
+        np.multiply(r2, 1.0 / beta, out=v)
+        p = matvec(v)
+        if iteration > 1:
+            p -= np.multiply(r1, beta / oldb, out=tmp)
+        alfa = float(np.vdot(v, p))
+        p -= np.multiply(r2, alfa / beta, out=tmp)
+        r1, r2 = r2, p
+        oldb, beta = beta, float(np.linalg.norm(p))
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        # the Givens rotation that brings the new column of the Lanczos
+        # matrix to upper triangular form, then the next search direction
+        oldeps, delta = epsln, cs * dbar + sn * alfa
+        gbar, epsln, dbar = sn * dbar - cs * alfa, sn * beta, -cs * beta
+        root = math.hypot(gbar, dbar)
+        gamma = max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        np.multiply(w_old, oldeps, out=w_old)
+        np.subtract(v, w_old, out=w_old)
+        w_old -= np.multiply(w, delta, out=tmp)
+        w_old *= 1.0 / gamma
+        w_old, w = w, w_old
+        y += np.multiply(w, phi, out=tmp)
+        a_norm = math.sqrt(tnorm2)
+        y_norm = float(np.linalg.norm(np.multiply(scale, y, out=tmp)))
+        test1 = phibar / (a_norm * y_norm) if y_norm > 0.0 else math.inf
+        if beta == 0.0 or test1 <= tol or root / a_norm <= tol:
+            return y, 0, iteration
+    return y, MINRES_MAXITER, MINRES_MAXITER
+
+
+def _dst(x: np.ndarray) -> np.ndarray:
+    """The orthonormal DST-I over every axis, which is its own inverse."""
+    import scipy.fft
+
+    return scipy.fft.dstn(x, type=1, norm="ortho")
+
+
 class SineOperator(GridOperator):
     """2D and 3D boxes: the DST-I symbol, the eigenvalues of
     ``-Laplacian_h`` in DST-I coefficient order; no matrix is stored.
-    It is the one backend that uses ``scipy.fft`` and ``scipy.sparse.linalg``,
-    so it imports them where it calls them."""
+    It is the one backend that uses ``scipy.fft``, so it imports it where
+    it calls it."""
 
     def _build(self):
         pairs = zip(self.grid.shape, self.grid.spacing)
@@ -377,53 +442,53 @@ class SineOperator(GridOperator):
         self._phi.setflags(write=False)
         self._phi_weights = self._phi**2 / np.sum(self._phi**2)
 
-    def _dst_solve(self, b: np.ndarray, divisor: np.ndarray) -> np.ndarray:
-        """DST-I, division by ``divisor``, inverse DST-I."""
-        import scipy.fft
-
-        coef = scipy.fft.dstn(np.reshape(b, self.symbol.shape), type=1, norm="ortho")
-        return scipy.fft.idstn(coef / divisor, type=1, norm="ortho").ravel()
-
     def inverse(self, b: np.ndarray) -> np.ndarray:
         """The Poisson solve: a DST-I, division by the symbol, inverse DST-I."""
-        return self._dst_solve(b, self.symbol)
+        return _dst(_dst(np.reshape(b, self._shape)) / self.symbol).ravel()
 
     def solve_shifted(self, shift, rhs, rtol=SHIFTED_RESIDUAL) -> np.ndarray:
-        """The matrix is symmetric but may be indefinite: MINRES on the
-        stencil rows with centre ``centre - shift``, to the true residual
-        ``rtol * ||rhs||``.
+        """The matrix ``A - diag(shift)`` is symmetric but may be indefinite:
+        MINRES preconditioned by ``M = S D S``, run in DST-I coefficients, to
+        the true residual ``rtol * ||rhs||``.
 
-        The preconditioner is the DST-I solve with the symbol moved to
-        ``max(|symbol - c|, symbol_min / 2)``, positive definite as MINRES
-        needs.  ``c`` is the ``phi_1^2``-weighted mean of the shift clipped
-        below at ``-symbol_min``: ``c >= -symbol_min`` keeps the divisor
-        within a factor 2 of the plain symbol where shifts are negative, so
-        a few nodes at the Newton floor of -1e6 cannot drag the
-        preconditioner far below the spectrum.
+        ``S`` is the orthonormal DST-I (``S = S^T = S^-1``) and ``D`` the
+        symbol moved to ``max(|symbol - c|, symbol_min / 2)``, positive
+        definite as MINRES needs.  ``c`` is the ``phi_1^2``-weighted mean of
+        the shift clipped below at ``-symbol_min``: ``c >= -symbol_min`` keeps
+        the divisor within a factor 2 of the plain symbol where shifts are
+        negative, so a few nodes at the Newton floor of -1e6 cannot drag the
+        preconditioner far below the spectrum.  With ``A = S symbol S``,
+        ``M^-1/2 (A - diag(shift)) M^-1/2`` is ``S B S`` with
+        ``B = D^-1/2 (symbol - S diag(shift) S) D^-1/2``, so :func:`minres`
+        runs on ``B y = D^-1/2 S r`` and the step is ``S D^-1/2 y``: the same
+        Krylov space as MINRES on the stencil rows preconditioned by ``M``,
+        each iteration two DSTs and diagonal scalings.
 
-        MINRES stops on its own test, ``||r|| / (||A|| ||x||)`` in the
-        preconditioner's norm on its recurrence residual, which can lie far
-        below the true relative residual when the matrix is ill-conditioned
-        or nearly singular.  So each sweep restarts it on the true residual,
-        its tolerance ``MINRES_MARGIN * rtol`` tightened by the shortfall of
-        the sweep before, until that is below ``rtol * ||rhs||``."""
-        import scipy.sparse.linalg as spla
-
-        rows = self.rows._replace(centre=self.rows.centre - np.reshape(shift, self._shape))
+        MINRES stops on its own tests on the recurrence residual in the
+        preconditioner's norm, which can lie far below the true relative
+        residual when the matrix is ill-conditioned or nearly singular.  So
+        each sweep restarts it on the true residual, from the stencil rows
+        with centre ``centre - shift``, its tolerance ``MINRES_MARGIN * rtol``
+        tightened by the shortfall of the sweep before, until that is below
+        ``rtol * ||rhs||``."""
+        shift = np.reshape(shift, self._shape)
+        rows = self.rows._replace(centre=self.rows.centre - shift)
         symbol_min = self.symbol.flat[0]
-        c = float(np.dot(np.maximum(np.ravel(shift), -symbol_min), self._phi_weights))
+        c = float(np.dot(np.maximum(shift.ravel(), -symbol_min), self._phi_weights))
         divisor = np.maximum(np.abs(self.symbol - c), 0.5 * symbol_min)
-        size = (rhs.size, rhs.size)
-        mat = spla.LinearOperator(size, matvec=lambda x: self._apply(rows, x), dtype=float)
-        precond = spla.LinearOperator(size, matvec=lambda b: self._dst_solve(b, divisor),
-                                      dtype=float)
+        scale, diagonal = 1.0 / np.sqrt(divisor), self.symbol / divisor
+
+        def preconditioned(y):
+            return diagonal * y - scale * _dst(shift * _dst(scale * y))
+
         goal = rtol * float(np.linalg.norm(rhs))
         x = np.zeros(rhs.size)
         res = rhs
         minres_rtol = MINRES_MARGIN * rtol
         for _ in range(MINRES_SWEEPS):
-            dx, info = spla.minres(mat, res, rtol=minres_rtol, maxiter=MINRES_MAXITER, M=precond)
-            x += dx
+            y, info, _ = minres(preconditioned, scale * _dst(np.reshape(res, self._shape)),
+                                minres_rtol, scale)
+            x += _dst(scale * y).ravel()
             res = rhs - self._apply(rows, x)
             res_norm = float(np.linalg.norm(res))
             if info != 0 or res_norm <= goal:
@@ -494,9 +559,10 @@ def solve_shifted(grid: Grid, shift, rhs, rtol: float = SHIFTED_RESIDUAL) -> np.
     """Solve ``(-Laplacian_h - diag(shift)) x = rhs`` on interior unknowns.
 
     One LAPACK ``dgtsv`` on interval and radial grids; a singular matrix
-    raises :class:`LinearSolveError`.  On box grids, MINRES on the stencil
-    rows with a shifted DST preconditioner (:meth:`SineOperator.solve_shifted`)
-    until the true residual is at most ``rtol * ||rhs||``: the default
+    raises :class:`LinearSolveError`.  On box grids, :func:`minres` in DST-I
+    coefficients, preconditioned on both sides by a shifted DST solve
+    (:meth:`SineOperator.solve_shifted`), in sweeps restarted on the true
+    residual until that is at most ``rtol * ||rhs||``: the default
     ``SHIFTED_RESIDUAL`` for a full solve, and Newton's forcing term for an
     inexact Newton step.  A sweep that hits ``MINRES_MAXITER``, or
     ``MINRES_SWEEPS`` sweeps that fall short, raise :class:`LinearSolveError`

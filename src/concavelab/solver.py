@@ -2,8 +2,9 @@
 
 The Newton step solves ``(-Delta_h - diag f'(u)) delta = -(Au - f(u))``
 with :func:`linops.solve_shifted`: one LAPACK tridiagonal ``dgtsv`` on
-intervals and balls, and MINRES on boxes, matrix-free and preconditioned by
-a shifted DST-I solve; no matrix is assembled.  Box steps are inexact
+intervals and balls, and on boxes MINRES run in DST-I coefficients, where
+the Jacobian preconditioned by a shifted DST-I solve is two DSTs and
+diagonal scalings; no matrix is assembled.  Box steps are inexact
 Newton steps (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982):
 step k is solved to the relative residual ``eta_k = max(SHIFTED_RESIDUAL,
 min(FORCING_CAP, rms G(u_k)))``, loose while the residual is large and

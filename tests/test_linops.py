@@ -323,6 +323,97 @@ def test_minres_non_convergence_raises(monkeypatch):
     assert exc.value.residual > 0.0
 
 
+def _symmetric(rng, eigenvalues):
+    q, _ = np.linalg.qr(rng.standard_normal((eigenvalues.size, eigenvalues.size)))
+    a = (q * eigenvalues) @ q.T
+    return (a + a.T) / 2.0
+
+
+@st.composite
+def krylov_systems(draw):
+    """Seeded symmetric systems of 2-30 unknowns, either indefinite with
+    eigenvalues of modulus 0.1-10, or with moduli spread log-uniformly
+    over 3-6 decades and random signs, and a random right-hand side."""
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.sampled_from(("indefinite", "ill-conditioned"))) == "indefinite":
+        moduli = rng.uniform(0.1, 10.0, n)
+    else:
+        moduli = np.logspace(0.0, -rng.uniform(3.0, 6.0), n)
+    a = _symmetric(rng, moduli * rng.choice([-1.0, 1.0], n))
+    return a, rng.standard_normal(n), draw(st.sampled_from((1e-4, 1e-8, 1e-10)))
+
+
+def _scipy_minres(a, b, rtol, **kwargs):
+    """scipy's MINRES from 0 at the package's cap: its solution and iterations."""
+    count = [0]
+    x, info = spla.minres(a, b, rtol=rtol, maxiter=linops.MINRES_MAXITER,
+                          callback=lambda xk: count.__setitem__(0, count[0] + 1), **kwargs)
+    assert info == 0
+    return x, count[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(krylov_systems())
+def test_minres_matches_scipy(system):
+    a, b, rtol = system
+    ref, ref_iterations = _scipy_minres(a, b, rtol)
+    x, info, iterations = linops.minres(lambda v: a @ v, b, rtol, np.ones_like(b))
+    assert info == 0
+    assert abs(iterations - ref_iterations) <= 1
+    norm = np.linalg.norm(a) * np.linalg.norm(ref)
+    assert np.linalg.norm(a @ (x - ref)) <= rtol * norm
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1e-4, 1e-8, 1e-10)))
+def test_minres_on_a_symmetric_preconditioning_matches_scipy(seed, rtol):
+    # MINRES on D^-1/2 A D^-1/2 with the solution norm taken of D^-1/2 y is
+    # scipy's MINRES on A preconditioned by D, as in the box Newton steps
+    rng = np.random.default_rng(seed)
+    n = 120
+    root_d = np.sqrt(rng.uniform(0.5, 5.0, n))
+    a = root_d[:, None] * _symmetric(rng, rng.uniform(1.0, 4.0, n) * rng.choice([-1.0, 1.0], n)) \
+        * root_d[None, :]
+    b = rng.standard_normal(n)
+    ref, ref_iterations = _scipy_minres(a, b, rtol, M=np.diag(root_d**-2))
+    scale = 1.0 / root_d
+    preconditioned = scale[:, None] * a * scale[None, :]
+    y, info, iterations = linops.minres(lambda v: preconditioned @ v, scale * b, rtol, scale)
+    assert info == 0
+    assert abs(iterations - ref_iterations) <= 1
+    assert np.linalg.norm(a @ (scale * y - ref)) <= rtol * np.linalg.norm(a) * np.linalg.norm(ref)
+
+
+def test_minres_zero_rhs_takes_no_iteration():
+    def refuse(v):
+        raise AssertionError("a zero right-hand side needs no product")
+
+    y, info, iterations = linops.minres(refuse, np.zeros((4, 5)), 1e-10, np.ones((4, 5)))
+    assert (info, iterations) == (0, 0)
+    assert y.shape == (4, 5) and not np.any(y)
+
+
+@pytest.mark.parametrize("rtol", [1e-10, 0.0])
+def test_minres_stops_on_an_invariant_krylov_space(rtol):
+    # b along an eigenvector: the first Lanczos beta is exactly 0, and the
+    # loop stops there rather than divide by it (warnings are errors here)
+    eigenvalues = np.array([3.0, -2.0, 0.5, -7.0])
+    b = np.array([0.0, 4.0, 0.0, 0.0])
+    y, info, iterations = linops.minres(lambda v: eigenvalues * v, b, rtol, np.ones(4))
+    assert (info, iterations) == (0, 1)
+    assert np.array_equal(y, b / eigenvalues[1])
+
+
+def test_minres_cap_returns_nonzero_info(monkeypatch):
+    rng = np.random.default_rng(3)
+    a = _symmetric(rng, np.logspace(0.0, -5.0, 30) * rng.choice([-1.0, 1.0], 30))
+    monkeypatch.setattr(linops, "MINRES_MAXITER", 4)
+    _, info, iterations = linops.minres(lambda v: a @ v, rng.standard_normal(30), 1e-10,
+                                        np.ones(30))
+    assert info != 0 and iterations == 4
+
+
 def test_backend_choice_follows_the_grid():
     # LU on intervals and radial grids: inverse iteration reports its steps
     assert principal_eigenpair(make_grid(interval(1.0), 41)).iterations > 0

@@ -239,6 +239,21 @@ def test_no_grid_cache_and_no_splu_in_the_package():
             assert "splu" not in names, f"{path.name}:{getattr(node, 'lineno', '?')}"
 
 
+def test_no_module_of_the_package_imports_scipy_sparse_linalg():
+    # box Newton steps run linops.minres in DST-I coefficients, so no module
+    # needs scipy's Krylov solvers or its LinearOperator
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+            else:
+                continue
+            assert not [name for name in imported if name == "scipy.sparse.linalg"
+                        or name.startswith("scipy.sparse.linalg.")], f"{path.name}:{node.lineno}"
+
+
 class _RefusingSparse:
     """``scipy.sparse`` as ``linops`` sees it, with its matrix constructors refusing."""
 
@@ -376,17 +391,16 @@ def test_inexact_box_newton_matches_direct_newton(shape, reaction):
 
 
 def _counting_minres(monkeypatch):
-    """Record the iterations of each MINRES sweep in the list returned."""
+    """Record the iterations of each MINRES sweep of ``linops`` in the list returned."""
     sweeps = []
-    minres = spla.minres
+    minres = linops.minres
 
     def counted(*args, **kwargs):
-        count = [0]
-        out = minres(*args, callback=lambda xk: count.__setitem__(0, count[0] + 1), **kwargs)
-        sweeps.append(count[0])
+        out = minres(*args, **kwargs)
+        sweeps.append(out[2])
         return out
 
-    monkeypatch.setattr(spla, "minres", counted)
+    monkeypatch.setattr(linops, "minres", counted)
     return sweeps
 
 
@@ -408,10 +422,11 @@ def test_floor_jacobian_solves_within_minres_maxiter(shape, rtol, monkeypatch):
     assert np.linalg.norm(jacobian @ x - b) <= goal * np.linalg.norm(b)
     assert 0 < sum(sweeps) < linops.MINRES_MAXITER
     # its first sweep is no slower than one preconditioned by the plain Poisson solve
-    first = sweeps[0]
+    poisson_sweep = [0]
     poisson = spla.LinearOperator(jacobian.shape, matvec=g.operator.inverse, dtype=float)
-    spla.minres(jacobian, b, rtol=linops.MINRES_MARGIN * goal, M=poisson)
-    assert first <= 1.25 * sweeps[-1]
+    spla.minres(jacobian, b, rtol=linops.MINRES_MARGIN * goal, M=poisson,
+                callback=lambda xk: poisson_sweep.__setitem__(0, poisson_sweep[0] + 1))
+    assert sweeps[0] <= 1.25 * poisson_sweep[0]
 
 
 @pytest.mark.parametrize("rtol", [None, 1e-3])
@@ -425,9 +440,9 @@ def test_minres_failure_names_the_goal_it_used(rtol, monkeypatch):
 
 
 def test_importing_the_cli_loads_no_single_backend_module():
-    # scipy.fft and scipy.sparse.linalg serve the box backend only, and
-    # scipy.integrate (which loads scipy.optimize) and scipy.special the
-    # one-dimensional analysis
+    # scipy.fft serves the box backend only, scipy.integrate (which loads
+    # scipy.optimize) and scipy.special the one-dimensional analysis, and
+    # scipy.sparse.linalg nothing at all
     deferred = ("scipy.fft", "scipy.sparse.linalg", "scipy.integrate", "scipy.optimize",
                 "scipy.special")
     probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import concavelab.cli; "

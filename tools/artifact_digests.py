@@ -18,6 +18,8 @@ checkouts and comparing the outputs::
 
 The optional argument is the root of the checkout to run (default: the
 one holding this script); its ``src/`` and ``bench/`` are imported.
+``tools/artifact_diff.py`` runs the same cases through :func:`run_cases`
+and compares the values in the files that moved.
 """
 
 from __future__ import annotations
@@ -54,37 +56,45 @@ def _digests(directory: Path) -> dict:
     }
 
 
-def _run(cli, cases, out_dir: Path) -> dict:
-    """Exit code and file digests of each case, its outputs under ``out_dir``."""
+def case_dir(work: Path, key: str) -> Path:
+    """Where :func:`run_cases` keeps the files of the case (or demo) ``key``."""
+    return work / "out" / key
+
+
+def _run(cli, cases, deck: str, work: Path) -> dict:
+    """Exit code and file digests of each case of ``deck``."""
     results = {}
     for case in cases:
-        out = out_dir / case.case_id
+        key = f"{deck}/{case.case_id}"
+        out = case_dir(work, key)
         argv = [case.experiment, "--config", str(case.config_path), "--out", str(out)]
         sink = io.StringIO()
         with redirect_stdout(sink), redirect_stderr(sink):
             code = cli.main(argv)
-        results[case.case_id] = {"exit": code, "files": _digests(out) if out.is_dir() else {}}
+        results[key] = {"exit": code, "files": _digests(out) if out.is_dir() else {}}
     return results
 
 
-def _run_demos(root: Path, cwd: Path) -> dict:
-    """Exit code and stdout digest of each demo of ``root``, run from ``cwd``."""
+def _run_demos(root: Path, work: Path) -> dict:
+    """Exit code and stdout digest of each demo of ``root``, run from ``work``,
+    its standard output kept as the file ``stdout``."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     results = {}
     for demo in sorted((root / "demos").glob("*.py")):
-        done = subprocess.run([sys.executable, str(demo)], cwd=cwd, env=env,
+        done = subprocess.run([sys.executable, str(demo)], cwd=work, env=env,
                               stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-        results[f"demos/{demo.name}"] = {
+        key = f"demos/{demo.name}"
+        case_dir(work, key).mkdir(parents=True)
+        (case_dir(work, key) / "stdout").write_bytes(done.stdout)
+        results[key] = {
             "exit": done.returncode, "files": {"stdout": hashlib.sha256(done.stdout).hexdigest()}}
     return results
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("root", nargs="?", type=Path,
-                        default=Path(__file__).resolve().parent.parent,
-                        help="checkout whose src/ and bench/ are run")
-    root = parser.parse_args(argv).root.resolve()
+def run_cases(root: Path, work: Path) -> dict:
+    """Run every case of the checkout at ``root``, its configs and artifacts
+    kept under ``work``: the report maps ``deck/case_id`` and each demo to
+    its exit code and the SHA-256 of each file it wrote."""
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     from concavelab import cli, oned
     import workloads
@@ -99,14 +109,22 @@ def main(argv=None) -> int:
                       for case_id, cfg in FIXED_CASES.items()]
 
     report = {}
+    for name, cases in decks.items():
+        # case ids repeat across decks, so each deck has its own configs
+        workloads.write_configs(cases, work / "configs" / name.replace("/", "-"))
+        report.update(_run(cli, cases, name, work))
+    report.update(_run_demos(root, work))
+    return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("root", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose src/ and bench/ are run")
+    root = parser.parse_args(argv).root.resolve()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, cases in decks.items():
-            # case ids repeat across decks, so each deck has its own directory
-            work = Path(tmp) / name.replace("/", "-")
-            workloads.write_configs(cases, work / "configs")
-            for case_id, result in _run(cli, cases, work / "out").items():
-                report[f"{name}/{case_id}"] = result
-        report.update(_run_demos(root, Path(tmp)))
+        report = run_cases(root, Path(tmp))
     json.dump(report, sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
