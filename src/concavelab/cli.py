@@ -568,7 +568,7 @@ def _run_tensor_check(p):
     field = oned.tensor_solution(bs, p.resolution, solutions=profiles)
     refined = oned.tensor_solution(bs, 2 * p.resolution - 1, solutions=profiles)
     expected = math.prod(profiles[b].m for b in bs)
-    del profiles  # free the dense outputs (about 60 DOP853 steps each) before the residuals
+    del profiles  # free the dense outputs (about 60 steps of 17 floats each) before the residuals
     sup = field.sup_norm()
     margin = 0.1 * min(bs)
     residual = log_residual_sup(field, boundary_margin=margin)

@@ -11,22 +11,27 @@ nodes and weights are built at import, and its inversion by Newton's
 method in ``z = log m^2 - 1``, where the rule is convex; the boundary
 slope ``sqrt(2 F(m))``; the sharp power-concavity exponent ``alpha*(b)``
 solving ``(1 - a) |u'(b)|^2 = a e^(-1/a)``; the profile
-itself by adaptive DOP853 shooting with event location as an independent
-cross-check of the time map; tensor-product solutions on plurirectangles;
-and the explicit entire Gaussian-type profile ``e^(N/2) e^(-|x|^2 / 2)``.
+itself by adaptive DOP853 shooting, an independent cross-check of the time
+map: scipy's method with its tableau, written as a loop over the two
+floats ``(u, u')``, its crossing and unit value located by Newton's
+method on a step's interpolant; tensor-product solutions on
+plurirectangles; and the explicit entire Gaussian-type profile
+``e^(N/2) e^(-|x|^2 / 2)``.
 
 A profile is DOP853's dense output, its 7th-order interpolant per step
-(Hairer, Norsett & Wanner, *Solving ODEs I*, II.6): tensor products read
-it at their grid nodes, and half-profile samples ``x = k / n`` are drawn
-from it one step at a time, and only when they are read.
+(Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), kept as seven
+coefficients per step and component and evaluated at many abscissae in
+one vectorized pass: tensor products read it at their grid nodes, and
+half-profile samples ``x = k / n`` are drawn from it only when they are
+read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,8 +39,6 @@ from .grid import Grid, box, make_grid
 from .linops import ScalarField
 
 # ``scipy.integrate`` and ``scipy.special`` load where they are called
-if TYPE_CHECKING:
-    from scipy.integrate import OdeSolution
 
 __all__ = [
     "SQRT_E",
@@ -233,30 +236,11 @@ SHOOT_ATOL = 1e-15
 SHOOT_WINDOW = 60.0
 # bytes per sample of a half-profile, and the memory one profile may take;
 # the bound dates from a PCHIP built on the samples (tracemalloc peak 112),
-# while sampling the dense output step by step peaks at 49 (b = 1 and 4,
+# while reading the samples from the dense output peaks at 56 (b = 1 and 4,
 # n = 100,000)
 SAMPLE_BYTES = 112
 PROFILE_BYTES_MAX = 2**30
 MAX_SAMPLES_PER_UNIT = int(PROFILE_BYTES_MAX / (SAMPLE_BYTES * MAX_HALFWIDTH))
-
-
-def _phase_rhs(x, y):
-    u, p = y
-    # odd extension through 0; the isolated log singularity is harmless
-    return p, (-u * math.log(u * u) if u != 0.0 else 0.0)
-
-
-def _crossing(x, y):
-    return y[0]
-
-
-def _unit_value(x, y):
-    return y[0] - 1.0
-
-
-_crossing.terminal = True
-_crossing.direction = -1.0
-_unit_value.direction = -1.0
 
 
 def check_samples_per_unit(n: int) -> None:
@@ -269,43 +253,219 @@ def check_samples_per_unit(n: int) -> None:
         raise ValueError(f"{n} samples per unit length exceed the cap {MAX_SAMPLES_PER_UNIT}")
 
 
+@functools.cache
+def _dop853():
+    """The DOP853 tableau as tuples of floats, read from scipy's ``DOP853``
+    on the first shot: the stage rows, each cut to the stages before it,
+    the weights, the E5 and E3 error rows, the three extra stages of the
+    dense output and its four ``D`` rows."""
+    from scipy.integrate import DOP853
+
+    def floats(row):
+        return tuple(map(float, row))
+
+    stages = tuple(floats(row[:s]) for s, row in enumerate(DOP853.A[1:], 1))
+    extra = tuple(floats(row[:s]) for s, row in enumerate(DOP853.A_EXTRA, DOP853.n_stages + 1))
+    return (stages, floats(DOP853.B), floats(DOP853.E5), floats(DOP853.E3), extra,
+            tuple(map(floats, DOP853.D)))
+
+
+def _accel(u: float) -> float:
+    # u'' of the odd extension through 0; the isolated log singularity is harmless
+    return -u * math.log(u * u) if u != 0.0 else 0.0
+
+
+def _initial_step(m: float, fp: float) -> float:
+    """scipy's ``select_initial_step`` for order 7 from ``(m, 0)``, whose
+    derivative is ``(0, fp)``: its RMS norms over the two components, with
+    the entries that vanish there dropped."""
+    su = SHOOT_ATOL + m * SHOOT_RTOL
+    d0 = m / su / math.sqrt(2.0)
+    d1 = abs(fp) / SHOOT_ATOL / math.sqrt(2.0)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, SHOOT_WINDOW)
+    # the Euler step to h0 leaves u at m and moves only u', by h0 fp
+    d2 = abs(h0 * fp / su) / math.sqrt(2.0) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    return min(100 * h0, h1, SHOOT_WINDOW)
+
+
+def _interpolate(step: tuple, t: float) -> tuple[float, float]:
+    """``(u, u')`` at ``t`` on one step's interpolant, nested as in scipy's
+    ``Dop853DenseOutput``; ``step`` is ``(t_old, h, u_old, p_old, F_u,
+    F_p)`` with the seven coefficients of each component."""
+    t_old, h, u_old, p_old, fu, fp = step
+    x = (t - t_old) / h
+    u = p = 0.0
+    for i in range(6, -1, -1):
+        w = x if i % 2 == 0 else 1 - x
+        u = (u + fu[i]) * w
+        p = (p + fp[i]) * w
+    return u + u_old, p + p_old
+
+
+def _level_crossing(step: tuple, t_end: float, level: float) -> float:
+    """Where ``u`` falls to ``level`` on one step's interpolant, with ``u``
+    above it at the step's start and not above it at ``t_end``.
+
+    Newton's method takes the interpolated ``u'`` as its slope and starts at
+    the secant of the step's ends; an iterate that leaves the bracket is
+    replaced by its midpoint.  It stops, as scipy's event location does,
+    once the iterates move by at most ``4 eps (1 + |t|)``.  Should rounding
+    leave the interpolant at or above ``level`` at ``t_end``, the event is
+    there."""
+    lo, hi = step[0], t_end
+    g_lo, g_hi = step[2] - level, _interpolate(step, hi)[0] - level
+    if g_hi >= 0.0:
+        return hi
+    t = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+    while True:
+        u, p = _interpolate(step, t)
+        g = u - level
+        if g == 0.0:
+            return t
+        if g > 0.0:
+            lo = t
+        else:
+            hi = t
+        # u falls, so p < 0; any other slope bisects
+        t_next = t - g / p if p < 0.0 else lo
+        if not lo < t_next < hi:
+            t_next = 0.5 * (lo + hi)
+        if abs(t_next - t) <= 4 * math.ulp(1.0) * (1.0 + abs(t_next)):
+            return t_next
+        t = t_next
+
+
+def _no_crossing(reason: str) -> TimeMapError:
+    return TimeMapError(f"profile failed to cross zero within {SHOOT_WINDOW:g} units ({reason}); "
+                        "is m > sqrt(e)?")
+
+
+@dataclass(frozen=True)
+class _DenseOutput:
+    """DOP853's dense output of ``(u, u')``: per step its start ``ts[k]``,
+    length ``h[k]``, initial state ``y_old[:, k]`` and the seven
+    coefficients ``F[:, :, k]`` of each component (Hairer, Norsett & Wanner,
+    *Solving ODEs I*, II.6).  ``ts`` ends at the crossing, inside the last
+    step."""
+
+    ts: np.ndarray          # step starts, then the crossing
+    h: np.ndarray
+    y_old: np.ndarray       # (2, steps)
+    F: np.ndarray           # (2, 7, steps)
+
+    def __call__(self, xs) -> np.ndarray:
+        """``(u, u')`` at the abscissae ``xs``, in any order, shape ``(2, len(xs))``.
+
+        Each sample goes to the step whose span holds it, a sample on a step
+        end to the earlier step, as in scipy's ``OdeSolution``; the nested
+        form is then evaluated for all samples at once, one coefficient
+        gathered at a time, with the arithmetic of scipy's per-step
+        evaluation."""
+        xs = np.asarray(xs, dtype=float)
+        k = np.searchsorted(self.ts, xs, "left") - 1
+        np.clip(k, 0, len(self.h) - 1, out=k)
+        x = xs - self.ts[k]
+        x /= self.h[k]
+        one_minus_x = 1 - x
+        out = np.zeros((2, len(xs)))
+        gathered = np.empty(len(xs))
+        for y, rows, y_old in zip(out, self.F, self.y_old):
+            for i in range(6, -1, -1):
+                y += np.take(rows[i], k, out=gathered, mode="clip")
+                y *= x if i % 2 == 0 else one_minus_x
+            y += np.take(y_old, k, out=gathered, mode="clip")
+        return out
+
+
 @dataclass(frozen=True)
 class _Shot:
-    m: float                # u(0)
-    dense: OdeSolution      # DOP853's dense output of (u, u') from 0 to the crossing
-    b: float                # crossing abscissa
-    crossing: np.ndarray    # (u, u') there
-    x_star: float           # u(x_star) = 1
+    """One integration from the peak ``m`` to the crossing ``b``: the
+    dense output, the crossing's ``(u, u')`` and ``x*``, each event read
+    off the interpolant of the step in which it falls."""
+
+    m: float                        # u(0)
+    dense: _DenseOutput             # of (u, u') from 0 to the crossing
+    b: float                        # crossing abscissa
+    crossing: tuple[float, float]   # (u, u') there
+    x_star: float                   # u(x_star) = 1
 
 
 def _shoot(m: float) -> _Shot:
     """Integrate ``u'' = -u log u^2`` from ``u(0) = m``, ``u'(0) = 0`` with
-    DOP853 until the profile crosses zero; the crossing and the unit value
-    are located as events within a window of ``SHOOT_WINDOW`` units."""
-    from scipy.integrate import solve_ivp
+    DOP853 until the profile crosses zero, within a window of
+    ``SHOOT_WINDOW`` units.
 
+    The method is scipy's ``DOP853`` step for step (its initial step, the
+    E5/E3 error norm and its step-size controller), written as a loop over
+    the two floats ``(u, u')`` whose stage sums ``sum`` takes over plain
+    floats.
+    The crossing and the unit value ``u(x*) = 1`` are located on the
+    interpolant of the step in which ``u`` falls to them."""
     if not m > SQRT_E:
         raise TimeMapError("shooting requires m > sqrt(e)")
-    ivp = solve_ivp(_phase_rhs, (0.0, SHOOT_WINDOW), (m, 0.0), method="DOP853",
-                    rtol=SHOOT_RTOL, atol=SHOOT_ATOL, dense_output=True,
-                    events=(_crossing, _unit_value))
-    if ivp.status != 1:
-        raise TimeMapError(
-            f"profile failed to cross zero within {SHOOT_WINDOW:g} units "
-            f"({ivp.message}); is m > sqrt(e)?"
-        )
-    return _Shot(m, ivp.sol, float(ivp.t_events[0][0]), ivp.y_events[0][0],
-                 float(ivp.t_events[1][0]))
-
-
-def _sample(dense: OdeSolution, xs: np.ndarray) -> np.ndarray:
-    """``dense(xs)`` for sorted, nonempty ``xs``, bit for bit: each step's
-    interpolant is evaluated on its own slice, a sample on a step end going
-    to the earlier step as in ``OdeSolution``, without its per-sample sort
-    and grouping; steps without samples are skipped."""
-    cuts = np.searchsorted(xs, dense.ts[1:-1], side="right")
-    return np.hstack([step(part) for step, part in zip(dense.interpolants, np.split(xs, cuts))
-                      if len(part)])
+    stages, weights, err5, err3, extra, interp = _dop853()
+    rtol, atol, accel, mul = SHOOT_RTOL, SHOOT_ATOL, _accel, operator.mul
+    t, u, p, fu, fp = 0.0, m, 0.0, 0.0, _accel(m)
+    h_abs = _initial_step(m, fp)
+    ts, steps, x_star = [t], [], None
+    while True:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise _no_crossing("Required step size is less than spacing between numbers.")
+            t_new = min(t + h_abs, SHOOT_WINDOW)
+            h = h_abs = t_new - t
+            Ku, Kp = [fu], [fp]
+            for row in stages:
+                Ku.append(p + sum(map(mul, Kp, row)) * h)
+                Kp.append(accel(u + sum(map(mul, Ku, row)) * h))
+            u_new = u + h * sum(map(mul, Ku, weights))
+            p_new = p + h * sum(map(mul, Kp, weights))
+            fp_new = accel(u_new)
+            Ku.append(p_new)
+            Kp.append(fp_new)
+            su = atol + max(abs(u), abs(u_new)) * rtol
+            sp = atol + max(abs(p), abs(p_new)) * rtol
+            e5u, e5p = sum(map(mul, Ku, err5)) / su, sum(map(mul, Kp, err5)) / sp
+            e3u, e3p = sum(map(mul, Ku, err3)) / su, sum(map(mul, Kp, err3)) / sp
+            e5, e3 = e5u * e5u + e5p * e5p, e3u * e3u + e3p * e3p
+            error = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
+            if error < 1.0:
+                factor = 10.0 if error == 0.0 else min(10.0, 0.9 * error**-0.125)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error**-0.125)
+            rejected = True
+        # the dense output's extra stages and coefficients
+        for row in extra:
+            Ku.append(p + sum(map(mul, Kp, row)) * h)
+            Kp.append(accel(u + sum(map(mul, Ku, row)) * h))
+        du, dp = u_new - u, p_new - p
+        step = (t, h, u, p,
+                (du, h * fu - du, 2 * du - h * (p_new + fu),
+                 *(h * sum(map(mul, Ku, row)) for row in interp)),
+                (dp, h * fp - dp, 2 * dp - h * (fp_new + fp),
+                 *(h * sum(map(mul, Kp, row)) for row in interp)))
+        steps.append(step)
+        # u starts above 1 and stays above 0 until these events are found
+        if x_star is None and u_new <= 1.0:
+            x_star = _level_crossing(step, t_new, 1.0)
+        if u_new <= 0.0:
+            b = _level_crossing(step, t_new, 0.0)
+            ts.append(b)
+            break
+        if t_new == SHOOT_WINDOW:
+            raise _no_crossing("The solver successfully reached the end of the integration "
+                               "interval.")
+        t, u, p, fu, fp = t_new, u_new, p_new, p_new, fp_new
+        ts.append(t)
+    _, hs, u_old, p_old, fus, fps = zip(*steps)
+    dense = _DenseOutput(np.array(ts), np.array(hs), np.array([u_old, p_old]),
+                         np.array([fus, fps]).transpose(0, 2, 1).copy())
+    return _Shot(m, dense, b, _interpolate(step, b), x_star)
 
 
 def _half_profile(shot: _Shot, n: int):
@@ -313,7 +473,7 @@ def _half_profile(shot: _Shot, n: int):
     profile there and the energy drift of the profile and its derivative."""
     xs = np.arange(math.ceil(shot.b * n)) / n
     xs = xs[xs < shot.b]
-    us, ps = _sample(shot.dense, xs)
+    us, ps = shot.dense(xs)
     ub, pb = shot.crossing
     xs, us, ps = np.append(xs, shot.b), np.append(us, ub), np.append(ps, pb)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -325,8 +485,9 @@ def shoot_profile(m: float, n: int = 10_000) -> OneDimSolution:
     """Integrate ``u'' = -u log u^2`` from ``u(0) = m``, ``u'(0) = 0`` with
     DOP853 until the profile crosses zero.
 
-    The crossing and the unit value ``u(x*) = 1`` are located as events of
-    the integrator within a window of ``SHOOT_WINDOW`` units.  The profile
+    The crossing and the unit value ``u(x*) = 1`` are located on the
+    integrator's step interpolants within a window of ``SHOOT_WINDOW``
+    units.  The profile
     on ``(-b, b)`` is returned with ``b`` the crossing; ``n`` is the number
     of samples per unit length of its ``xs`` and ``us``.
     """
@@ -364,8 +525,8 @@ class OneDimSolution:
     """Fully resolved profile on ``(-b, b)`` with its derived quantities.
 
     The profile is DOP853's dense output; the half-profile samples ``xs``,
-    ``us`` and their ``energy_drift`` are evaluated from it, ``n`` per unit
-    length, on first read.  :func:`solve_interval` sets ``b`` and finds
+    ``us`` and their ``energy_drift`` are evaluated from it in one
+    vectorized pass, ``n`` per unit length, on first read.  :func:`solve_interval` sets ``b`` and finds
     ``m`` by the time map; :func:`shoot_profile` sets ``m`` and takes the
     shooting pass's crossing as ``b``."""
 
@@ -392,7 +553,7 @@ class OneDimSolution:
         from the conserved quantity."""
         return abs(float(self.shot.crossing[1]))
 
-    @cached_property
+    @functools.cached_property
     def _samples(self) -> tuple[np.ndarray, np.ndarray, float]:
         return _half_profile(self.shot, self.n)
 
@@ -427,8 +588,7 @@ def solve_interval(b: float, n: int = 20_000) -> OneDimSolution:
 def _profile_on_axis(sol: OneDimSolution, axis: np.ndarray) -> np.ndarray:
     """The profile's dense output at ``|axis|``, clipped to the crossing;
     nodes within 1e-14 of the halfwidth are zero."""
-    xs, where = np.unique(np.minimum(np.abs(axis), sol.b_shoot), return_inverse=True)
-    vals = _sample(sol.shot.dense, xs)[0][where]
+    vals = sol.shot.dense(np.minimum(np.abs(axis), sol.b_shoot))[0]
     vals[np.abs(np.abs(axis) - sol.b) < 1e-14] = 0.0
     return np.maximum(vals, 0.0)
 

@@ -1,11 +1,14 @@
+import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution, quad
+from scipy.integrate import OdeSolution, quad, solve_ivp
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
 from concavelab import apply_laplacian, box, make_grid
@@ -304,6 +307,61 @@ def test_shooting_matches_rk4_reference(b):
     assert abs(shot.x_star - x_star) < 1e-9
 
 
+# scipy's solve_ivp, the reference for the package's own DOP853 loop
+
+
+def _phase_rhs(x, y):
+    u, p = y
+    return p, _rhs(u)
+
+
+def _crossing(x, y):
+    return y[0]
+
+
+def _unit_value(x, y):
+    return y[0] - 1.0
+
+
+_crossing.terminal = True
+_crossing.direction = -1.0
+_unit_value.direction = -1.0
+
+
+def _scipy_shot(m: float, window: float = oned.SHOOT_WINDOW):
+    return solve_ivp(_phase_rhs, (0.0, window), (m, 0.0), method="DOP853",
+                     rtol=oned.SHOOT_RTOL, atol=oned.SHOOT_ATOL, dense_output=True,
+                     events=(_crossing, _unit_value))
+
+
+@pytest.mark.parametrize("b", np.geomspace(0.35, 3.14, 12).round(6).tolist())
+def test_shot_matches_solve_ivp(b):
+    m = oned.solve_m_of_b(b)
+    shot = oned._shoot(m)
+    ivp = _scipy_shot(m)
+    assert ivp.status == 1
+    assert abs(shot.b - ivp.t_events[0][0]) <= 1e-13
+    assert abs(shot.x_star - ivp.t_events[1][0]) <= 1e-13
+    assert shot.crossing[1] == pytest.approx(ivp.y_events[0][0][1], rel=5e-12, abs=0)
+    # each component within 5e-12 of its sup: m for u, the boundary slope for u'
+    xs = np.linspace(0.0, shot.b, 2001)
+    gap = np.max(np.abs(shot.dense(xs) - ivp.sol(xs)), axis=1)
+    assert gap[0] <= 5e-12 * m and gap[1] <= 5e-12 * oned.boundary_slope(m)
+    # the same method: the step sequences differ only by the rounding of the
+    # error estimates, which decides the first steps
+    assert abs(len(shot.dense.h) - (len(ivp.sol.ts) - 1)) <= 2
+
+
+def test_shot_refuses_small_peaks_and_a_missing_crossing(monkeypatch):
+    with pytest.raises(oned.TimeMapError, match="requires m > sqrt"):
+        oned._shoot(SQRT_E)
+    # the profile peaking at 2 crosses zero at 1.26, beyond a window of 1
+    monkeypatch.setattr(oned, "SHOOT_WINDOW", 1.0)
+    assert _scipy_shot(2.0, window=1.0).status == 0
+    with pytest.raises(oned.TimeMapError, match="failed to cross zero within 1 units"):
+        oned._shoot(2.0)
+
+
 def test_profile_monotone_and_convexity_split():
     sol = oned.solve_interval(1.5, n=20_000)
     assert sol.m > SQRT_E
@@ -423,15 +481,43 @@ def _constant(k: int):
 @pytest.mark.parametrize("b", [0.35, 1.0, 4.0])
 @pytest.mark.parametrize("n", [10_000, 100_000])
 def test_step_by_step_samples_equal_the_dense_output(b, n):
-    shot = oned._shoot(oned.solve_m_of_b(b))
-    xs = np.arange(math.ceil(shot.b * n)) / n
+    # the reference is scipy's OdeSolution over scipy's own per-step
+    # interpolants, built from the steps the dense output keeps
+    dense = oned._shoot(oned.solve_m_of_b(b)).dense
+    ts = dense.ts
+    steps = []
+    for k in range(len(dense.h)):
+        step = Dop853DenseOutput(ts[k], ts[k + 1], dense.y_old[:, k], dense.F[:, :, k].T)
+        step.h = dense.h[k]  # the last step runs past the crossing, where ts ends
+        steps.append(step)
+    reference = OdeSolution(ts, steps)
+    xs = np.arange(math.ceil(ts[-1] * n)) / n
     # one abscissa exactly on a step end, which OdeSolution gives to the earlier step
-    ts = shot.dense.ts
-    xs = np.sort(np.append(xs[xs < shot.b], ts[len(ts) // 2]))
-    assert np.array_equal(oned._sample(shot.dense, xs), shot.dense(xs))
+    end = len(ts) // 2
+    xs = np.sort(np.append(xs[xs < ts[-1]], ts[end]))
+    assert np.array_equal(dense(xs), reference(xs))
     # both neighbouring steps agree there, so compare the step each sample goes to
-    step_index = OdeSolution(ts, [_constant(k) for k in range(len(ts) - 1)])
-    assert np.array_equal(oned._sample(step_index, xs), step_index(xs))
+    index = dataclasses.replace(dense, F=np.zeros_like(dense.F),
+                                y_old=np.tile(np.arange(len(dense.h), dtype=float), (2, 1)))
+    step_index = OdeSolution(ts, [_constant(k) for k in range(len(dense.h))])
+    assert np.array_equal(index(xs), step_index(xs))
+    # the evaluation takes the abscissae in any order
+    order = np.random.default_rng(7).permutation(len(xs))
+    assert np.array_equal(dense(xs[order]), reference(xs)[:, order])
+
+
+@pytest.mark.parametrize("b", [1.0, 4.0])
+def test_reading_the_samples_stays_within_the_sample_budget(b):
+    # MAX_SAMPLES_PER_UNIT assumes a profile's samples peak at SAMPLE_BYTES each
+    sol = oned.solve_interval(b, n=100_000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        us = sol.us
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= oned.SAMPLE_BYTES * len(us)
 
 
 def test_solution_samples_equal_the_shooting_pass():

@@ -254,6 +254,26 @@ def test_no_module_of_the_package_imports_scipy_sparse_linalg():
                         or name.startswith("scipy.sparse.linalg.")], f"{path.name}:{node.lineno}"
 
 
+def test_no_module_of_the_package_names_solve_ivp_or_imports_scipy_optimize():
+    # one-dimensional shots run oned's own DOP853 loop, which reads only the
+    # tableau from scipy.integrate and locates its events by Newton's method
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+            else:
+                imported = []
+            assert not [name for name in imported if name == "scipy.optimize"
+                        or name.startswith("scipy.optimize.")], f"{path.name}:{node.lineno}"
+            named = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                named |= {node.name.rsplit(".", 1)[-1], node.asname}
+            assert not named & {"solve_ivp", "OdeSolution"}, \
+                f"{path.name}:{getattr(node, 'lineno', '?')}"
+
+
 class _RefusingSparse:
     """``scipy.sparse`` as ``linops`` sees it, with its matrix constructors refusing."""
 
