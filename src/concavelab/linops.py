@@ -25,9 +25,13 @@ built once and immutable.  The grid alone picks its backend
   a Newton step is MINRES (Paige & Saunders 1975, :func:`minres`) run in
   DST-I coefficients: the Jacobian preconditioned on both sides by the
   square root of a DST solve whose symbol is moved by a weighted mean of
-  the shift, so each iteration is two DSTs and diagonal scalings, and the
-  stencil rows give only the true residual of each sweep.  This backend
-  alone imports ``scipy.fft``, where it calls it.
+  the shift, so each iteration is two DST-I transforms and diagonal
+  scalings, and the stencil rows give only the true residual of each
+  sweep.  While every interior axis has at most ``DENSE_SINE_MAX``
+  unknowns, a transform is one product with the dense orthonormal sine
+  matrix per axis (the matrix decomposition of Lynch, Rice & Thomas 1964);
+  longer axes use ``scipy.fft.dstn``, and only they import ``scipy.fft``,
+  where it is called.
 """
 
 from __future__ import annotations
@@ -70,6 +74,14 @@ MINRES_MAXITER = 500
 MINRES_SWEEPS = 3
 SHIFTED_RESIDUAL = 1e-9
 FORCING_CAP = 1e-2
+
+# Box grids whose interior axes all have at most this many unknowns apply
+# the DST-I as dense sine-matrix products, one BLAS product per axis; longer
+# axes use scipy.fft.dstn.  tools/sine_crossover.py times both on one BLAS
+# thread: the products win on each 2D length timed up to 128 but 119 (a tie) and
+# 127 (n + 1 = 128 suits the FFT best), and on 3D boxes up to 71^3; at 79^3
+# the two are within 10%.
+DENSE_SINE_MAX = 128
 
 # The principal eigenpair each grid's operator holds: inverse iteration's
 # relative tolerance on successive eigenvalues and its iteration cap.
@@ -420,31 +432,57 @@ def minres(matvec, b: np.ndarray, rtol: float, scale: np.ndarray) -> tuple[np.nd
     return y, MINRES_MAXITER, MINRES_MAXITER
 
 
-def _dst(x: np.ndarray) -> np.ndarray:
-    """The orthonormal DST-I over every axis, which is its own inverse."""
-    import scipy.fft
+def _sine_matrix(n: int) -> np.ndarray:
+    """The orthonormal DST-I matrix ``S[j, k] = sqrt(2/(n+1)) sin(pi jk/(n+1))``,
+    ``j, k = 1..n``: symmetric and its own inverse.  ``jk`` is reduced modulo
+    ``2n + 2``, the period of the sine, so its argument stays below ``2 pi``."""
+    k = np.arange(1, n + 1)
+    jk = np.outer(k, k) % (2 * n + 2)
+    s = math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * jk / (n + 1))
+    s.setflags(write=False)
+    return s
 
-    return scipy.fft.dstn(x, type=1, norm="ortho")
+
+def _dst(x: np.ndarray, sines: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+    """The orthonormal DST-I over every axis of a 2D or 3D ``x``, which is
+    its own inverse.  With ``sines``, the :func:`_sine_matrix` of each axis,
+    it is ``S0 @ x @ S1`` in 2D, and in 3D ``S0`` on ``x`` flattened after
+    axis 0, ``S1`` batched over axis 0, then ``@ S2``; without, it is
+    ``scipy.fft.dstn``, imported where it is called."""
+    if sines is None:
+        import scipy.fft
+
+        return scipy.fft.dstn(x, type=1, norm="ortho")
+    if x.ndim == 2:
+        return sines[0] @ x @ sines[1]
+    y = (sines[0] @ x.reshape(x.shape[0], -1)).reshape(x.shape)
+    return np.matmul(sines[1], y) @ sines[2]
 
 
 class SineOperator(GridOperator):
     """2D and 3D boxes: the DST-I symbol, the eigenvalues of
-    ``-Laplacian_h`` in DST-I coefficient order; no matrix is stored.
-    It is the one backend that uses ``scipy.fft``, so it imports it where
-    it calls it."""
+    ``-Laplacian_h`` in DST-I coefficient order; no stencil matrix is
+    stored.  While every interior axis has at most ``DENSE_SINE_MAX``
+    unknowns it holds the dense sine matrix of each axis length, and every
+    transform is products with them; otherwise ``sines`` is ``None`` and
+    every transform is ``scipy.fft.dstn`` (:func:`_dst`)."""
 
     def _build(self):
         pairs = zip(self.grid.shape, self.grid.spacing)
         self.symbol = reduce(np.add.outer, [_sine_eigenvalues(n, h) for n, h in pairs])
         self.symbol.setflags(write=False)
-        sines = [np.sin(np.pi * np.arange(1, n - 1) / (n - 1)) for n in self.grid.shape]
-        self._phi = reduce(np.multiply.outer, sines).ravel()
+        modes = [np.sin(np.pi * np.arange(1, n - 1) / (n - 1)) for n in self.grid.shape]
+        self._phi = reduce(np.multiply.outer, modes).ravel()
         self._phi.setflags(write=False)
         self._phi_weights = self._phi**2 / np.sum(self._phi**2)
+        self.sines = None
+        if max(self._shape) <= DENSE_SINE_MAX:
+            by_length = {n: _sine_matrix(n) for n in set(self._shape)}
+            self.sines = tuple(by_length[n] for n in self._shape)
 
     def inverse(self, b: np.ndarray) -> np.ndarray:
         """The Poisson solve: a DST-I, division by the symbol, inverse DST-I."""
-        return _dst(_dst(np.reshape(b, self._shape)) / self.symbol).ravel()
+        return _dst(_dst(np.reshape(b, self._shape), self.sines) / self.symbol, self.sines).ravel()
 
     def solve_shifted(self, shift, rhs, rtol=SHIFTED_RESIDUAL) -> np.ndarray:
         """The matrix ``A - diag(shift)`` is symmetric but may be indefinite:
@@ -462,7 +500,8 @@ class SineOperator(GridOperator):
         ``B = D^-1/2 (symbol - S diag(shift) S) D^-1/2``, so :func:`minres`
         runs on ``B y = D^-1/2 S r`` and the step is ``S D^-1/2 y``: the same
         Krylov space as MINRES on the stencil rows preconditioned by ``M``,
-        each iteration two DSTs and diagonal scalings.
+        each iteration two DST-I transforms (:func:`_dst`) and diagonal
+        scalings.
 
         MINRES stops on its own tests on the recurrence residual in the
         preconditioner's norm, which can lie far below the true relative
@@ -479,16 +518,17 @@ class SineOperator(GridOperator):
         scale, diagonal = 1.0 / np.sqrt(divisor), self.symbol / divisor
 
         def preconditioned(y):
-            return diagonal * y - scale * _dst(shift * _dst(scale * y))
+            return diagonal * y - scale * _dst(shift * _dst(scale * y, self.sines), self.sines)
 
         goal = rtol * float(np.linalg.norm(rhs))
         x = np.zeros(rhs.size)
         res = rhs
         minres_rtol = MINRES_MARGIN * rtol
         for _ in range(MINRES_SWEEPS):
-            y, info, _ = minres(preconditioned, scale * _dst(np.reshape(res, self._shape)),
+            y, info, _ = minres(preconditioned,
+                                scale * _dst(np.reshape(res, self._shape), self.sines),
                                 minres_rtol, scale)
-            x += _dst(scale * y).ravel()
+            x += _dst(scale * y, self.sines).ravel()
             res = rhs - self._apply(rows, x)
             res_norm = float(np.linalg.norm(res))
             if info != 0 or res_norm <= goal:
@@ -528,7 +568,9 @@ def neg_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
 def solve_poisson(rhs: ScalarField, tol: float = 1e-12) -> ScalarField:
     """Solve ``-Laplacian v = rhs`` with zero Dirichlet data.
 
-    DST-I on box grids, one tridiagonal ``dgtsv`` otherwise.  The normwise
+    A forward and an inverse DST-I on box grids (dense sine-matrix products
+    while every interior axis has at most ``DENSE_SINE_MAX`` unknowns,
+    ``scipy.fft.dstn`` beyond), one tridiagonal ``dgtsv`` otherwise.  The normwise
     backward error ``||rhs - A v|| / (||A||_inf ||v|| + ||rhs||)`` (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 7), in
     the discrete 2-norm with ``||A||_inf`` the largest absolute row sum of

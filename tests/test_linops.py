@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import scipy.special
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from concavelab import (
     ScalarField,
@@ -290,6 +291,11 @@ def box_cases(draw):
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(box_cases())
+# the drawn boxes all take the dense sine matrices; these sit at the cutoff
+# and one node past it, on scipy.fft.dstn
+@example(((linops.DENSE_SINE_MAX + 2, 7), [1.0, 0.4], 7, 2))
+@example(((linops.DENSE_SINE_MAX + 3, 7), [2.5, 0.6], 11, 1))
+@example(((5, linops.DENSE_SINE_MAX + 3, 4), [0.5, 2.0, 0.3], 13, 3))
 def test_dst_backend_matches_sparse_lu(case):
     shape, halfwidths, seed, n_floor = case
     g = make_grid(box(*halfwidths), shape)
@@ -420,6 +426,29 @@ def test_backend_choice_follows_the_grid():
     assert principal_eigenpair(make_grid(ball(1.0, 3), 41)).iterations > 0
     assert principal_eigenpair(make_grid(box(1.0), 41)).iterations > 0
     assert principal_eigenpair(make_grid(box(1.0, 1.0), 41)).iterations == 0
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 1), (1, 6), (7, 1), (linops.DENSE_SINE_MAX - 1, 3), (2, linops.DENSE_SINE_MAX),
+    (linops.DENSE_SINE_MAX + 1, 5), (1, 4, 6), (5, 1, 9), (3, 8, 1),
+    (linops.DENSE_SINE_MAX, 2, 3), (2, 3, linops.DENSE_SINE_MAX + 1),
+])
+def test_dense_sine_transform_is_the_orthonormal_dst_i(shape):
+    x = np.random.default_rng(math.prod(shape)).standard_normal(shape)
+    sines = tuple(linops._sine_matrix(n) for n in shape)
+    bound = 1e-14 * np.max(np.abs(x)) * max(shape)
+    y = linops._dst(x, sines)
+    assert np.max(np.abs(y - scipy.fft.dstn(x, type=1, norm="ortho"))) <= bound
+    assert np.max(np.abs(linops._dst(y, sines) - x)) <= bound
+
+
+def test_dense_sine_matrices_up_to_the_cutoff():
+    # the path follows the longest interior axis; equal lengths share a matrix
+    at_cutoff = make_grid(box(1.0, 1.0), (linops.DENSE_SINE_MAX + 2, 9)).operator
+    assert [s.shape for s in at_cutoff.sines] == [(linops.DENSE_SINE_MAX,) * 2, (7, 7)]
+    cube = make_grid(box(1.0, 1.0, 1.0), 9).operator
+    assert cube.sines[0] is cube.sines[1] is cube.sines[2]
+    assert make_grid(box(1.0, 1.0), (9, linops.DENSE_SINE_MAX + 3)).operator.sines is None
 
 
 def _dgttrs_reference(grid, b):

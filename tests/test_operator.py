@@ -460,7 +460,7 @@ def test_minres_failure_names_the_goal_it_used(rtol, monkeypatch):
 
 
 def test_importing_the_cli_loads_no_single_backend_module():
-    # scipy.fft serves the box backend only, scipy.integrate (which loads
+    # scipy.fft serves the box backend's long axes only, scipy.integrate (which loads
     # scipy.optimize) and scipy.special the one-dimensional analysis, and
     # scipy.sparse.linalg nothing at all
     deferred = ("scipy.fft", "scipy.sparse.linalg", "scipy.integrate", "scipy.optimize",
@@ -470,6 +470,23 @@ def test_importing_the_cli_loads_no_single_backend_module():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_short_box_axes_solve_without_scipy_fft():
+    # concavity_square's 81^2 grid is all dense sine matrices; one axis past
+    # DENSE_SINE_MAX sends every transform, and the import, to scipy.fft
+    config_path = Path(__file__).resolve().parent.parent / "configs" / "concavity_square.yaml"
+    config = yaml.safe_load(config_path.read_text())
+    halfwidths, n = config["domain"]["halfwidths"], config["resolution"]
+    for shape, loaded in ((n, False), ((n, linops.DENSE_SINE_MAX + 3), True)):
+        probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+                 "from concavelab import box, log_schrodinger, make_grid, solver; "
+                 f"g = make_grid(box(*{halfwidths!r}), {shape!r}); r = log_schrodinger(); "
+                 "assert solver.newton_solve(g, r, solver.initial_guess(g, r)).converged; "
+                 "print('scipy.fft' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.strip() == str(loaded)
 
 
 def test_nearly_singular_box_jacobian_ends_newton_by_its_own_tests():
