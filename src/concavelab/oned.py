@@ -12,16 +12,17 @@ method in ``z = log m^2 - 1``, where the rule is convex; the boundary
 slope ``sqrt(2 F(m))``; the sharp power-concavity exponent ``alpha*(b)``
 solving ``(1 - a) |u'(b)|^2 = a e^(-1/a)``; the profile
 itself by adaptive DOP853 shooting, an independent cross-check of the time
-map: scipy's method with its tableau, written as a loop over the two
-floats ``(u, u')``, its crossing and unit value located by Newton's
-method on a step's interpolant; tensor-product solutions on
-plurirectangles; and the explicit entire Gaussian-type profile
-``e^(N/2) e^(-|x|^2 / 2)``.
+map: scipy's method, its tableau held here as literals and each step
+written out stage by stage over the two floats ``(u, u')``, its crossing
+and unit value located by Newton's method on a step's interpolant;
+tensor-product solutions on plurirectangles; and the explicit entire
+Gaussian-type profile ``e^(N/2) e^(-|x|^2 / 2)``.
 
 A profile is DOP853's dense output, its 7th-order interpolant per step
 (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6), kept as seven
-coefficients per step and component and evaluated at many abscissae in
-one vectorized pass: tensor products read it at their grid nodes, and
+coefficients per step and component.  They are computed after the step
+loop, for all steps at once, and evaluated at many abscissae in one
+vectorized pass: tensor products read it at their grid nodes, and
 half-profile samples ``x = k / n`` are drawn from it only when they are
 read.
 """
@@ -38,7 +39,7 @@ import numpy as np
 from .grid import Grid, box, make_grid
 from .linops import ScalarField
 
-# ``scipy.integrate`` and ``scipy.special`` load where they are called
+# ``scipy.special`` loads where it is called
 
 __all__ = [
     "SQRT_E",
@@ -253,26 +254,186 @@ def check_samples_per_unit(n: int) -> None:
         raise ValueError(f"{n} samples per unit length exceed the cap {MAX_SAMPLES_PER_UNIT}")
 
 
-@functools.cache
-def _dop853():
-    """The DOP853 tableau as tuples of floats, read from scipy's ``DOP853``
-    on the first shot: the stage rows, each cut to the stages before it,
-    the weights, the E5 and E3 error rows, the three extra stages of the
-    dense output and its four ``D`` rows."""
-    from scipy.integrate import DOP853
-
-    def floats(row):
-        return tuple(map(float, row))
-
-    stages = tuple(floats(row[:s]) for s, row in enumerate(DOP853.A[1:], 1))
-    extra = tuple(floats(row[:s]) for s, row in enumerate(DOP853.A_EXTRA, DOP853.n_stages + 1))
-    return (stages, floats(DOP853.B), floats(DOP853.E5), floats(DOP853.E3), extra,
-            tuple(map(floats, DOP853.D)))
+# DOP853's tableau (Dormand & Prince, J. Comput. Appl. Math. 6, 1980; Hairer,
+# Norsett & Wanner, II.5), the reprs of the floats of scipy's ``DOP853``: the
+# stage rows, each cut to the stages before it; the weights; the E5 and E3
+# error rows; the three extra stages of the dense output, cut likewise; and
+# its four ``D`` rows (II.6)
+_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+)
+_B = (
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259)
+_E5 = (
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0.0)
+_E3 = (
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082, 0.0)
+_A_EXTRA = (
+    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298),
+    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),
+)
+_D = (
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973, 2.2404374302607883,
+     0.6315787787694688, -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264, -30.674084731089398,
+     -9.332130526430229, 15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963, -1.0006050966910838,
+     0.7777137798053443, -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163, 104.0996495089623,
+     29.8402934266605, -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564),
+)
 
 
 def _accel(u: float) -> float:
     # u'' of the odd extension through 0; the isolated log singularity is harmless
     return -u * math.log(u * u) if u != 0.0 else 0.0
+
+
+def _make_step():
+    """DOP853's step on the two floats ``(u, u')``, written out term by term
+    on the entries of ``_A``, ``_B``, ``_E5`` and ``_E3`` bound to names.
+
+    Stage ``s`` of each component sums the products of the earlier stages
+    with row ``s`` left to right, one rounding per operation, with the terms
+    of zero coefficients left out; so do the weights and the error rows.
+    Stage 0 is ``(u', u'') = (p, fp)`` at the step's start."""
+    (_, (a1_0,), (a2_0, a2_1), (a3_0, _, a3_2), (a4_0, _, a4_2, a4_3),
+     (a5_0, _, _, a5_3, a5_4), (a6_0, _, _, a6_3, a6_4, a6_5),
+     (a7_0, _, _, a7_3, a7_4, a7_5, a7_6), (a8_0, _, _, a8_3, a8_4, a8_5, a8_6, a8_7),
+     (a9_0, _, _, a9_3, a9_4, a9_5, a9_6, a9_7, a9_8),
+     (a10_0, _, _, a10_3, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+     (a11_0, _, _, a11_3, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10)) = _A
+    b0, _, _, _, _, b5, b6, b7, b8, b9, b10, b11 = _B
+    e5_0, _, _, _, _, e5_5, e5_6, e5_7, e5_8, e5_9, e5_10, e5_11, _ = _E5
+    e3_0, _, _, _, _, e3_5, e3_6, e3_7, e3_8, e3_9, e3_10, e3_11, _ = _E3
+    accel = _accel
+
+    def step(u: float, p: float, fp: float, h: float):
+        """One step of length ``h`` from ``(u, p)`` with ``fp = u''`` there:
+        the new ``(u, p, u'')``, the E5 and E3 error sums of ``u`` and ``p``
+        (unscaled), and stages 5 to 11, the ones the dense output reads, as
+        ``(u', u'')`` pairs."""
+        ku1 = p + fp * a1_0 * h
+        kp1 = accel(u + p * a1_0 * h)
+        ku2 = p + (fp * a2_0 + kp1 * a2_1) * h
+        kp2 = accel(u + (p * a2_0 + ku1 * a2_1) * h)
+        ku3 = p + (fp * a3_0 + kp2 * a3_2) * h
+        kp3 = accel(u + (p * a3_0 + ku2 * a3_2) * h)
+        ku4 = p + (fp * a4_0 + kp2 * a4_2 + kp3 * a4_3) * h
+        kp4 = accel(u + (p * a4_0 + ku2 * a4_2 + ku3 * a4_3) * h)
+        ku5 = p + (fp * a5_0 + kp3 * a5_3 + kp4 * a5_4) * h
+        kp5 = accel(u + (p * a5_0 + ku3 * a5_3 + ku4 * a5_4) * h)
+        ku6 = p + (fp * a6_0 + kp3 * a6_3 + kp4 * a6_4 + kp5 * a6_5) * h
+        kp6 = accel(u + (p * a6_0 + ku3 * a6_3 + ku4 * a6_4 + ku5 * a6_5) * h)
+        ku7 = p + (fp * a7_0 + kp3 * a7_3 + kp4 * a7_4 + kp5 * a7_5 + kp6 * a7_6) * h
+        kp7 = accel(u + (p * a7_0 + ku3 * a7_3 + ku4 * a7_4 + ku5 * a7_5 + ku6 * a7_6) * h)
+        ku8 = p + (fp * a8_0 + kp3 * a8_3 + kp4 * a8_4 + kp5 * a8_5 + kp6 * a8_6
+                   + kp7 * a8_7) * h
+        kp8 = accel(u + (p * a8_0 + ku3 * a8_3 + ku4 * a8_4 + ku5 * a8_5 + ku6 * a8_6
+                         + ku7 * a8_7) * h)
+        ku9 = p + (fp * a9_0 + kp3 * a9_3 + kp4 * a9_4 + kp5 * a9_5 + kp6 * a9_6
+                   + kp7 * a9_7 + kp8 * a9_8) * h
+        kp9 = accel(u + (p * a9_0 + ku3 * a9_3 + ku4 * a9_4 + ku5 * a9_5 + ku6 * a9_6
+                         + ku7 * a9_7 + ku8 * a9_8) * h)
+        ku10 = p + (fp * a10_0 + kp3 * a10_3 + kp4 * a10_4 + kp5 * a10_5 + kp6 * a10_6
+                    + kp7 * a10_7 + kp8 * a10_8 + kp9 * a10_9) * h
+        kp10 = accel(u + (p * a10_0 + ku3 * a10_3 + ku4 * a10_4 + ku5 * a10_5 + ku6 * a10_6
+                          + ku7 * a10_7 + ku8 * a10_8 + ku9 * a10_9) * h)
+        ku11 = p + (fp * a11_0 + kp3 * a11_3 + kp4 * a11_4 + kp5 * a11_5 + kp6 * a11_6
+                    + kp7 * a11_7 + kp8 * a11_8 + kp9 * a11_9 + kp10 * a11_10) * h
+        kp11 = accel(u + (p * a11_0 + ku3 * a11_3 + ku4 * a11_4 + ku5 * a11_5 + ku6 * a11_6
+                          + ku7 * a11_7 + ku8 * a11_8 + ku9 * a11_9 + ku10 * a11_10) * h)
+        u_new = u + h * (p * b0 + ku5 * b5 + ku6 * b6 + ku7 * b7 + ku8 * b8 + ku9 * b9
+                         + ku10 * b10 + ku11 * b11)
+        p_new = p + h * (fp * b0 + kp5 * b5 + kp6 * b6 + kp7 * b7 + kp8 * b8 + kp9 * b9
+                         + kp10 * b10 + kp11 * b11)
+        errors = (
+            p * e5_0 + ku5 * e5_5 + ku6 * e5_6 + ku7 * e5_7 + ku8 * e5_8 + ku9 * e5_9
+            + ku10 * e5_10 + ku11 * e5_11,
+            fp * e5_0 + kp5 * e5_5 + kp6 * e5_6 + kp7 * e5_7 + kp8 * e5_8 + kp9 * e5_9
+            + kp10 * e5_10 + kp11 * e5_11,
+            p * e3_0 + ku5 * e3_5 + ku6 * e3_6 + ku7 * e3_7 + ku8 * e3_8 + ku9 * e3_9
+            + ku10 * e3_10 + ku11 * e3_11,
+            fp * e3_0 + kp5 * e3_5 + kp6 * e3_6 + kp7 * e3_7 + kp8 * e3_8 + kp9 * e3_9
+            + kp10 * e3_10 + kp11 * e3_11)
+        return ((u_new, p_new, accel(u_new)), errors,
+                (ku5, kp5, ku6, kp6, ku7, kp7, ku8, kp8, ku9, kp9, ku10, kp10, ku11, kp11))
+
+    return step
+
+
+_step = _make_step()
+
+
+def _sum_terms(stages: list, row: tuple) -> np.ndarray:
+    """The sum of ``stages[j] * row[j]`` over the nonzero entries of ``row``,
+    taken left to right as in ``_make_step``, over arrays."""
+    return functools.reduce(operator.add, (k * a for k, a in zip(stages, row) if a != 0.0))
+
+
+def _interpolants(rows: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The dense output of the accepted steps, after the step loop.
+
+    ``rows`` holds per step ``(h, u, p, fp, u_new, p_new, fp_new)`` and the
+    stage pairs ``_step`` returns.  Stages are ``(u', u'')`` arrays over the
+    steps; the three extra stages and the four ``D`` rows are summed one
+    stage at a time with ``_sum_terms``, so each entry rounds exactly as
+    the same sum over floats.  Returns the step lengths, the initial
+    states ``(2, steps)`` and the seven coefficients ``(2, 7, steps)`` of
+    each component."""
+    columns = np.array(rows).T.copy()
+    h, y_old, y_new = columns[0], columns[1:3], columns[4:6]
+    # stage 0 is (p, fp), stage 12 (p_new, fp_new); stages 1-4 carry zero
+    # weight in the extra stages and the D rows
+    start, end = columns[2:4], columns[5:7]
+    stages = [start, None, None, None, None, *columns[7:].reshape(7, 2, -1), end]
+    for row in _A_EXTRA:
+        sums = _sum_terms(stages, row)
+        # math.log per entry, as in the step: numpy's log may round otherwise
+        accel = [_accel(u) for u in (y_old[0] + sums[0] * h).tolist()]
+        stages.append(np.array([y_old[1] + sums[1] * h, accel]))
+    dy = y_new - y_old
+    coefficients = [dy, h * start - dy, 2 * dy - h * (end + start),
+                    *(h * _sum_terms(stages, row) for row in _D)]
+    return h, y_old, np.stack(coefficients, axis=1)
 
 
 def _initial_step(m: float, fp: float) -> float:
@@ -397,18 +558,18 @@ def _shoot(m: float) -> _Shot:
     ``SHOOT_WINDOW`` units.
 
     The method is scipy's ``DOP853`` step for step (its initial step, the
-    E5/E3 error norm and its step-size controller), written as a loop over
-    the two floats ``(u, u')`` whose stage sums ``sum`` takes over plain
-    floats.
-    The crossing and the unit value ``u(x*) = 1`` are located on the
+    E5/E3 error norm and its step-size controller), with each step taken by
+    ``_step``, written out on the literal tableau over the two floats
+    ``(u, u')``.  The dense output's extra stages and coefficients follow
+    the step loop, over all steps at once (see ``_interpolants``); the
+    crossing and the unit value ``u(x*) = 1`` are then located on the
     interpolant of the step in which ``u`` falls to them."""
     if not m > SQRT_E:
         raise TimeMapError("shooting requires m > sqrt(e)")
-    stages, weights, err5, err3, extra, interp = _dop853()
-    rtol, atol, accel, mul = SHOOT_RTOL, SHOOT_ATOL, _accel, operator.mul
-    t, u, p, fu, fp = 0.0, m, 0.0, 0.0, _accel(m)
+    rtol, atol, step = SHOOT_RTOL, SHOOT_ATOL, _step
+    t, u, p, fp = 0.0, m, 0.0, _accel(m)
     h_abs = _initial_step(m, fp)
-    ts, steps, x_star = [t], [], None
+    ts, rows, star = [t], [], None
     while True:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -418,19 +579,10 @@ def _shoot(m: float) -> _Shot:
                 raise _no_crossing("Required step size is less than spacing between numbers.")
             t_new = min(t + h_abs, SHOOT_WINDOW)
             h = h_abs = t_new - t
-            Ku, Kp = [fu], [fp]
-            for row in stages:
-                Ku.append(p + sum(map(mul, Kp, row)) * h)
-                Kp.append(accel(u + sum(map(mul, Ku, row)) * h))
-            u_new = u + h * sum(map(mul, Ku, weights))
-            p_new = p + h * sum(map(mul, Kp, weights))
-            fp_new = accel(u_new)
-            Ku.append(p_new)
-            Kp.append(fp_new)
+            (u_new, p_new, fp_new), (e5u, e5p, e3u, e3p), stages = step(u, p, fp, h)
             su = atol + max(abs(u), abs(u_new)) * rtol
             sp = atol + max(abs(p), abs(p_new)) * rtol
-            e5u, e5p = sum(map(mul, Ku, err5)) / su, sum(map(mul, Kp, err5)) / sp
-            e3u, e3p = sum(map(mul, Ku, err3)) / su, sum(map(mul, Kp, err3)) / sp
+            e5u, e5p, e3u, e3p = e5u / su, e5p / sp, e3u / su, e3p / sp
             e5, e3 = e5u * e5u + e5p * e5p, e3u * e3u + e3p * e3p
             error = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / math.sqrt((e5 + 0.01 * e3) * 2)
             if error < 1.0:
@@ -439,33 +591,28 @@ def _shoot(m: float) -> _Shot:
                 break
             h_abs *= max(0.2, 0.9 * error**-0.125)
             rejected = True
-        # the dense output's extra stages and coefficients
-        for row in extra:
-            Ku.append(p + sum(map(mul, Kp, row)) * h)
-            Kp.append(accel(u + sum(map(mul, Ku, row)) * h))
-        du, dp = u_new - u, p_new - p
-        step = (t, h, u, p,
-                (du, h * fu - du, 2 * du - h * (p_new + fu),
-                 *(h * sum(map(mul, Ku, row)) for row in interp)),
-                (dp, h * fp - dp, 2 * dp - h * (fp_new + fp),
-                 *(h * sum(map(mul, Kp, row)) for row in interp)))
-        steps.append(step)
+        rows.append((h, u, p, fp, u_new, p_new, fp_new, *stages))
         # u starts above 1 and stays above 0 until these events are found
-        if x_star is None and u_new <= 1.0:
-            x_star = _level_crossing(step, t_new, 1.0)
+        if star is None and u_new <= 1.0:
+            star = (len(rows) - 1, t_new)
         if u_new <= 0.0:
-            b = _level_crossing(step, t_new, 0.0)
-            ts.append(b)
             break
         if t_new == SHOOT_WINDOW:
             raise _no_crossing("The solver successfully reached the end of the integration "
                                "interval.")
-        t, u, p, fu, fp = t_new, u_new, p_new, p_new, fp_new
+        t, u, p, fp = t_new, u_new, p_new, fp_new
         ts.append(t)
-    _, hs, u_old, p_old, fus, fps = zip(*steps)
-    dense = _DenseOutput(np.array(ts), np.array(hs), np.array([u_old, p_old]),
-                         np.array([fus, fps]).transpose(0, 2, 1).copy())
-    return _Shot(m, dense, b, _interpolate(step, b), x_star)
+    hs, y_old, coefficients = _interpolants(rows)
+
+    def piece(k: int) -> tuple:
+        # step k's interpolant in floats, as _interpolate takes it
+        return (ts[k], *rows[k][:3], *coefficients[:, :, k].tolist())
+
+    x_star = _level_crossing(piece(star[0]), star[1], 1.0)
+    last = piece(len(rows) - 1)
+    b = _level_crossing(last, t_new, 0.0)
+    dense = _DenseOutput(np.array([*ts, b]), hs, y_old, coefficients)
+    return _Shot(m, dense, b, _interpolate(last, b), x_star)
 
 
 def _half_profile(shot: _Shot, n: int):

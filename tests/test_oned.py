@@ -1,5 +1,8 @@
 import dataclasses
+import functools
+import hashlib
 import math
+import operator
 import subprocess
 import sys
 import tracemalloc
@@ -7,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution, quad, solve_ivp
+from scipy.integrate import DOP853, OdeSolution, quad, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
@@ -350,6 +353,99 @@ def test_shot_matches_solve_ivp(b):
     # the same method: the step sequences differ only by the rounding of the
     # error estimates, which decides the first steps
     assert abs(len(shot.dense.h) - (len(ivp.sol.ts) - 1)) <= 2
+
+
+def test_tableau_literals_are_scipys_dop853():
+    assert len(oned._A) == DOP853.n_stages
+    for s, row in enumerate(oned._A):
+        assert list(row) == DOP853.A[s, :s].tolist() and not DOP853.A[s, s:].any()
+    assert list(oned._B) == DOP853.B.tolist()
+    assert list(oned._E5) == DOP853.E5.tolist() and list(oned._E3) == DOP853.E3.tolist()
+    assert len(oned._A_EXTRA) == len(DOP853.A_EXTRA)
+    for s, (row, scipy_row) in enumerate(zip(oned._A_EXTRA, DOP853.A_EXTRA), DOP853.n_stages + 1):
+        assert list(row) == scipy_row[:s].tolist() and not scipy_row[s:].any()
+    assert [list(row) for row in oned._D] == DOP853.D.tolist()
+
+
+def _dot(K, row):
+    # sum as Python 3.11 takes it over floats: from 0, left to right, one
+    # rounding per addition (later versions compensate)
+    return functools.reduce(operator.add, map(operator.mul, K, row), 0)
+
+
+def _summed_step(u, p, h):
+    """The step as the loop over the tableau rows took it, summing over full
+    rows: the new ``(u, u', u'')``, the E5 and E3 sums, the 16 stages of
+    each component and the seven interpolant coefficients of each."""
+    accel = oned._accel
+    Ku, Kp = [p], [accel(u)]
+    for row in oned._A[1:]:
+        Ku.append(p + _dot(Kp, row) * h)
+        Kp.append(accel(u + _dot(Ku, row) * h))
+    u_new = u + h * _dot(Ku, oned._B)
+    p_new = p + h * _dot(Kp, oned._B)
+    Ku.append(p_new)
+    Kp.append(accel(u_new))
+    errors = tuple(_dot(K, row) for row in (oned._E5, oned._E3) for K in (Ku, Kp))
+    for row in oned._A_EXTRA:
+        Ku.append(p + _dot(Kp, row) * h)
+        Kp.append(accel(u + _dot(Ku, row) * h))
+    du, dp = u_new - u, p_new - p
+    coefficients = ((du, h * Ku[0] - du, 2 * du - h * (p_new + Ku[0]),
+                     *(h * _dot(Ku, row) for row in oned._D)),
+                    (dp, h * Kp[0] - dp, 2 * dp - h * (Kp[12] + Kp[0]),
+                     *(h * _dot(Kp, row) for row in oned._D)))
+    return (u_new, p_new, Kp[12]), errors, Ku, Kp, coefficients
+
+
+def test_written_step_equals_the_summed_tableau():
+    # states along profiles, past the crossing and at both signs of u'
+    rng = np.random.default_rng(3)
+    states = list(zip(rng.uniform(-0.5, 50.0, 200), rng.uniform(-30.0, 30.0, 200),
+                      np.geomspace(1e-6, 0.5, 200)))
+    rows, reference = [], []
+    for u, p, h in states:
+        new, errors, Ku, Kp, coefficients = _summed_step(u, p, h)
+        step_new, step_errors, stages = oned._step(u, p, Kp[0], h)
+        assert step_new == new and step_errors == errors
+        assert stages == tuple(k for j in range(5, 12) for k in (Ku[j], Kp[j]))
+        rows.append((h, u, p, Kp[0], *new, *stages))
+        reference.append(coefficients)
+    hs, y_old, coefficients = oned._interpolants(rows)
+    assert hs.tolist() == [h for _, _, h in states]
+    assert y_old.T.tolist() == [[u, p] for u, p, _ in states]
+    assert np.array_equal(coefficients, np.array(reference).transpose(1, 2, 0))
+
+
+# frozen from the loop that summed each stage over the full tableau with
+# Python 3.11's ``sum``, which the written-out step reproduces bit for bit:
+# per halfwidth the step count, b, x*, the crossing's (u, u') and SHA-256
+# digests of the dense output's coefficients and step starts
+SHOT_GOLDEN = {
+    0.5: (40, "0x1.0000000000027p-1", "0x1.fe0381119e04fp-2",
+          ("0x1.a7c4800000000p-42", "-0x1.01c38e708dd25p+9"),
+          "91f54986d5504fd52a551854bf8128feedf10c46c0491aebebbd5792311f287b",
+          "0790f98c9e483fae398715ada090b34646902be6b7172ac72c26692c05750269"),
+    1.5: (47, "0x1.8000000000032p+0", "0x1.e338eff698b3ep-1",
+          ("-0x1.43c6000000000p-53", "-0x1.a4f84aee46492p+0"),
+          "b87273970c6c68a939c89b827e8639aa45ef86fb63e377711dc948ab98c3f45e",
+          "fa9c769780ccb61106d9cce4e795321b852c57920ddc1841706388224f781912"),
+    3.14: (67, "0x1.91eb851eb7dfap+1", "0x1.ffe9b9b410ef8p-1",
+           ("0x1.ec8bc00000000p-56", "-0x1.11deec77f6107p-4"),
+           "d5b6d8e92f50e4cc6d4f238219aa93c810679c95f66ff593813057412cdbb1e3",
+           "7b848aaad90413929dff71cf27e0a026a4a108b761dddf5fd52585db673469bf"),
+}
+
+
+@pytest.mark.parametrize("b", sorted(SHOT_GOLDEN))
+def test_shot_frozen_golden(b):
+    steps, b_shot, x_star, crossing, f_digest, ts_digest = SHOT_GOLDEN[b]
+    shot = oned._shoot(oned.solve_m_of_b(b))
+    assert len(shot.dense.h) == steps
+    assert shot.b == float.fromhex(b_shot) and shot.x_star == float.fromhex(x_star)
+    assert shot.crossing == tuple(map(float.fromhex, crossing))
+    assert hashlib.sha256(shot.dense.F.tobytes()).hexdigest() == f_digest
+    assert hashlib.sha256(shot.dense.ts.tobytes()).hexdigest() == ts_digest
 
 
 def test_shot_refuses_small_peaks_and_a_missing_crossing(monkeypatch):

@@ -255,8 +255,8 @@ def test_no_module_of_the_package_imports_scipy_sparse_linalg():
 
 
 def test_no_module_of_the_package_names_solve_ivp_or_imports_scipy_optimize():
-    # one-dimensional shots run oned's own DOP853 loop, which reads only the
-    # tableau from scipy.integrate and locates its events by Newton's method
+    # one-dimensional shots run oned's own DOP853 step on a literal tableau
+    # and locate their events by Newton's method
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -265,8 +265,10 @@ def test_no_module_of_the_package_names_solve_ivp_or_imports_scipy_optimize():
                 imported = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
             else:
                 imported = []
-            assert not [name for name in imported if name == "scipy.optimize"
-                        or name.startswith("scipy.optimize.")], f"{path.name}:{node.lineno}"
+            assert not [name for name in imported
+                        for banned in ("scipy.integrate", "scipy.optimize")
+                        if name == banned or name.startswith(banned + ".")], \
+                f"{path.name}:{node.lineno}"
             named = {getattr(node, "id", None), getattr(node, "attr", None)}
             if isinstance(node, ast.alias):
                 named |= {node.name.rsplit(".", 1)[-1], node.asname}
@@ -460,13 +462,25 @@ def test_minres_failure_names_the_goal_it_used(rtol, monkeypatch):
 
 
 def test_importing_the_cli_loads_no_single_backend_module():
-    # scipy.fft serves the box backend's long axes only, scipy.integrate (which loads
-    # scipy.optimize) and scipy.special the one-dimensional analysis, and
+    # scipy.fft serves the box backend's long axes only, scipy.special the
+    # one-dimensional analysis, and scipy.integrate, scipy.optimize and
     # scipy.sparse.linalg nothing at all
     deferred = ("scipy.fft", "scipy.sparse.linalg", "scipy.integrate", "scipy.optimize",
                 "scipy.special")
     probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import concavelab.cli; "
              f"print(sorted(m for m in {deferred!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+def test_one_dimensional_solves_load_neither_scipy_integrate_nor_optimize():
+    # the shooting pass holds DOP853's tableau as literals, so a profile and
+    # a tensor product of profiles load neither module
+    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+             "from concavelab import oned; oned.solve_interval(1.0); "
+             "oned.tensor_solution([0.9, 1.1], 41); "
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
