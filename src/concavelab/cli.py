@@ -140,7 +140,7 @@ def _checked(reader, check):
 # libyaml's safe loader where PyYAML was built with it: the same dicts, about 7x faster
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-TOLERANCES = {"newton": (_positive, 1e-10)}
+TOLERANCES = {"newton": (_positive, solver.NEWTON_TOL)}
 
 # keys every experiment takes
 COMMON = {
@@ -196,7 +196,7 @@ CHECK_KEYS = {
     "negate": (_typed(bool), False),
     "expect": (_typed(str), None),
     "eps_floor": (_float, None),
-    "layer_k": (_checked(_int, concavity.check_layer_k), 3),
+    "layer_k": (_checked(_int, concavity.check_layer_k), concavity.LAYER_K),
 }
 
 

@@ -46,6 +46,8 @@ STRICT_MARGIN_FACTOR = 1e-8
 # nodes within ENDPOINT_TOL * max(1, |e|) of a finite endpoint e of a
 # transform's validity interval are left out of its check set
 ENDPOINT_TOL = 1e-10
+# the default depth of the check set, in grid layers
+LAYER_K = 3
 
 
 class EmptyCheckSetError(ValueError):
@@ -56,17 +58,11 @@ class EmptyCheckSetError(ValueError):
 # finite-difference Hessian at one node
 
 
-def _require_depth(grid: Grid, idx: tuple[int, ...], depth: int) -> None:
-    for i, n in zip(idx, grid.shape):
-        # the center of a ball is interior: radial depth counts toward r = R only
-        if (n - 1 - i if grid.is_radial else min(i, n - 1 - i)) < depth:
-            raise ValueError(
-                f"node {idx} is closer than {depth} layers to the boundary"
-            )
-
-
 def hessian_at(field: ScalarField, node) -> np.ndarray:
-    """Second-difference Hessian at a node at least two layers inside.
+    """Second-difference Hessian at a node of the check set at ``layer_k = 2``.
+
+    Any other node, a negative index or one past the grid raises
+    ``ValueError``.
 
     On radial grids the matrix is expressed in an orthonormal frame whose
     first axis is radial: ``diag(u'', u'/r, ..., u'/r)`` (all entries
@@ -74,7 +70,9 @@ def hessian_at(field: ScalarField, node) -> np.ndarray:
     """
     grid = field.grid
     idx = (int(node),) if np.isscalar(node) else tuple(int(i) for i in node)
-    _require_depth(grid, idx, 2)
+    inside = len(idx) == grid.ndim and all(0 <= i < n for i, n in zip(idx, grid.shape))
+    if not (inside and _check_mask(grid, np.zeros(grid.shape), 0.0, 2)[idx]):
+        raise ValueError(f"node {idx} is not in the check set two layers inside")
     if grid.is_radial:
         _, upp, tang = _radial_derivatives(field)
         mat = np.eye(grid.ambient_dim) * tang[idx]
@@ -231,7 +229,7 @@ def check_transform_concavity(
     field: ScalarField,
     transform: Transform,
     eps_floor: float | None = None,
-    layer_k: int = 3,
+    layer_k: int = LAYER_K,
 ) -> ConcavityReport:
     """Definiteness verdict for ``D^2(phi o u)`` over the check set.
 
@@ -289,7 +287,7 @@ def check_transform_concavity(
 
 
 def chain_rule_hessian_eigenvalues(
-    field: ScalarField, transform: Transform, eps_floor: float, layer_k: int = 3
+    field: ScalarField, transform: Transform, eps_floor: float, layer_k: int = LAYER_K
 ) -> np.ndarray:
     mask = _check_mask(field.grid, field.values, eps_floor, layer_k)
     return _transformed_eigendata(field, transform, mask)
@@ -305,7 +303,7 @@ def _transformed_values(transform: Transform, u: np.ndarray) -> np.ndarray:
 
 
 def direct_hessian_eigenvalues(
-    field: ScalarField, transform: Transform, eps_floor: float, layer_k: int = 3
+    field: ScalarField, transform: Transform, eps_floor: float, layer_k: int = LAYER_K
 ) -> np.ndarray:
     """Cross-validation path: second differences applied to the nodal
     values of ``phi(u)`` directly (box grids)."""
@@ -323,7 +321,7 @@ def transformed_equation_residual(
     reaction: Reaction,
     transform: Transform,
     eps_floor: float,
-    layer_k: int = 3,
+    layer_k: int = LAYER_K,
 ) -> float:
     """Sup over the check set of ``Delta_h w - b(w, D_h w)`` for
     ``w = phi(u)``: the discrete residual of the transformed equation."""

@@ -79,8 +79,9 @@ FORCING_CAP = 1e-2
 # the DST-I as dense sine-matrix products, one BLAS product per axis; longer
 # axes use scipy.fft.dstn.  tools/sine_crossover.py times both on one BLAS
 # thread: the products win on each 2D length timed up to 128 but 119 (a tie) and
-# 127 (n + 1 = 128 suits the FFT best), and on 3D boxes up to 71^3; at 79^3
-# the two are within 10%.
+# 127 (n + 1 = 128 suits the FFT best), and on 3D boxes up to 71^3.  Beyond
+# that range, on a 2-core Xeon, the products take 1.09 of dstn's time on 79^3,
+# which takes them, and 0.80 on 139^2, which does not.
 DENSE_SINE_MAX = 128
 
 # The principal eigenpair each grid's operator holds: inverse iteration's
@@ -542,11 +543,9 @@ class SineOperator(GridOperator):
         return x
 
     def _principal(self):
-        """The closed form: ``lambda_1 = sum_i (2 - 2cos(pi/(n_i-1)))/h_i^2``
-        and the product of ``sin(pi k/(n_i-1))``, with 0 iterations."""
-        pairs = zip(self.grid.shape, self.grid.spacing)
-        lam = float(sum(_sine_eigenvalues(n, h)[0] for n, h in pairs))
-        return lam, self._phi.copy(), 0
+        """The symbol's first entry ``sum_i (2 - 2cos(pi/(n_i-1)))/h_i^2`` and the
+        product of ``sin(pi k/(n_i-1))``, with 0 iterations."""
+        return float(self.symbol.flat[0]), self._phi.copy(), 0
 
 
 def neg_laplacian_matrix(grid: Grid) -> sp.csr_matrix:

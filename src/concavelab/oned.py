@@ -784,10 +784,7 @@ def gausson(ambient_dim: int, points) -> np.ndarray:
 def gausson_field(grid: Grid) -> ScalarField:
     """Gausson samples on the nodes of a grid (nonzero trace: the entire
     profile does not vanish on the box boundary, so validation is off)."""
-    if grid.is_radial:
-        r = grid.axes[0]
-        vals = math.exp(grid.ambient_dim / 2.0) * np.exp(-(r * r) / 2.0)
-    else:
-        pts = np.stack(grid.coordinate_arrays(), axis=-1)
-        vals = gausson(grid.ambient_dim, pts)
-    return ScalarField(grid, vals, validate=False)
+    pts = np.stack(grid.coordinate_arrays(), axis=-1)
+    # a radial node at r is the point (r, 0, ..., 0)
+    pts = np.pad(pts, [(0, 0)] * grid.ndim + [(0, grid.ambient_dim - grid.ndim)])
+    return ScalarField(grid, gausson(grid.ambient_dim, pts), validate=False)

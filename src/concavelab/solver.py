@@ -62,6 +62,8 @@ __all__ = [
 ]
 
 TRIVIAL_SUP = 1e-6
+# Newton's default tolerance: converged when sup |G| <= NEWTON_TOL * max(1, sup u)
+NEWTON_TOL = 1e-10
 
 # Newton's iteration cap, step halvings per iteration and Jacobian floor
 NEWTON_MAX_ITER = 100
@@ -142,7 +144,8 @@ def nehari_residual(grid: Grid, reaction: Reaction, field: ScalarField) -> float
 
 def log_residual_sup(field: ScalarField, boundary_margin: float = 0.0) -> float:
     """Sup norm of ``-Delta_h u - u log u^2`` over the interior nodes where
-    ``u >= 0``.
+    ``u >= 0``.  ``reactions.f`` raises ``ReactionDomainError`` on a negative
+    node before that mask runs, so the mask drops only NaN nodes.
 
     The reaction is not Lipschitz at 0, so stencil consistency degrades
     to O(h) in a shrinking collar around the boundary where the field
@@ -244,7 +247,7 @@ def _jacobian_diagonal(reaction: Reaction, u: np.ndarray, floor: float) -> np.nd
 
 
 def newton_solve(grid: Grid, reaction: Reaction, guess: ScalarField,
-                 tol: float = 1e-10) -> SolveResult:
+                 tol: float = NEWTON_TOL) -> SolveResult:
     """Damped Newton iteration on ``G(u) = -Delta_h u - f(u)``.
 
     Success means ``sup |G| <= tol * max(1, sup u)`` within
@@ -268,7 +271,7 @@ def newton_solve(grid: Grid, reaction: Reaction, guess: ScalarField,
     g_vec = residual(u)
     status = "max_iterations"
     for iters in range(1, NEWTON_MAX_ITER + 1):
-        sup_u = float(np.max(np.abs(u))) if u.size else 0.0
+        sup_u = float(np.max(np.abs(u)))
         res_sup = float(np.max(np.abs(g_vec)))
         if sup_u < TRIVIAL_SUP:
             status = "trivial"
@@ -368,7 +371,7 @@ def continuation_branch(
     qs,
     sigma_rule: str = "fixed",
     sigma: float | None = None,
-    tol: float = 1e-10,
+    tol: float = NEWTON_TOL,
 ) -> Branch:
     """Warm-started solves along the monotone exponents ``qs``
     (:func:`geometric_q_schedule` builds a geometric one).

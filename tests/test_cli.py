@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import tempfile
@@ -8,7 +9,7 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from concavelab import cli, grid, oned, reactions
+from concavelab import cli, concavity, grid, oned, reactions
 from concavelab.cli import ConfigError, ExperimentConfig, config_hash, load_config, main
 from concavelab.linops import EigenSolveError
 
@@ -521,6 +522,65 @@ def test_memory_error_exits_1_with_failure_json(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
     assert json.loads((out / "failure.json").read_text())["error"] == "cannot allocate"
+
+
+# ---------------------------------------------------------------------------
+# runner failures, each forced by wrapping one package call
+
+
+def _wrap(monkeypatch, module, name, change):
+    """Make ``module.name`` return ``change`` of what it returned."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: change(real(*args, **kwargs)))
+
+
+def _exit_and_payload(tmp_path, experiment, data, name, *flags):
+    cfg = _write_cfg(tmp_path, "c.yaml", data)
+    out = tmp_path / "out"
+    code = main([experiment, "--config", str(cfg), "--out", str(out), *flags])
+    return code, json.loads((out / name).read_text())
+
+
+def test_concavity_after_an_unconverged_solve_exits_1(tmp_path, monkeypatch):
+    _wrap(monkeypatch, cli, "newton_solve",
+          lambda r: dataclasses.replace(r, status="max_iterations"))
+    code, payload = _exit_and_payload(tmp_path, "concavity", BASE_SOLVE, "concavity.json")
+    assert code == 1
+    assert payload["error"] == "solve failed: max_iterations"
+
+
+def test_strict_concavity_with_a_non_monotone_sweep_exits_1(tmp_path, monkeypatch):
+    _wrap(monkeypatch, concavity, "alpha_sweep", lambda s: dataclasses.replace(s, consistent=False))
+    data = {**BASE_SOLVE, "alphas": [0.1, 0.2]}
+    code, payload = _exit_and_payload(tmp_path, "concavity", data, "concavity.json", "--strict")
+    assert code == 1
+    assert payload["failures"] == ["alpha sweep verdicts not monotone"]
+
+
+@pytest.mark.parametrize("module,name,change,failures", [
+    (cli, "newton_solve", lambda r: dataclasses.replace(r, status="line_search_failed"),
+     ["polynomial solve: line_search_failed", "logarithmic solve: line_search_failed"]),
+    (cli, "newton_solve", lambda r: dataclasses.replace(r, sup_norm=1.0),
+     ["polynomial sup norm not below 1 - 1e-3", "logarithmic sup norm not below 1 - 1e-3"]),
+    (concavity, "check_transform_concavity", lambda r: dataclasses.replace(r, verdict="fails"),
+     ["atanh transform: fails", "sqrt(1 - log) transform: fails"]),
+], ids=["unconverged", "sup-norm", "verdict"])
+def test_dispersive_failure_reasons_exit_1(tmp_path, monkeypatch, module, name, change, failures):
+    _wrap(monkeypatch, module, name, change)
+    data = {"domain": {"kind": "box", "halfwidths": [1.0, 1.0]}, "resolution": 41,
+            "q": 2.0, "sigma": 6.0}
+    code, payload = _exit_and_payload(tmp_path, "dispersive", data, "dispersive.json")
+    assert code == 1
+    assert payload["failures"] == failures
+
+
+def test_tensor_check_sup_mismatch_exits_1(tmp_path, monkeypatch):
+    # a peak off by 1e-3 moves the expected sup but not the field
+    _wrap(monkeypatch, oned, "solve_interval", lambda s: dataclasses.replace(s, m=s.m * 1.001))
+    data = {"halfwidths": [1.0, 1.0], "resolution": 41}
+    code, payload = _exit_and_payload(tmp_path, "tensor-check", data, "tensor.json")
+    assert code == 1
+    assert payload["failures"] == ["sup norm does not match the product of factor maxima"]
 
 
 def test_log_guess_beyond_its_scale_range_exits_1_with_failure_json(tmp_path, capsys):

@@ -138,6 +138,40 @@ def test_empty_check_set_raises(box81):
         check_transform_concavity(tiny, reactions.log_transform(), eps_floor=1.0)
 
 
+def test_tensor_log_solution_in_3d_is_strictly_log_concave():
+    # log of a tensor product is a sum of concave one-dimensional logs
+    fld = oned.tensor_solution([0.9, 1.2, 1.5], 17)
+    assert check_transform_concavity(fld, reactions.log_transform()).verdict == "holds strictly"
+
+
+def _cosine_field(values_at):
+    g = make_grid(box(1.0), 21)
+    u = np.cos(0.5 * np.pi * g.axes[0])
+    for k, v in values_at.items():
+        u[k] = v
+    return ScalarField(g, u, validate=False)
+
+
+def test_nodes_with_overflowing_eigen_data_leave_the_check_set():
+    log = reactions.log_transform()
+    # a spike of 1e307 overflows the second differences at itself and its two
+    # neighbours; a node at 1e-200 lies within ENDPOINT_TOL of the log's endpoint
+    # 0 and leaves before its eigen-data are formed
+    fields = [_cosine_field({}), _cosine_field({10: 1e-200}), _cosine_field({10: 1e307})]
+    with np.errstate(all="ignore"):
+        sizes = [check_transform_concavity(f, log, eps_floor=0.0).check_set_size for f in fields]
+        eigs = chain_rule_hessian_eigenvalues(fields[2], log, 0.0)
+    assert sizes == [15, 14, 12]
+    assert np.flatnonzero(~np.isfinite(eigs[:, 0])).tolist() == [6, 7, 8]
+
+
+def test_check_set_singular_everywhere_raises():
+    # every second difference of this sawtooth overflows
+    sawtooth = _cosine_field({k: 1e307 if k % 2 else 1e306 for k in range(1, 20)})
+    with np.errstate(all="ignore"), pytest.raises(EmptyCheckSetError, match="singular"):
+        check_transform_concavity(sawtooth, reactions.log_transform(), eps_floor=0.0)
+
+
 def test_chain_rule_against_direct_differencing():
     # two independent evaluations of the transformed Hessian agree at O(h^2):
     # their gap contracts about fourfold when the spacing halves

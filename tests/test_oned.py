@@ -14,7 +14,7 @@ from scipy.integrate import DOP853, OdeSolution, quad, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
 
-from concavelab import apply_laplacian, box, make_grid
+from concavelab import apply_laplacian, ball, box, make_grid
 from concavelab import oned
 from concavelab.reactions import f, log_schrodinger
 from concavelab.solver import log_residual_sup
@@ -641,3 +641,12 @@ def test_gausson_log_profile_is_quadratic():
     x, y = g.coordinate_arrays()
     expected = 1.0 - 0.5 * (x**2 + y**2)  # N/2 - |x|^2/2
     assert np.allclose(np.log(u.values), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gausson_field_on_a_ball_is_the_gausson_along_a_ray(dim):
+    g = make_grid(ball(2.5, dim), 41)
+    r = g.axes[0]
+    ray = np.zeros((r.size, dim))
+    ray[:, 0] = r
+    assert np.array_equal(oned.gausson_field(g).values, oned.gausson(dim, ray))

@@ -202,3 +202,55 @@ def test_decreasing_verdict_matches_min_argmin_reference(transform, log_solve_bo
         assert (report.verdict, report.witness) == (verdict, witness)
         assert report.extreme_eigenvalue == extreme
         assert math.copysign(1.0, report.extreme_eigenvalue) == math.copysign(1.0, extreme)
+
+
+# ---------------------------------------------------------------------------
+# hessian_at and the verdicts share one check set
+
+
+@pytest.mark.parametrize("domain,shape", [(ball(1.0, 3), 21), (box(1.0, 0.8), (11, 9))],
+                         ids=["ball3", "box2"])
+def test_hessian_at_refuses_exactly_the_nodes_outside_the_check_mask(domain, shape):
+    g = make_grid(domain, shape)
+    fld = _random_field(g, 4)
+    mask = concavity._check_mask(g, np.zeros(g.shape), 0.0, 2)
+    center = tuple(n // 2 for n in g.shape)
+    for axis, n in enumerate(g.shape):
+        for k in (-1, -2, n):
+            with pytest.raises(ValueError):
+                hessian_at(fld, center[:axis] + (k,) + center[axis + 1:])
+    for idx in np.ndindex(g.shape):
+        if mask[idx]:
+            assert np.array_equal(hessian_at(fld, idx), _reference_hessian_at(fld, idx)), idx
+        else:
+            with pytest.raises(ValueError):
+                hessian_at(fld, idx)
+
+
+@pytest.mark.parametrize("domain,shape", [
+    (box(0.8, 1.3, 0.5), (9, 11, 8)),
+    (box(1.0, 0.6), (11, 14)),
+    (box(0.7), 13),
+    (ball(1.3, 1), 17),
+    (ball(1.3, 3), 17),
+], ids=["box3", "box2", "interval", "ball1", "ball3"])
+@pytest.mark.parametrize("transform", [reactions.log_transform(), reactions.power(0.3)],
+                         ids=["log", "power"])
+def test_chain_rule_eigenvalues_match_hessian_at(domain, shape, transform):
+    # at every check node: the eigenvalues of phi''(u) grad u grad u^T + phi'(u) H
+    g = make_grid(domain, shape)
+    fld = _random_field(g, 5)
+    eigs = chain_rule_hessian_eigenvalues(fld, transform, 0.0, 2)
+    mask = concavity._check_mask(g, fld.values, 0.0, 2)
+    grads = gradient_components(fld)
+    assert len(eigs) == np.count_nonzero(mask)
+    for row, idx in zip(eigs, zip(*np.nonzero(mask))):
+        u = fld.values[idx]
+        grad = np.zeros(g.ambient_dim)  # radial frame: the radial axis first
+        grad[: g.ndim] = [c[idx] for c in grads]
+        d1, d2 = (float(fn(transform, np.array([u]))[0])
+                  for fn in (reactions.transform_d1, reactions.transform_d2))
+        expected = np.linalg.eigvalsh(d2 * np.outer(grad, grad) + d1 * hessian_at(fld, idx))
+        if g.is_radial:  # one radial and one tangential column, the latter N - 1 fold
+            row = np.sort(np.concatenate([row[:1], np.repeat(row[1:], g.ambient_dim - 1)]))
+        assert np.allclose(row, expected, rtol=0.0, atol=1e-12 * np.max(np.abs(expected))), idx

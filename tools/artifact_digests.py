@@ -19,7 +19,8 @@ checkouts and comparing the outputs::
 The optional argument is the root of the checkout to run (default: the
 one holding this script); its ``src/`` and ``bench/`` are imported.
 ``tools/artifact_diff.py`` runs the same cases through :func:`run_cases`
-and compares the values in the files that moved.
+and compares the values in the files that moved; ``tools/exit_census.py``
+runs its cases through :func:`run_case`.
 """
 
 from __future__ import annotations
@@ -61,17 +62,22 @@ def case_dir(work: Path, key: str) -> Path:
     return work / "out" / key
 
 
+def run_case(cli, case, out: Path) -> int:
+    """Exit code of ``cli.main`` on ``case``, its files written to ``out`` and
+    its standard output and error discarded."""
+    argv = [case.experiment, "--config", str(case.config_path), "--out", str(out)]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
 def _run(cli, cases, deck: str, work: Path) -> dict:
     """Exit code and file digests of each case of ``deck``."""
     results = {}
     for case in cases:
         key = f"{deck}/{case.case_id}"
         out = case_dir(work, key)
-        argv = [case.experiment, "--config", str(case.config_path), "--out", str(out)]
-        sink = io.StringIO()
-        with redirect_stdout(sink), redirect_stderr(sink):
-            code = cli.main(argv)
-        results[key] = {"exit": code, "files": _digests(out) if out.is_dir() else {}}
+        results[key] = {"exit": run_case(cli, case, out),
+                        "files": _digests(out) if out.is_dir() else {}}
     return results
 
 

@@ -7,6 +7,7 @@ does, and prints sorted JSON: the number of cases per deck and the exit
 code of every case that did not exit 0.  Case generation comes from
 ``bench/workloads.py``, which is only imported.  Each pass writes its
 configs and artifacts to a temporary directory that is removed after it.
+Each case runs through ``artifact_digests.run_case``, as the digests do.
 
 A change that should keep every exit code is checked by running this on
 both checkouts and comparing the outputs::
@@ -21,12 +22,12 @@ both checkouts and comparing the outputs::
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+from artifact_digests import run_case
 
 KNOWN_PASSES = 5
 
@@ -34,15 +35,8 @@ KNOWN_PASSES = 5
 def _nonzero_exits(cli, workloads, cases, work: Path) -> dict:
     """Exit code of each case of ``cases`` that did not exit 0."""
     workloads.write_configs(cases, work / "configs")
-    codes = {}
-    for case in cases:
-        argv = [case.experiment, "--config", str(case.config_path),
-                "--out", str(work / "out" / case.case_id)]
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            code = cli.main(argv)
-        if code != 0:
-            codes[case.case_id] = code
-    return codes
+    codes = {case.case_id: run_case(cli, case, work / "out" / case.case_id) for case in cases}
+    return {case_id: code for case_id, code in codes.items() if code != 0}
 
 
 def main(argv=None) -> int:
