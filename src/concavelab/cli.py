@@ -1,10 +1,11 @@
 """Experiment driver: the verifications as reproducible subcommands.
 
 Configs are YAML (nested key/value); artifacts are CSV for tables, built as
-``(header, columns)`` and formatted a column at a time, and JSON for
-reports, written into ``--out``.  Every artifact embeds the
-tool version and a SHA-256 hash of the canonical config so reruns can be
-diffed byte for byte; nothing time- or machine-dependent is emitted.
+``(header, columns)`` and formatted a column at a time, JSON for reports and
+``field.npy`` for a solved field, written into ``--out``.  Every CSV and JSON
+artifact embeds the tool version and a SHA-256 hash of the canonical config
+so reruns can be diffed byte for byte; nothing time- or machine-dependent is
+emitted.
 
 A subcommand runs in two stages.  :func:`_parse` reads every value the
 experiment uses through its ``SCHEMA`` entry and builds the grid, reactions
@@ -307,21 +308,20 @@ def _json_default(obj):
 
 
 def _column_strings(column):
-    """One CSV column as strings.  An object array holds them already (the grid
-    coordinates); a float array is formatted by ``repr`` in one pass; any other
-    sequence value by value, ``repr(float(x))`` for a float and ``str(x)`` otherwise."""
-    if isinstance(column, np.ndarray):
-        values = column.ravel().tolist()
-        return values if column.dtype == object else map(repr, values)
+    """One CSV column as strings: ``repr(float(x))`` for a float, ``str(x)`` otherwise."""
     return (repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in column)
 
 
 def _write(out: Path, artifacts: dict, cfg_hash: str, experiment: str) -> None:
-    """Write each artifact into ``out``: ``(header, columns)`` as CSV, one value of each
-    column a line, a payload dict as JSON; each carries the tool version and config
-    hash, a JSON also the experiment."""
+    """Write each artifact into ``out``: an array by ``np.save``, ``(header, columns)``
+    as CSV, one value of each column a line, a payload dict as JSON; a CSV carries the
+    tool version and config hash, a JSON these and the experiment."""
     out.mkdir(parents=True, exist_ok=True)
     for name, body in artifacts.items():
+        if isinstance(body, np.ndarray):
+            with open(out / name, "wb") as fh:
+                np.save(fh, body)
+            continue
         if isinstance(body, tuple):
             header, columns = body
             lines = [f"# version={__version__} config_sha256={cfg_hash}", ",".join(header),
@@ -334,16 +334,11 @@ def _write(out: Path, artifacts: dict, cfg_hash: str, experiment: str) -> None:
         (out / name).write_text(text + "\n")
 
 
-def _field_columns(field):
-    """``(header, columns)`` of ``field.csv``: the coordinates, then ``u``, one node a
-    line in the order of ``grid.coordinate_arrays()``.  Each axis is formatted once
-    and its strings broadcast over the grid."""
-    grid = field.grid
-    if grid.is_radial:
-        return ["r", "u"], [grid.axes[0], field.values]
-    axes = [np.array(list(map(repr, ax.tolist())), dtype=object) for ax in grid.axes]
-    coords = [c.ravel() for c in np.meshgrid(*axes, indexing="ij")]
-    return ["x", "y", "z"][: grid.ndim] + ["u"], [*coords, field.values]
+def _field_block(grid, columns) -> dict:
+    """The JSON ``field`` block beside ``field.npy``: the names of its rows and the
+    grid axes by name, ``r`` on a ball and ``x``, ``y``, ``z`` otherwise."""
+    names = ["r"] if grid.is_radial else ["x", "y", "z"][: grid.ndim]
+    return {"columns": columns, "axes": dict(zip(names, grid.axes))}
 
 
 def _fields(record, *names) -> dict:
@@ -366,7 +361,7 @@ def _strictly_decreasing(values) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# runners: parsed values -> (exit code, {file name: JSON payload | (CSV header, columns)})
+# runners: parsed values -> (exit code, {file name: JSON payload | (CSV header, columns) | array})
 
 
 def _solve(p, reaction):
@@ -407,8 +402,9 @@ def _csv(columns: dict):
 
 def _run_solve(p):
     result = _solve(p, p.reaction)
-    payload = {"reaction": p.reaction.label, **_fields(result, *SOLVE_FIELDS)}
-    artifacts = {"solve.json": payload, "field.csv": _field_columns(result.field)}
+    payload = {"reaction": p.reaction.label, **_fields(result, *SOLVE_FIELDS),
+               "field": _field_block(p.grid, ["u"])}
+    artifacts = {"solve.json": payload, "field.npy": result.field.values[np.newaxis]}
     return (0 if result.converged else 1), artifacts
 
 
@@ -459,9 +455,12 @@ def _run_concavity(p):
 
     failures = []
     report_payloads = []
-    header, columns = _field_columns(result.field)
     u_vals = result.field.values
-    for check in p.transforms:
+    # field.npy: u, then each transformed field, NaN outside the transform's validity
+    rows = np.empty((1 + len(p.transforms), *u_vals.shape))
+    rows[0] = u_vals
+    columns = ["u"]
+    for row, check in zip(rows[1:], p.transforms):
         tr = check["transform"]
         rep = concavity.check_transform_concavity(
             result.field, tr, eps_floor=check["eps_floor"], layer_k=check["layer_k"]
@@ -473,14 +472,12 @@ def _run_concavity(p):
             if rep.verdict != expect:
                 failures.append(f"{rep.transform}: {rep.verdict} (expected {expect})")
         report_payloads.append(report)
-        # the transformed field as one more column of field.csv
         lo, hi = tr.validity
         in_dom = (u_vals > lo) & (u_vals <= hi)
-        vals = np.full(u_vals.shape, float("nan"))
+        row.fill(np.nan)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals[in_dom] = np.atleast_1d(reactions.transform_value(tr, u_vals[in_dom]))
-        header.append(rep.transform)
-        columns.append(vals)
+            row[in_dom] = np.atleast_1d(reactions.transform_value(tr, u_vals[in_dom]))
+        columns.append(rep.transform)
 
     sweep_payload = None
     if p.alphas:
@@ -495,8 +492,9 @@ def _run_concavity(p):
         "reports": report_payloads,
         "alpha_sweep": sweep_payload,
         "failures": failures,
+        "field": _field_block(p.grid, columns),
     }
-    artifacts = {"concavity.json": payload, "field.csv": (header, columns)}
+    artifacts = {"concavity.json": payload, "field.npy": rows}
     return (0 if not failures else 1), artifacts
 
 

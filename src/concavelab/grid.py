@@ -66,9 +66,10 @@ class Domain:
         return len(self.halfwidths)
 
 
-# tracemalloc peak bytes per node on 3D boxes at 61^3 (383 for a solve, 536 for a
-# concavity check of two transforms, field.csv included), and the memory the grids
-# of one experiment may take; a grid with more nodes than ``MAX_NODES`` is refused
+# tracemalloc peak bytes per node of a run on a 3D box at 61^3, set when fields were
+# written as text (383 for a solve, 536 for a concavity check of two transforms; with
+# field.npy the same runs peak at 213 and 268), and the memory the grids of one
+# experiment may take; a grid with more nodes than ``MAX_NODES`` is refused
 NODE_BYTES = 512
 GRID_BYTES_MAX = 2**30
 MAX_NODES = GRID_BYTES_MAX // NODE_BYTES

@@ -35,10 +35,10 @@ def test_solve_subcommand_writes_artifacts(tmp_path):
     assert payload["converged"] is True
     assert payload["version"]
     assert payload["config_sha256"] == config_hash(load_config(cfg))
-    field_lines = (out / "field.csv").read_text().splitlines()
-    assert field_lines[0].startswith("# version=")
-    assert field_lines[1] == "x,u"
-    assert len(field_lines) == 2 + 101
+    assert payload["field"]["columns"] == ["u"]
+    assert list(payload["field"]["axes"]) == ["x"]
+    rows = np.load(out / "field.npy", allow_pickle=False)
+    assert rows.dtype == np.dtype("<f8") and rows.shape == (1, 101)
 
 
 def test_artifacts_are_deterministic(tmp_path):
@@ -132,8 +132,9 @@ def test_concavity_subcommand_with_expectations(tmp_path):
     payload = json.loads((out / "concavity.json").read_text())
     assert payload["reports"][0]["verdict"] == "holds strictly"
     assert payload["alpha_sweep"] is not None
-    header = (out / "field.csv").read_text().splitlines()[1]
-    assert header.startswith("x,y,u,log")
+    assert payload["field"]["columns"][:2] == ["u", "log"]
+    assert list(payload["field"]["axes"]) == ["x", "y"]
+    assert np.load(out / "field.npy", allow_pickle=False).shape[:2] == (3, 41)
 
 
 def test_quasiconcavity_requires_seed(tmp_path):
@@ -249,22 +250,19 @@ def test_branch_subcommand_csv_columns(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CSV bytes against references formatted value by value
+# field.npy against the solve it records
+
+FIELD_CASES = [
+    ({"kind": "interval", "halfwidth": 1.0}, 41, ["x"]),
+    ({"kind": "box", "halfwidths": [1.0, 0.7]}, 21, ["x", "y"]),
+    ({"kind": "box", "halfwidths": [1.0, 0.8, 0.6]}, 9, ["x", "y", "z"]),
+    ({"kind": "ball", "radius": 2.0, "ambient_dim": 2}, 41, ["r"]),
+]
+FIELD_IDS = ["interval", "box-2d", "box-3d", "ball-2d"]
 
 
-def _reference_lines(*columns):
-    """One line per node: ``repr(float(v))`` of each column's value, comma-joined."""
-    flat = [np.asarray(c).ravel() for c in columns]
-    return [",".join(repr(float(v)) for v in row) for row in zip(*flat)]
-
-
-@pytest.mark.parametrize("domain,n,header", [
-    ({"kind": "interval", "halfwidth": 1.0}, 41, "x,u"),
-    ({"kind": "box", "halfwidths": [1.0, 0.7]}, 21, "x,y,u"),
-    ({"kind": "box", "halfwidths": [1.0, 0.8, 0.6]}, 9, "x,y,z,u"),
-    ({"kind": "ball", "radius": 2.0, "ambient_dim": 2}, 41, "r,u"),
-], ids=["interval", "box-2d", "box-3d", "ball-2d"])
-def test_field_csv_matches_rows_formatted_value_by_value(tmp_path, domain, n, header):
+@pytest.mark.parametrize("domain,n,axes", FIELD_CASES, ids=FIELD_IDS)
+def test_solve_field_npy_is_the_solved_field_with_its_axes(tmp_path, domain, n, axes):
     data = {"domain": domain, "resolution": n, "reaction": {"kind": "log_schrodinger"}}
     cfg = _write_cfg(tmp_path, "s.yaml", data)
     out = tmp_path / "out"
@@ -272,37 +270,58 @@ def test_field_csv_matches_rows_formatted_value_by_value(tmp_path, domain, n, he
     p = cli._parse("solve", load_config(cfg))
     result = cli._solve(p, p.reaction)
     grid = result.field.grid
-    lines = (out / "field.csv").read_text().splitlines()
-    assert lines[1] == header
-    assert lines[2:] == _reference_lines(*grid.coordinate_arrays(), result.field.values)
+    rows = np.load(out / "field.npy", allow_pickle=False)
+    assert rows.dtype == np.dtype("<f8") and rows.shape == (1, *grid.shape)
+    assert rows[0].tobytes() == result.field.values.tobytes()
+    block = json.loads((out / "solve.json").read_text())["field"]
+    assert block["columns"] == ["u"]
+    assert list(block["axes"]) == axes
+    for name, axis in zip(axes, grid.axes):
+        assert np.array(block["axes"][name]).tobytes() == axis.tobytes()
 
 
-def test_concavity_field_csv_appends_one_column_per_transform(tmp_path):
-    data = {
-        "domain": {"kind": "box", "halfwidths": [1.0, 1.0]},
-        "resolution": 21,
-        "reaction": {"kind": "log_schrodinger"},
-        "transforms": [{"kind": "log"}, {"kind": "power", "alpha": 0.5}],
-    }
+@pytest.mark.parametrize("domain,n,axes", FIELD_CASES, ids=FIELD_IDS)
+def test_concavity_field_npy_adds_one_row_per_transform(tmp_path, domain, n, axes):
+    data = {"domain": domain, "resolution": n, "reaction": {"kind": "log_schrodinger"},
+            "transforms": [{"kind": "log"}, {"kind": "power", "alpha": 0.5}]}
     cfg = _write_cfg(tmp_path, "c.yaml", data)
     out = tmp_path / "out"
     assert main(["concavity", "--config", str(cfg), "--out", str(out)]) == 0
     p = cli._parse("concavity", load_config(cfg))
     result = cli._solve(p, p.reaction)
+    grid = result.field.grid
     u = result.field.values
-    columns = []
-    for check in p.transforms:
+    rows = np.load(out / "field.npy", allow_pickle=False)
+    assert rows.dtype == np.dtype("<f8") and rows.shape == (3, *grid.shape)
+    assert rows[0].tobytes() == u.tobytes()
+    for row, check in zip(rows[1:], p.transforms):
         tr = check["transform"]
         lo, hi = tr.validity
         valid = (u > lo) & (u <= hi)
-        column = np.full(u.shape, np.nan)
-        column[valid] = reactions.transform_value(tr, u[valid])
-        columns.append(column)
-    lines = (out / "field.csv").read_text().splitlines()
-    assert lines[1] == "x,y,u,log,power(alpha=0.5)"
-    assert lines[2:] == _reference_lines(*result.field.grid.coordinate_arrays(), u, *columns)
-    boundary = [line for line, inside in zip(lines[2:], p.grid.interior_mask.ravel()) if not inside]
-    assert boundary and all(line.endswith(",0.0,nan,nan") for line in boundary)
+        assert np.array_equal(np.isnan(row), ~valid)
+        assert row[valid].tobytes() == np.atleast_1d(
+            reactions.transform_value(tr, u[valid])).tobytes()
+    # the boundary, where u = 0, lies outside both transforms' validity
+    assert np.all(rows[0][~grid.interior_mask] == 0.0)
+    assert np.all(np.isnan(rows[1:][:, ~grid.interior_mask]))
+    block = json.loads((out / "concavity.json").read_text())["field"]
+    assert block["columns"] == ["u", "log", "power(alpha=0.5)"]
+    assert list(block["axes"]) == axes
+    for name, axis in zip(axes, grid.axes):
+        assert np.array(block["axes"][name]).tobytes() == axis.tobytes()
+
+
+def test_field_npy_is_byte_identical_across_runs(tmp_path):
+    data = {"domain": {"kind": "box", "halfwidths": [1.0, 0.7]}, "resolution": 21,
+            "reaction": {"kind": "log_schrodinger"},
+            "transforms": [{"kind": "log"}, {"kind": "power", "alpha": 0.5}]}
+    cfg = _write_cfg(tmp_path, "c.yaml", data)
+    files = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["concavity", "--config", str(cfg), "--out", str(out)]) == 0
+        files.append((out / "field.npy").read_bytes())
+    assert files[0] == files[1]
 
 
 def _csv_columns(path):

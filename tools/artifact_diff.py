@@ -8,12 +8,15 @@ artifacts kept in a temporary directory, and prints:
 * every change of a ``status``, ``newton_iters``, ``verdict``, ``witness``
   or ``check_set_size`` value, in JSON fields and CSV columns alike;
 * for each file whose bytes moved, the largest absolute and relative change
-  of each numeric JSON field and CSV column that moved.  List entries of a
-  JSON field are one field (``reports[].margins.eps_floor``); the relative
-  change is the absolute one over the field's or column's largest absolute
-  value in ``PARENT``, so a field near zero does not read as a large move.
-  Text that moved elsewhere (a message, a demo's standard output) is
-  reported by field or by the number of lines that differ.
+  of each numeric JSON field, CSV column and ``.npy`` row that moved.  List
+  entries of a JSON field are one field (``reports[].margins.eps_floor``);
+  each row along the leading axis of a ``.npy`` array is one field, named
+  ``[0]``, ``[1]``, ... (for ``field.npy`` these are ``u`` and the
+  transforms of the JSON's ``field.columns``).  The relative change is the
+  absolute one over the field's, column's or row's largest absolute value
+  in ``PARENT``, so a field near zero does not read as a large move.  Text
+  that moved elsewhere (a message, a demo's standard output) is reported by
+  field or by the number of lines that differ.
 
 Usage::
 
@@ -33,6 +36,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 import artifact_digests
 
@@ -63,8 +68,11 @@ def _flatten(value, path: str = "") -> list[tuple[str, object]]:
 
 
 def _fields(path: Path) -> dict[str, list] | None:
-    """Named fields of a JSON or CSV artifact, each a list of values in
-    file order; ``None`` for any other file."""
+    """Named fields of a JSON, CSV or ``.npy`` artifact, each a list of values
+    in file order (an array row in C order); ``None`` for any other file."""
+    if path.suffix == ".npy":
+        rows = np.load(path, allow_pickle=False)
+        return {f"[{k}]": row.ravel().tolist() for k, row in enumerate(rows)}
     if path.suffix == ".json":
         fields: dict[str, list] = {}
         for name, leaf in _flatten(json.loads(path.read_text())):
