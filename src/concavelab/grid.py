@@ -183,16 +183,40 @@ class Grid:
         """Meshgrid ('ij') coordinate arrays over the full grid."""
         return tuple(np.meshgrid(*self.axes, indexing="ij"))
 
-    def boundary_distance(self) -> np.ndarray:
-        """Nodal distance to the domain boundary."""
+    def _axis_distances(self) -> tuple[np.ndarray, ...]:
+        """Per axis the distance of its nodes to the boundary: ``b_i - |x_i|``,
+        or ``R - r`` on balls."""
         if self.is_radial:
-            return self.domain.radius - self.axes[0]
+            return (self.domain.radius - self.axes[0],)
+        return tuple(b - np.abs(x) for b, x in zip(self.domain.halfwidths, self.axes))
+
+    def boundary_distance(self) -> np.ndarray:
+        """Nodal distance to the domain boundary: the least of the node's
+        axis distances."""
+        if self.is_radial:
+            return self._axis_distances()[0]
         dist = np.full(self.shape, np.inf)
-        for axis, (b, x) in enumerate(zip(self.domain.halfwidths, self.axes)):
+        for axis, axis_dist in enumerate(self._axis_distances()):
             shape = [1] * self.ndim
-            shape[axis] = x.size
-            np.minimum(dist, (b - np.abs(x)).reshape(shape), out=dist)
+            shape[axis] = axis_dist.size
+            np.minimum(dist, axis_dist.reshape(shape), out=dist)
         return dist
+
+    def interior_region(self, margin: float = 0.0) -> tuple[slice, ...]:
+        """The interior nodes at :meth:`boundary_distance` ``>= margin`` (all
+        of them unless ``margin > 0``), as one slice of node indices per axis.
+
+        A node is kept when every axis distance is ``>= margin``, and along
+        an axis that distance rises to the centre and falls after it, so each
+        axis keeps one range of indices.  An empty region has an empty slice."""
+        region = [slice(0 if self.is_radial else 1, n - 1) for n in self.shape]
+        if not margin > 0.0:
+            return tuple(region)
+        for axis, (inner, dist) in enumerate(zip(region, self._axis_distances())):
+            kept = inner.start + np.flatnonzero(dist[inner] >= margin)
+            region[axis] = (slice(int(kept[0]), int(kept[-1]) + 1) if kept.size
+                            else slice(inner.start, inner.start))
+        return tuple(region)
 
     def node_coordinates(self, index) -> tuple[float, ...]:
         idx = (index,) if np.isscalar(index) else tuple(index)

@@ -117,10 +117,9 @@ class ScalarField:
         if values.shape != grid.shape:
             raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
         if validate:
-            if not np.all(np.isfinite(values)):
+            if not np.isfinite(values).all():
                 raise ValueError("field values must be finite")
-            boundary = ~grid.interior_mask
-            if np.any(values[boundary] != 0.0):
+            if _nonzero_trace(grid, values):
                 raise ValueError("boundary trace must be exactly zero")
         self.grid = grid
         self.values = values
@@ -143,6 +142,18 @@ class ScalarField:
 
     def __repr__(self):
         return f"ScalarField({self.grid!r}, sup={self.sup_norm():.6g})"
+
+
+def _nonzero_trace(grid: Grid, values: np.ndarray) -> bool:
+    """Whether a boundary node of the finite ``values`` is nonzero: the node
+    ``r = R`` on radial grids, the first and last node along each axis of a
+    box, read as scalars on one axis and as faces on more."""
+    if grid.is_radial:
+        return bool(values[-1])
+    if grid.ndim == 1:
+        return bool(values[0] or values[-1])
+    return any(values[_along(grid.ndim, axis, end)].any()
+               for axis in range(grid.ndim) for end in (0, -1))
 
 
 @dataclass(frozen=True)
@@ -224,6 +235,21 @@ def _apply_rows(rows: StencilRows, padded: np.ndarray) -> np.ndarray:
     return out
 
 
+def neg_laplacian_on(field: ScalarField, region: tuple[slice, ...]) -> np.ndarray:
+    """``-Laplacian_h`` of ``field`` at the interior nodes ``values[region]``,
+    shaped like them; ``region`` is one slice of node indices per axis, as
+    :meth:`Grid.interior_region` gives.  Only the region widened by one node
+    is read, boundary values included."""
+    grid, values = field.grid, field.values
+    rows = _stencil_rows(grid)
+    if grid.is_radial:  # the region's rows; a ghost node before the origin, with coefficient 0
+        (nodes,) = region
+        rows = StencilRows((rows.lower[0][nodes],), rows.centre[nodes], (rows.upper[0][nodes],))
+        values = np.concatenate((np.zeros(1), values[:nodes.stop + 1]))
+        region = (slice(nodes.start + 1, nodes.stop + 1),)
+    return _apply_rows(rows, values[tuple(slice(s.start - 1, s.stop + 1) for s in region)])
+
+
 def apply_laplacian(field: ScalarField) -> ScalarField:
     """Discrete Laplacian of ``field`` at interior nodes, 0 on the boundary.
 
@@ -232,11 +258,9 @@ def apply_laplacian(field: ScalarField) -> ScalarField:
     on manufactured data.
     """
     grid = field.grid
-    padded = field.values
-    if grid.is_radial:  # a ghost node before the origin, whose coefficient is 0
-        padded = np.concatenate((np.zeros(1), padded))
+    region = grid.interior_region()
     out = np.zeros(grid.shape)
-    out[grid.interior_mask] = -_apply_rows(_stencil_rows(grid), padded).ravel()
+    out[region] = -neg_laplacian_on(field, region)
     return ScalarField(grid, out, validate=False)
 
 

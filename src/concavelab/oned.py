@@ -754,16 +754,19 @@ def tensor_solution(
     the returned solutions' ``xs`` and ``us``, which are not drawn here."""
     bs = [float(b) for b in np.atleast_1d(bs)]
     grid = make_grid(box(*bs), resolution)
-    values = np.ones(grid.shape)
     sols = {} if solutions is None else solutions
+    factors = []
     for axis, b in enumerate(bs):
         if b not in sols:
             sols[b] = solve_interval(b, n=n)
-        axis_vals = _profile_on_axis(sols[b], grid.axes[axis])
-        shape = [1] * grid.ndim
-        shape[axis] = grid.shape[axis]
-        values = values * axis_vals.reshape(shape)
-    return ScalarField(grid, values)
+        factors.append(_on_axis(_profile_on_axis(sols[b], grid.axes[axis]), axis, grid.ndim))
+    # one broadcast product, factors multiplied in axis order
+    return ScalarField(grid, functools.reduce(operator.mul, factors))
+
+
+def _on_axis(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """``values`` shaped to broadcast along ``axis`` of an ``ndim``-array."""
+    return values.reshape([-1 if a == axis else 1 for a in range(ndim)])
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +787,8 @@ def gausson(ambient_dim: int, points) -> np.ndarray:
 def gausson_field(grid: Grid) -> ScalarField:
     """Gausson samples on the nodes of a grid (nonzero trace: the entire
     profile does not vanish on the box boundary, so validation is off)."""
-    pts = np.stack(grid.coordinate_arrays(), axis=-1)
     # a radial node at r is the point (r, 0, ..., 0)
-    pts = np.pad(pts, [(0, 0)] * grid.ndim + [(0, grid.ambient_dim - grid.ndim)])
+    pts = np.zeros((*grid.shape, grid.ambient_dim))
+    for axis, x in enumerate(grid.axes):
+        pts[..., axis] = _on_axis(x, axis, grid.ndim)
     return ScalarField(grid, gausson(grid.ambient_dim, pts), validate=False)

@@ -118,6 +118,8 @@ def log_square(t: np.ndarray) -> np.ndarray:
 
 def _on_positive(t, g):
     """``g(t)`` where ``t > 0``, and 0 elsewhere."""
+    if t.min(initial=math.inf) > 0.0:  # the common case, one reduction
+        return g(t)
     out = np.zeros_like(t)
     pos = t > 0
     out[pos] = g(t[pos])
@@ -200,11 +202,16 @@ def validate_exponent(reaction: Reaction, ambient_dim: int) -> None:
         )
 
 
+def require_nonnegative(t: np.ndarray) -> None:
+    """Raise ``ReactionDomainError`` if an entry of ``t`` is negative; NaN passes."""
+    if np.any(t < 0):
+        raise ReactionDomainError("reaction argument must be nonnegative")
+
+
 def _apply(formula, reaction: Reaction, t, defined_at_zero: bool = True):
     """``formula`` of the reaction's family at ``t >= 0``: a float for a scalar."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ReactionDomainError("reaction argument must be nonnegative")
+    require_nonnegative(t)
     if not defined_at_zero and np.any(t == 0):
         raise ReactionDomainError("f' of the logarithmic reaction is undefined at 0")
     out = formula(reaction, np.atleast_1d(t), reaction.sign)

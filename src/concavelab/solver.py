@@ -35,6 +35,7 @@ from .linops import (
     ScalarField,
     apply_laplacian,
     gradient_components,
+    neg_laplacian_on,
     principal_eigenpair,
     solve_shifted,
 )
@@ -143,25 +144,33 @@ def nehari_residual(grid: Grid, reaction: Reaction, field: ScalarField) -> float
 
 
 def log_residual_sup(field: ScalarField, boundary_margin: float = 0.0) -> float:
-    """Sup norm of ``-Delta_h u - u log u^2`` over the interior nodes where
-    ``u >= 0``.  ``reactions.f`` raises ``ReactionDomainError`` on a negative
-    node before that mask runs, so the mask drops only NaN nodes.
+    """Sup norm of ``-Delta_h u - u log u^2`` over the interior nodes at
+    boundary distance ``>= boundary_margin`` (every interior node unless the
+    margin is positive), NaN nodes left out.
+
+    Those nodes are one range of indices per axis
+    (:meth:`Grid.interior_region`), and only that region, widened by one node
+    for the stencil, is read, except that negativity is checked on the whole
+    field first: a negative node anywhere, boundary included, raises
+    ``ReactionDomainError``.  The residual at a NaN node's neighbours stays
+    NaN.  A region with no node left raises ``ValueError``.
 
     The reaction is not Lipschitz at 0, so stencil consistency degrades
     to O(h) in a shrinking collar around the boundary where the field
     vanishes; ``boundary_margin`` (a fixed metric distance) restricts the
     measurement to the region where the O(h^2) claim applies.
     """
-    grid = field.grid
-    g = -apply_laplacian(field).values - reactions.f(
-        reactions.log_schrodinger(), field.values
-    )
-    mask = grid.interior_mask & (field.values >= 0.0)
-    if boundary_margin > 0.0:
-        mask = mask & (grid.boundary_distance() >= boundary_margin)
-    if not np.any(mask):
-        raise ValueError("no nodes satisfy the residual mask")
-    return float(np.max(np.abs(g[mask])))
+    reactions.require_nonnegative(field.values)
+    region = field.grid.interior_region(boundary_margin)
+    u = field.values[region]
+    residual = np.abs(neg_laplacian_on(field, region) - reactions.f(reactions.log_schrodinger(), u))
+    sup = residual.max(initial=-1.0)
+    if not sup >= 0.0:  # an empty region, or NaN nodes to leave out
+        residual = residual[u >= 0.0]
+        if not residual.size:
+            raise ValueError("no nodes satisfy the residual mask")
+        sup = residual.max()
+    return float(sup)
 
 
 # ---------------------------------------------------------------------------
