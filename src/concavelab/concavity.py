@@ -15,6 +15,12 @@ and :func:`hessian_at`: the full Hessian on interval and box grids, and
 the nodal values of ``phi(u)`` stays as the cross-check.  An increasing
 ``phi`` is checked for concavity of ``phi(u)``, a decreasing one for
 convexity.
+
+The eigenvalues come as one array per eigenvalue (closed forms in one and
+two dimensions and on radial grids), and a verdict reduces across those
+columns elementwise.  The derivative arrays gathered on the check set do
+not depend on ``phi``: an :func:`alpha_sweep` gathers them once and shares
+them among its exponents.
 """
 
 from __future__ import annotations
@@ -161,47 +167,54 @@ def _radial_derivatives(field: ScalarField):
     return g, upp, tang
 
 
-def _sym_eigs(h_flat: dict, d: int, npts: int) -> np.ndarray:
-    """Eigenvalues (npts, d) of symmetric matrices given by component dict."""
+def _sym_eig_columns(h_flat: dict, d: int) -> list:
+    """Eigenvalues of symmetric matrices given by component dict, one array
+    per eigenvalue in ascending order."""
     if d == 1:
-        return h_flat[(0, 0)].reshape(-1, 1)
+        return [h_flat[(0, 0)]]
     if d == 2:
         a, c, b_val = h_flat[(0, 0)], h_flat[(1, 1)], h_flat[(0, 1)]
         mean = 0.5 * (a + c)
         rad = np.sqrt(0.25 * (a - c) ** 2 + b_val**2)
-        return np.stack([mean - rad, mean + rad], axis=1)
-    mats = np.empty((npts, d, d))
+        return [mean - rad, mean + rad]
+    mats = np.empty((h_flat[(0, 0)].size, d, d))
     for a in range(d):
         mats[:, a, a] = h_flat[(a, a)]
         for b_ax in range(a + 1, d):
             mats[:, a, b_ax] = mats[:, b_ax, a] = h_flat[(a, b_ax)]
-    return np.linalg.eigvalsh(mats)
+    return list(np.linalg.eigvalsh(mats).T)
 
 
-def _transformed_eigendata(field: ScalarField, transform: Transform, mask: np.ndarray):
-    """Eigenvalues of D^2(phi o u) at the masked nodes, via the chain rule."""
+def _chain_rule_data(field: ScalarField, mask: np.ndarray) -> tuple:
+    """What the chain rule takes from ``u`` at the masked nodes, the same for
+    every transform: the values, the gradient components and the second
+    differences (``u''`` and ``u'/r`` on radial grids)."""
     grid = field.grid
-    t_vals = field.values[mask]
-    d1 = np.atleast_1d(transform_d1(transform, t_vals))
-    d2 = np.atleast_1d(transform_d2(transform, t_vals))
-
     if grid.is_radial:
         g, upp, tang = _radial_derivatives(field)
-        radial_eig = d2 * g[mask] ** 2 + d1 * upp[mask]
-        if grid.ambient_dim == 1:
-            return radial_eig.reshape(-1, 1)
-        return np.stack([radial_eig, d1 * tang[mask]], axis=1)
-
-    grads = gradient_components(field)
+        return field.values[mask], [g[mask]], {"upp": upp[mask], "tang": tang[mask]}
     comps = _hessian_component_arrays(grid, field.values)
+    return (field.values[mask], [g[mask] for g in gradient_components(field)],
+            {key: arr[mask] for key, arr in comps.items()})
+
+
+def _eigen_columns(grid: Grid, transform: Transform, data: tuple) -> list:
+    """Eigenvalues of D^2(phi o u) at the nodes of ``data``, via the chain
+    rule: one array per eigenvalue."""
+    t_vals, grads, comps = data
+    d1 = np.atleast_1d(transform_d1(transform, t_vals))
+    d2 = np.atleast_1d(transform_d2(transform, t_vals))
+    if grid.is_radial:
+        radial_eig = d2 * grads[0] ** 2 + d1 * comps["upp"]
+        if grid.ambient_dim == 1:
+            return [radial_eig]
+        return [radial_eig, d1 * comps["tang"]]
     h_flat = {}
     for a in range(grid.ndim):
-        h_flat[(a, a)] = d2 * grads[a][mask] ** 2 + d1 * comps[(a, a)][mask]
+        h_flat[(a, a)] = d2 * grads[a] ** 2 + d1 * comps[(a, a)]
         for b_ax in range(a + 1, grid.ndim):
-            h_flat[(a, b_ax)] = (
-                d2 * grads[a][mask] * grads[b_ax][mask] + d1 * comps[(a, b_ax)][mask]
-            )
-    return _sym_eigs(h_flat, grid.ndim, t_vals.size)
+            h_flat[(a, b_ax)] = d2 * grads[a] * grads[b_ax] + d1 * comps[(a, b_ax)]
+    return _sym_eig_columns(h_flat, grid.ndim)
 
 
 @dataclass(frozen=True)
@@ -225,6 +238,68 @@ def _resolve_floor(field: ScalarField, eps_floor) -> float:
     return 1e-3 * field.sup_norm() if eps_floor is None else float(eps_floor)
 
 
+def _check_set(
+    field: ScalarField, transform: Transform, eps_floor: float | None, layer_k: int
+) -> tuple:
+    """The floor, depth and mask of the transform's check set, and the
+    chain-rule data gathered on it."""
+    eps = _resolve_floor(field, eps_floor)
+    mask = _check_mask(field.grid, field.values, eps, layer_k)
+    # the transform is differentiable only on the open validity interval and
+    # phi' or phi'' may blow up at an endpoint (sqrt_log at t = m): nodes at
+    # or within rounding of one are excluded, so that a field maximum a few
+    # ulps below m is treated like one equal to m
+    for end in transform.validity:
+        if np.isfinite(end):
+            mask &= np.abs(field.values - end) > ENDPOINT_TOL * max(1.0, abs(end))
+    if not np.any(mask):
+        raise EmptyCheckSetError("no interior nodes above eps_floor outside the layer")
+    return eps, layer_k, mask, _chain_rule_data(field, mask)
+
+
+def _report(field: ScalarField, transform: Transform, check_set: tuple) -> ConcavityReport:
+    """The verdict of one transform on a :func:`_check_set`, left unmodified."""
+    eps, layer_k, mask, data = check_set
+    grid = field.grid
+    cols = _eigen_columns(grid, transform, data)
+    nodes = np.flatnonzero(mask)
+    # nodes whose eigen-data still overflow are excluded too
+    finite = np.isfinite(cols[0])
+    for col in cols[1:]:
+        np.logical_and(finite, np.isfinite(col), out=finite)
+    if not np.all(finite):
+        nodes = nodes[finite]
+        cols = [col[finite] for col in cols]
+        if nodes.size == 0:
+            raise EmptyCheckSetError("transform singular on the whole check set")
+    scale = max(float(np.max(np.abs(col))) for col in cols)
+    margin = STRICT_MARGIN_FACTOR * max(scale, 1e-300)
+    sign = 1.0 if transform.increasing else -1.0
+    node_ext = sign * cols[0]
+    for col in cols[1:]:
+        np.maximum(node_ext, sign * col, out=node_ext)
+    # argmax returns the first of tied nodes, so the witness is the first
+    # extreme node in C order for either orientation
+    pos = int(np.argmax(node_ext))
+    if node_ext[pos] < -margin:
+        verdict = "holds strictly"
+    elif node_ext[pos] <= margin:
+        verdict = "holds weakly"
+    else:
+        verdict = "fails"
+    return ConcavityReport(
+        transform=transform.label,
+        check_mode="concavity" if sign > 0 else "convexity",
+        check_set_size=nodes.size,
+        extreme_eigenvalue=sign * float(node_ext[pos]),
+        witness=grid.node_coordinates(np.unravel_index(nodes[pos], grid.shape)),
+        eps_floor=eps,
+        layer_k=layer_k,
+        margin=margin,
+        verdict=verdict,
+    )
+
+
 def check_transform_concavity(
     field: ScalarField,
     transform: Transform,
@@ -239,58 +314,14 @@ def check_transform_concavity(
     weakly".  A decreasing ``phi`` is checked for convexity as the
     concavity of ``-phi(u)``: its eigenvalues enter with sign -1.
     """
-    grid = field.grid
-    eps = _resolve_floor(field, eps_floor)
-    mask = _check_mask(grid, field.values, eps, layer_k)
-    # the transform is differentiable only on the open validity interval and
-    # phi' or phi'' may blow up at an endpoint (sqrt_log at t = m): nodes at
-    # or within rounding of one are excluded, so that a field maximum a few
-    # ulps below m is treated like one equal to m
-    for end in transform.validity:
-        if np.isfinite(end):
-            mask &= np.abs(field.values - end) > ENDPOINT_TOL * max(1.0, abs(end))
-    if not np.any(mask):
-        raise EmptyCheckSetError("no interior nodes above eps_floor outside the layer")
-    eigs = _transformed_eigendata(field, transform, mask)
-    # nodes whose eigen-data still overflow are excluded too
-    finite_rows = np.all(np.isfinite(eigs), axis=1)
-    if not np.all(finite_rows):
-        mask.flat[np.flatnonzero(mask)[~finite_rows]] = False
-        eigs = eigs[finite_rows]
-        if eigs.size == 0:
-            raise EmptyCheckSetError("transform singular on the whole check set")
-    scale = float(np.max(np.abs(eigs)))
-    margin = STRICT_MARGIN_FACTOR * max(scale, 1e-300)
-    sign = 1.0 if transform.increasing else -1.0
-    # argmax returns the first of tied nodes, so the witness is the first
-    # extreme node in C order for either orientation
-    node_ext = np.max(sign * eigs, axis=1)
-    pos = int(np.argmax(node_ext))
-    if node_ext[pos] < -margin:
-        verdict = "holds strictly"
-    elif node_ext[pos] <= margin:
-        verdict = "holds weakly"
-    else:
-        verdict = "fails"
-    witness_idx = np.unravel_index(np.flatnonzero(mask)[pos], grid.shape)
-    return ConcavityReport(
-        transform=transform.label,
-        check_mode="concavity" if sign > 0 else "convexity",
-        check_set_size=len(eigs),
-        extreme_eigenvalue=sign * float(node_ext[pos]),
-        witness=grid.node_coordinates(witness_idx),
-        eps_floor=eps,
-        layer_k=layer_k,
-        margin=margin,
-        verdict=verdict,
-    )
+    return _report(field, transform, _check_set(field, transform, eps_floor, layer_k))
 
 
 def chain_rule_hessian_eigenvalues(
     field: ScalarField, transform: Transform, eps_floor: float, layer_k: int = LAYER_K
 ) -> np.ndarray:
     mask = _check_mask(field.grid, field.values, eps_floor, layer_k)
-    return _transformed_eigendata(field, transform, mask)
+    return np.stack(_eigen_columns(field.grid, transform, _chain_rule_data(field, mask)), axis=1)
 
 
 def _transformed_values(transform: Transform, u: np.ndarray) -> np.ndarray:
@@ -313,7 +344,7 @@ def direct_hessian_eigenvalues(
     mask = _check_mask(grid, field.values, eps_floor, layer_k)
     comps = _hessian_component_arrays(grid, _transformed_values(transform, field.values))
     h_flat = {key: arr[mask] for key, arr in comps.items()}
-    return _sym_eigs(h_flat, grid.ndim, int(np.count_nonzero(mask)))
+    return np.stack(_sym_eig_columns(h_flat, grid.ndim), axis=1)
 
 
 def transformed_equation_residual(
@@ -369,7 +400,11 @@ def alpha_sweep(field: ScalarField, alphas) -> AlphaSweepResult:
     """
     alphas = tuple(float(a) for a in alphas)
     check_sweep_exponents(alphas)
-    reports = tuple(check_transform_concavity(field, reactions.power(a)) for a in alphas)
+    transforms = [reactions.power(a) for a in alphas]
+    # every power shares the validity interval (0, inf), so one check set and
+    # one gathering of its chain-rule data serve the whole sweep
+    check_set = _check_set(field, transforms[0], None, LAYER_K) if transforms else None
+    reports = [_report(field, tr, check_set) for tr in transforms]
     passing = [r.passed for r in reports]
     largest = None
     for a, ok in zip(alphas, passing):

@@ -244,6 +244,241 @@ def test_gausson_not_power_concave_on_large_box():
 
 
 # ---------------------------------------------------------------------------
+# verdicts by eigenvalue columns against the row-wise path they replaced
+
+
+def _reference_eigendata(field, transform, mask):
+    """Eigenvalues (N, d) of D^2(phi o u) at the masked nodes, row by row."""
+    grid = field.grid
+    t_vals = field.values[mask]
+    d1 = np.atleast_1d(reactions.transform_d1(transform, t_vals))
+    d2 = np.atleast_1d(reactions.transform_d2(transform, t_vals))
+    if grid.is_radial:
+        g, upp, tang = concavity._radial_derivatives(field)
+        radial_eig = d2 * g[mask] ** 2 + d1 * upp[mask]
+        if grid.ambient_dim == 1:
+            return radial_eig.reshape(-1, 1)
+        return np.stack([radial_eig, d1 * tang[mask]], axis=1)
+    grads = concavity.gradient_components(field)
+    comps = concavity._hessian_component_arrays(grid, field.values)
+    d = grid.ndim
+    h = {}
+    for a in range(d):
+        h[(a, a)] = d2 * grads[a][mask] ** 2 + d1 * comps[(a, a)][mask]
+        for b in range(a + 1, d):
+            h[(a, b)] = d2 * grads[a][mask] * grads[b][mask] + d1 * comps[(a, b)][mask]
+    if d == 1:
+        return h[(0, 0)].reshape(-1, 1)
+    if d == 2:
+        mean = 0.5 * (h[(0, 0)] + h[(1, 1)])
+        rad = np.sqrt(0.25 * (h[(0, 0)] - h[(1, 1)]) ** 2 + h[(0, 1)] ** 2)
+        return np.stack([mean - rad, mean + rad], axis=1)
+    mats = np.empty((t_vals.size, d, d))
+    for a in range(d):
+        mats[:, a, a] = h[(a, a)]
+        for b in range(a + 1, d):
+            mats[:, a, b] = mats[:, b, a] = h[(a, b)]
+    return np.linalg.eigvalsh(mats)
+
+
+def _reference_report(field, transform, eps_floor=None, layer_k=concavity.LAYER_K):
+    grid = field.grid
+    eps = 1e-3 * field.sup_norm() if eps_floor is None else float(eps_floor)
+    mask = concavity._check_mask(grid, field.values, eps, layer_k)
+    for end in transform.validity:
+        if np.isfinite(end):
+            mask &= np.abs(field.values - end) > concavity.ENDPOINT_TOL * max(1.0, abs(end))
+    if not np.any(mask):
+        raise EmptyCheckSetError("no interior nodes above eps_floor outside the layer")
+    eigs = _reference_eigendata(field, transform, mask)
+    finite_rows = np.all(np.isfinite(eigs), axis=1)
+    if not np.all(finite_rows):
+        mask.flat[np.flatnonzero(mask)[~finite_rows]] = False
+        eigs = eigs[finite_rows]
+        if eigs.size == 0:
+            raise EmptyCheckSetError("transform singular on the whole check set")
+    margin = concavity.STRICT_MARGIN_FACTOR * max(float(np.max(np.abs(eigs))), 1e-300)
+    sign = 1.0 if transform.increasing else -1.0
+    node_ext = np.max(sign * eigs, axis=1)
+    pos = int(np.argmax(node_ext))
+    if node_ext[pos] < -margin:
+        verdict = "holds strictly"
+    elif node_ext[pos] <= margin:
+        verdict = "holds weakly"
+    else:
+        verdict = "fails"
+    return concavity.ConcavityReport(
+        transform=transform.label,
+        check_mode="concavity" if sign > 0 else "convexity",
+        check_set_size=len(eigs),
+        extreme_eigenvalue=sign * float(node_ext[pos]),
+        witness=grid.node_coordinates(np.unravel_index(np.flatnonzero(mask)[pos], grid.shape)),
+        eps_floor=eps,
+        layer_k=layer_k,
+        margin=margin,
+        verdict=verdict,
+    )
+
+
+def _assert_same_bits(got, want):
+    # repr round-trips every float and tells -0.0 from 0.0
+    assert repr(got) == repr(want)
+
+
+def _bump(dim, kind):
+    """A positive field below 1 with its peak off the centre, so the
+    dispersive transforms are defined on it and the check sets lose the
+    peak node to sqrt_log's finite endpoint."""
+    if kind == "ball":
+        g = make_grid(ball(1.0, dim), 101)
+        r = g.axes[0]
+        vals = 0.9 * np.cos(0.5 * np.pi * r) * (1.0 + 0.1 * r * r)
+    else:
+        b = (1.0, 1.3, 0.8)[:dim]
+        g = make_grid(box(*b), {1: 61, 2: 41, 3: 15}[dim])
+        coords = g.coordinate_arrays()
+        vals = 0.9 * (1.0 + 0.1 * coords[0]) * np.prod(
+            [np.cos(0.5 * np.pi * c / h) for c, h in zip(coords, b)], axis=0)
+    return ScalarField(g, vals, validate=False)
+
+
+BUMPS = [(1, "box"), (2, "box"), (3, "box"), (1, "ball"), (2, "ball"), (3, "ball")]
+TRANSFORMS = {
+    "log": lambda m: reactions.log_transform(),
+    "power": lambda m: reactions.power(0.3),
+    "sqrt_log": reactions.sqrt_log,
+    "atanh_poly": lambda m: reactions.atanh_poly(2.0),
+    "sqrt_one_minus_log": lambda m: reactions.sqrt_one_minus_log(),
+}
+
+
+@pytest.mark.parametrize("dim,kind", BUMPS, ids=[f"{k}{d}" for d, k in BUMPS])
+@pytest.mark.parametrize("name", TRANSFORMS)
+@pytest.mark.parametrize("check_set", [{}, {"eps_floor": 0.3, "layer_k": 4}],
+                         ids=["default", "custom"])
+def test_column_verdicts_match_the_row_wise_reference(dim, kind, name, check_set):
+    fld = _bump(dim, kind)
+    tr = TRANSFORMS[name](fld.sup_norm())
+    got = check_transform_concavity(fld, tr, **check_set)
+    _assert_same_bits(got, _reference_report(fld, tr, **check_set))
+    assert got.check_mode == ("concavity" if tr.increasing else "convexity")
+    # the public eigenvalues keep the nodes at a finite endpoint, where
+    # sqrt_log's phi'' is infinite, so its endpoint moves off the field here
+    tr = TRANSFORMS[name](2.0 * fld.sup_norm())
+    mask = concavity._check_mask(fld.grid, fld.values, got.eps_floor, got.layer_k)
+    eigs = chain_rule_hessian_eigenvalues(fld, tr, got.eps_floor, got.layer_k)
+    want = _reference_eigendata(fld, tr, mask)
+    assert eigs.shape == want.shape
+    assert np.array_equal(eigs.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("values_at", [{10: 1e307}, {10: 1e-200}])
+def test_column_verdicts_match_the_reference_on_spikes(values_at):
+    log = reactions.log_transform()
+    fields = [_cosine_field(values_at)]
+    g = make_grid(box(1.0, 1.0), 21)
+    x, y = g.coordinate_arrays()
+    u = np.cos(0.5 * np.pi * x) * np.cos(0.5 * np.pi * y)
+    for k, v in values_at.items():
+        u[k, 9] = v
+    fields.append(ScalarField(g, u, validate=False))
+    with np.errstate(all="ignore"):
+        for fld in fields:
+            _assert_same_bits(check_transform_concavity(fld, log, eps_floor=0.0),
+                              _reference_report(fld, log, eps_floor=0.0))
+
+
+@pytest.mark.parametrize("dims,n", [((2.0,), 17), ((2.0, 2.0), 17), ((2.0, 2.0, 2.0), 9)])
+def test_witness_of_tied_eigenvalues_is_the_first_check_node(dims, n):
+    # on a grid of spacing 1/4 or 1/2 every difference of this quadratic is
+    # exact, so all Hessians are exactly -2 I and every node ties
+    g = make_grid(box(*dims), n)
+    fld = ScalarField(g, 100.0 - sum(c * c for c in g.coordinate_arrays()), validate=False)
+    k = concavity.LAYER_K
+    first = g.node_coordinates((k,) * g.ndim)
+    for tr in (reactions.power(1.0), reactions.power(1.0).negate()):
+        rep = check_transform_concavity(fld, tr)
+        _assert_same_bits(rep, _reference_report(fld, tr))
+        assert rep.witness == first
+        assert abs(rep.extreme_eigenvalue) == 2.0
+
+
+def test_near_constant_eigenvalues_keep_the_reference_witness():
+    # log of the Gausson has Hessian -I: the extreme eigenvalue varies by rounding
+    for dim, n in ((2, 41), (3, 17)):
+        g = make_grid(box(*[3.0] * dim), n)
+        fld = ScalarField(g, oned.gausson_field(g).values, validate=False)
+        for tr in (reactions.log_transform(), reactions.neg_log()):
+            _assert_same_bits(check_transform_concavity(fld, tr), _reference_report(fld, tr))
+
+
+def test_both_empty_check_set_errors_match_the_reference(box81):
+    sawtooth = _cosine_field({k: 1e307 if k % 2 else 1e306 for k in range(1, 20)})
+    cases = [(ScalarField.zeros(box81), 1.0, "no interior nodes"), (sawtooth, 0.0, "singular")]
+    with np.errstate(all="ignore"):
+        for fld, eps, match in cases:
+            for check in (check_transform_concavity, _reference_report):
+                with pytest.raises(EmptyCheckSetError, match=match):
+                    check(fld, reactions.log_transform(), eps_floor=eps)
+        with pytest.raises(EmptyCheckSetError, match="no interior nodes"):
+            alpha_sweep(ScalarField.zeros(box81), [0.5])
+
+
+class _NumpyWithoutAxisReductions:
+    """numpy, except that ``max``/``min``/``all``/``any`` along an axis fail."""
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("max", "amax", "min", "amin", "all", "any"):
+            return attr
+
+        def reduce(*args, axis=None, **kwargs):
+            assert axis is None, f"np.{name} along axis {axis}"
+            return attr(*args, **kwargs)
+
+        return reduce
+
+
+@pytest.mark.parametrize("dim,kind", [(2, "box"), (2, "ball")], ids=["box2", "ball2"])
+def test_verdicts_reduce_across_columns_not_along_an_axis(monkeypatch, dim, kind):
+    fld = _bump(dim, kind)
+    want = check_transform_concavity(fld, reactions.log_transform())
+    monkeypatch.setattr(concavity, "np", _NumpyWithoutAxisReductions())
+    _assert_same_bits(check_transform_concavity(fld, reactions.log_transform()), want)
+
+
+@pytest.mark.parametrize("dim,kind", BUMPS, ids=[f"{k}{d}" for d, k in BUMPS])
+def test_alpha_sweep_verdicts_are_their_own_checks(dim, kind):
+    fld = _bump(dim, kind)
+    alphas = [0.1, 0.3, 0.5, 0.7, 0.9]
+    sweep = alpha_sweep(fld, alphas)
+    assert sweep.verdicts == tuple(
+        check_transform_concavity(fld, reactions.power(a)).verdict for a in alphas)
+
+
+@pytest.mark.parametrize("dim,kind", [(2, "box"), (3, "box"), (3, "ball")],
+                         ids=["box2", "box3", "ball3"])
+def test_alpha_sweep_gathers_derivatives_once(monkeypatch, dim, kind):
+    fld = _bump(dim, kind)
+    calls = {"gradient_components": 0, "_hessian_component_arrays": 0}
+
+    def counting(name):
+        inner = getattr(concavity, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(concavity, name, counting(name))
+    alpha_sweep(fld, [0.1, 0.2, 0.3, 0.4, 0.5])
+    assert calls == {"gradient_components": 1,
+                     "_hessian_component_arrays": 0 if fld.grid.is_radial else 1}
+
+
+# ---------------------------------------------------------------------------
 # quasi-concavity
 
 

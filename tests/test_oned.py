@@ -650,3 +650,23 @@ def test_gausson_field_on_a_ball_is_the_gausson_along_a_ray(dim):
     ray = np.zeros((r.size, dim))
     ray[:, 0] = r
     assert np.array_equal(oned.gausson_field(g).values, oned.gausson(dim, ray))
+
+
+def _reference_gausson(ambient_dim, points):
+    pts = np.asarray(points, dtype=float)
+    return math.exp(ambient_dim / 2.0) * np.exp(-np.sum(pts * pts, axis=-1) / 2.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gausson_matches_the_axis_sum_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    scales = rng.choice([1e-3, 1.0, 1e3], size=(500, dim))
+    for pts in (rng.normal(size=(500, dim)) * scales, rng.normal(size=(7, 9, dim)),
+                np.zeros(dim)):
+        assert np.array_equal(oned.gausson(dim, pts), _reference_gausson(dim, pts))
+    for grid in (make_grid(box(*[3.5] * dim), 41 if dim < 3 else 21),
+                 make_grid(ball(3.5, dim), 101)):
+        pts = np.zeros((*grid.shape, dim))
+        for axis, c in enumerate(grid.coordinate_arrays()):
+            pts[..., axis] = c
+        assert np.array_equal(oned.gausson_field(grid).values, _reference_gausson(dim, pts))

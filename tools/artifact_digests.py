@@ -37,6 +37,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 SEED = 801
+LOG = {"kind": "log_schrodinger"}
+SWEEP = [0.1, 0.3, 0.5, 0.7, 0.9]
 # paths that no deck reaches: quasi-concavity on balls, the radial sampler
 FIXED_CASES = {
     f"quasiconcavity-ball{dim}-{kind}": {
@@ -45,7 +47,27 @@ FIXED_CASES = {
     }
     for dim in (2, 3)
     for kind, reaction in (("lane_emden", {"kind": "lane_emden", "q": 2.0, "sigma": 1.0}),
-                           ("log", {"kind": "log_schrodinger"}))
+                           ("log", LOG))
+}
+# concavity checks on an interval (one eigenvalue) and on balls (the radial
+# chain rule), each with an alpha sweep
+FIXED_CASES.update({
+    f"concavity-{name}": {
+        "experiment": "concavity", "resolution": n, "domain": domain, "reaction": LOG,
+        "transforms": [{"kind": "log", "expect": "holds strictly"}], "alphas": SWEEP,
+    }
+    for name, domain, n in (("interval", {"kind": "interval", "halfwidth": 1.3}, 401),
+                            ("ball2", {"kind": "ball", "radius": 1.5, "ambient_dim": 2}, 201),
+                            ("ball3", {"kind": "ball", "radius": 1.5, "ambient_dim": 3}, 201))
+})
+# a box check set off its defaults, and sqrt_log with m the solution's peak,
+# so the peak node leaves the check set at the finite endpoint
+FIXED_CASES["concavity-box-sqrt-log"] = {
+    "experiment": "concavity", "resolution": 61, "reaction": LOG,
+    "domain": {"kind": "box", "halfwidths": [1.0, 1.2]},
+    "transforms": [{"kind": "sqrt_log", "m": 12.416467071223481, "eps_floor": 0.5,
+                    "layer_k": 5},
+                   {"kind": "log", "eps_floor": 0.05, "layer_k": 2, "negate": True}],
 }
 
 
