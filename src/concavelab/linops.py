@@ -284,27 +284,6 @@ def _trapezoid_weights(grid: Grid) -> np.ndarray:
     return w
 
 
-# scipy's wrapper of ?gtsv takes the order of the system from len(dl) + 1 and
-# rejects order 1 (an empty dl); such a system gets a decoupled identity row.
-LAPACK_MIN_ORDER = 2
-
-
-def _lapack_sized(dl, d, du):
-    """The diagonals extended by identity rows to at least ``LAPACK_MIN_ORDER``
-    unknowns.  The rows are decoupled: the first ``len(d)`` unknowns of a
-    solution solve the original system, and its zero pivots are still found."""
-    k = LAPACK_MIN_ORDER - d.size
-    if k <= 0:
-        return dl, d, du
-    zeros = np.zeros(k)
-    return (np.concatenate([dl, zeros]), np.concatenate([d, np.ones(k)]),
-            np.concatenate([du, zeros]))
-
-
-def _rhs_sized(b, order: int):
-    return b if b.size == order else np.concatenate([b, np.zeros(order - b.size)])
-
-
 class GridOperator:
     """``-Laplacian_h`` on the interior unknowns of one grid (C-order
     flattening), with the solves, the principal eigenpair and the
@@ -369,14 +348,18 @@ class TridiagonalOperator(GridOperator):
 
     def solve_shifted(self, shift, rhs, rtol=SHIFTED_RESIDUAL) -> np.ndarray:
         """One LAPACK ``dgtsv``, LU with partial pivoting, on ``(dl, d - shift, du)``;
-        a direct solve, so ``rtol`` asks for nothing."""
-        dl, d, du = _lapack_sized(self.dl, self.d - shift, self.du)
-        *_, x, info = lapack.dgtsv(dl, d, du, _rhs_sized(rhs, d.size), overwrite_d=1)
+        a direct solve, so ``rtol`` asks for nothing.  scipy's wrapper refuses
+        order 1, where ``dgtsv`` is the one division ``b / d``."""
+        d = self.d - shift
+        if d.size > 1:
+            *_, x, info = lapack.dgtsv(self.dl, d, self.du, rhs, overwrite_d=1)
+        else:
+            x, info = (None, 1) if d[0] == 0.0 else (rhs / d, 0)
         if info > 0:  # the arguments are well formed by construction, so info >= 0
             raise LinearSolveError(
                 f"singular tridiagonal matrix: LAPACK dgtsv found a zero pivot at unknown {info}",
                 math.inf)
-        return x[:rhs.size]
+        return x
 
     def _principal(self):
         """Inverse power iteration, one ``dgtsv`` a step, at most ``EIGEN_MAX_ITER``

@@ -39,8 +39,6 @@ import numpy as np
 from .grid import Grid, box, make_grid
 from .linops import ScalarField
 
-# ``scipy.special`` loads where it is called
-
 __all__ = [
     "SQRT_E",
     "OneDimSolution",
@@ -188,10 +186,23 @@ def alpha_equality_lhs(alpha: float) -> float:
     return alpha / (1.0 - alpha) * math.exp(-1.0 / alpha)
 
 
-def _alpha_of_z(z: float) -> float:
-    from scipy.special import lambertw
+def _lambert_w0(x: float) -> float:
+    """The principal branch ``W0(x)`` of the Lambert W function, ``x >= 0``.
 
-    return 1.0 / (1.0 + lambertw(math.exp(-2.0 - z) / z).real)
+    Newton's method on ``w e^w - x`` starts at ``log1p(x)``, right of the
+    root, since ``(1 + x) log(1 + x) >= x``.  The function is convex and
+    increasing there, so the iterates fall monotonically to the root; the
+    first step that does not lower ``w`` ends the iteration at rounding."""
+    w = math.log1p(x)
+    while True:
+        w_next = w - (w - x / math.exp(w)) / (1.0 + w)
+        if not w_next < w:
+            return w
+        w = w_next
+
+
+def _alpha_of_z(z: float) -> float:
+    return 1.0 / (1.0 + _lambert_w0(math.exp(-2.0 - z) / z))
 
 
 def alpha_star(b: float, m: float | None = None) -> float:
@@ -201,9 +212,10 @@ def alpha_star(b: float, m: float | None = None) -> float:
     With ``s = |u'(b)|^2 = 2 F(m)``, the equality ``(1 - a) s = a e^(-1/a)``
     is ``y e^y = 1 / (e s)`` in ``y = 1/a - 1 > 0``, so
     ``a = 1 / (1 + W0(1 / (e s)))`` with ``W0`` the principal branch of the
-    Lambert W function (Corless et al., Adv. Comput. Math. 5, 1996).  In
-    ``z = log m^2 - 1``, ``s = e^(1 + z) z``, and ``z`` is taken from the
-    time map's inversion unless the peak ``m`` is given."""
+    Lambert W function (Corless et al., Adv. Comput. Math. 5, 1996), found
+    by monotone Newton steps (see ``_lambert_w0``).  In ``z = log m^2 - 1``,
+    ``s = e^(1 + z) z``, and ``z`` is taken from the time map's inversion
+    unless the peak ``m`` is given."""
     z = _solve_z(b) if m is None else math.log(m * m) - 1.0
     return _alpha_of_z(z)
 
@@ -213,13 +225,12 @@ def halfwidth_for_alpha(alpha: float) -> float:
 
     The peak solves ``2 F(m) = L`` with ``L = alpha_equality_lhs(alpha)``;
     in ``z = log m^2 - 1`` that is ``z e^z = L / e``, so ``z = W0(L / e)``,
-    and ``b`` is the time map there.  An ``alpha`` whose ``z`` lies below
-    ``Z_FLOOR`` would need a halfwidth beyond ``MAX_HALFWIDTH``."""
-    from scipy.special import lambertw
-
+    found by monotone Newton steps (see ``_lambert_w0``), and ``b`` is the
+    time map there.  An ``alpha`` whose ``z`` lies below ``Z_FLOOR`` would
+    need a halfwidth beyond ``MAX_HALFWIDTH``."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    z = lambertw(alpha_equality_lhs(alpha) / math.e).real
+    z = _lambert_w0(alpha_equality_lhs(alpha) / math.e)
     if not z >= Z_FLOOR:
         raise TimeMapError(
             f"alpha = {alpha} out of range: exponents below {_alpha_of_z(Z_FLOOR):.5f} need "

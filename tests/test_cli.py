@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from concavelab import cli, concavity, grid, oned, reactions
-from concavelab.cli import ConfigError, ExperimentConfig, config_hash, load_config, main
+from concavelab.cli import ConfigError, config_hash, load_config, main
 from concavelab.linops import EigenSolveError
 
 
@@ -389,13 +389,6 @@ def test_branch_tables_hold_the_branch_entries(tmp_path, experiment):
     assert table["newton_iters"] == tuple(str(e.result.newton_iters) for e in entries)
 
 
-def test_experiment_config_validation():
-    with pytest.raises(ConfigError):
-        ExperimentConfig({"tolerances": {"newton": 0.0}})
-    with pytest.raises(ConfigError):
-        ExperimentConfig({"seed": -1})
-
-
 def test_json_artifacts_write_numpy_values_as_python_values(tmp_path):
     numpy_payload = {"x": np.float64(0.1), "n": np.int64(3), "ok": np.bool_(True),
                      "v": np.array([[1.5, np.nan], [2.0, 3.0]]), "f": np.float32(0.5)}
@@ -657,6 +650,10 @@ def test_node_cap_counts_the_grids_an_experiment_holds():
                      None, id="resolutions-not-a-list"),
         pytest.param("solve", yaml.safe_dump(BASE_SOLVE), ["--seed", "-1"], 2, None,
                      id="negative-seed"),
+        pytest.param("solve", yaml.safe_dump({**BASE_SOLVE, "seed": -1}), [], 2, None,
+                     id="negative-seed-in-config"),
+        pytest.param("solve", yaml.safe_dump({**BASE_SOLVE, "tolerances": {"newton": 0.0}}), [],
+                     2, None, id="newton-tolerance-0"),
         pytest.param("solve", yaml.safe_dump({**BASE_SOLVE, "resolutoin": 101}), [], 2, None,
                      id="misspelled-key"),
         # YAML 1.1 reads 1e-30 (no dot) as a string
@@ -804,7 +801,7 @@ BAD = {  # key -> values of the right type but wrong
     "samples_per_unit": [50],
     "halfwidths": [[], [1.0, -1.0]],
     "resolutions": [[21], [2, 21], 41],
-    "seed": [1.5],
+    "seed": [1.5, -1],
     "tolerances": [{"newton": 0.0}, {"quad": 1e-10}, {"newton": "1e-30"}, {"eigen": 1e-11}],
 }
 EXPENSIVE_DEFAULTS = {"resolution", "resolutions", "b_grid", "samples_per_unit"}

@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import DOP853, OdeSolution, quad, solve_ivp
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from concavelab import apply_laplacian, ball, box, make_grid
 from concavelab import oned
@@ -160,6 +161,45 @@ def test_alpha_star_limits_and_monotonicity():
     assert all(a > b for a, b in zip(alphas, alphas[1:]))
     assert alphas[0] > 0.9   # b small: exponent near 1
     assert alphas[-1] < 0.2  # b large: exponent near 0
+
+
+# the arguments W0 takes from its two callers: e^(-2 - z) / z over the time
+# map's range of z in alpha*, and alpha_equality_lhs(alpha) / e over the
+# exponents that halfwidth_for_alpha reaches
+W0_ARGUMENTS = [
+    *(math.exp(-2.0 - z) / z for z in np.geomspace(oned.Z_FLOOR, oned.Z_CAP, 2000).tolist()),
+    *(oned.alpha_equality_lhs(a) / math.e for a in np.linspace(0.0367, 1.0 - 1e-12, 2000).tolist()),
+]
+
+
+def test_lambert_w0_matches_scipy_on_the_arguments_its_callers_reach():
+    for x in W0_ARGUMENTS:
+        reference = lambertw(x).real
+        assert abs(oned._lambert_w0(x) - reference) <= 2 * math.ulp(reference), x
+
+
+# W0(x) at 40 digits (mpmath)
+LAMBERT_W0_REFERENCES = {
+    1e-12: "9.999999999989999798866491292958420693276e-13",
+    0.5: "0.3517337112491958260249093009299510651715",
+    math.e: "0.9999999999999999734088114669705433241736",
+    1e6: "11.38335808614005262200015678158500428903",
+    1e12: "24.43500440493491313826304962506291488698",
+    1e16: "33.33476076844818450988714603526224144936",
+    1e300: "684.2472086297608492920157606522940852892",
+}
+
+
+@pytest.mark.parametrize("x", sorted(LAMBERT_W0_REFERENCES))
+def test_lambert_w0_holds_to_rounding(x):
+    reference = float(LAMBERT_W0_REFERENCES[x])
+    assert abs(oned._lambert_w0(x) - reference) <= math.ulp(reference)
+
+
+@pytest.mark.parametrize("x", [0.0, 5e-324, 1e-310])
+def test_lambert_w0_is_x_at_zero_and_subnormal_arguments(x):
+    # W0(x) = x - x^2 + ... rounds to x once x is below the rounding unit
+    assert oned._lambert_w0(x) == x
 
 
 @pytest.mark.parametrize("alpha0", [0.25, 0.5, 0.75])

@@ -18,7 +18,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import concavelab
 from concavelab import ScalarField, ball, box, interval, make_grid, principal_eigenpair, solver
@@ -99,7 +99,7 @@ def test_tridiagonal_backend_matches_sparse_lu(g, seed, n_floor):
 @pytest.mark.parametrize("domain", [interval(1.0), ball(1.0, 3)], ids=["interval", "ball"])
 @pytest.mark.parametrize("n", [3, 4])
 def test_systems_below_lapack_order(domain, n):
-    # one or two unknowns: LAPACK's wrappers take at least three
+    # one unknown is a division, since scipy's dgtsv wrapper takes at least two
     g = make_grid(domain, n)
     a_mat = neg_laplacian_matrix(g)
     b = np.arange(1.0, g.num_interior + 1.0)
@@ -118,11 +118,15 @@ def _singular_shift(g):
     return neg_laplacian_matrix(g) @ np.ones(g.num_interior)
 
 
+# n = 3 leaves one unknown on intervals and 1-D boxes: one division, whose zero
+# pivot is found before dividing, so no RuntimeWarning (an error here) escapes
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(5, 801), st.floats(0.3, 3.0), st.sampled_from(["interval", "box", "ball"]))
+@example(3, 1.0, "interval")
+@example(3, 1.5, "box")
 def test_singular_shifted_matrix_raises(n, size, kind):
     g = make_grid({"interval": interval, "box": box}.get(kind, lambda s: ball(s, 1))(size), n)
-    with pytest.raises(LinearSolveError):
+    with pytest.raises(LinearSolveError, match="zero pivot at unknown"):
         solve_shifted(g, _singular_shift(g), np.ones(g.num_interior))
 
 
@@ -256,7 +260,8 @@ def test_no_module_of_the_package_imports_scipy_sparse_linalg():
 
 def test_no_module_of_the_package_names_solve_ivp_or_imports_scipy_optimize():
     # one-dimensional shots run oned's own DOP853 step on a literal tableau
-    # and locate their events by Newton's method
+    # and locate their events by Newton's method, and W0 is oned's own
+    # Newton iteration
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -266,7 +271,7 @@ def test_no_module_of_the_package_names_solve_ivp_or_imports_scipy_optimize():
             else:
                 imported = []
             assert not [name for name in imported
-                        for banned in ("scipy.integrate", "scipy.optimize")
+                        for banned in ("scipy.integrate", "scipy.optimize", "scipy.special")
                         if name == banned or name.startswith(banned + ".")], \
                 f"{path.name}:{node.lineno}"
             named = {getattr(node, "id", None), getattr(node, "attr", None)}
@@ -462,9 +467,8 @@ def test_minres_failure_names_the_goal_it_used(rtol, monkeypatch):
 
 
 def test_importing_the_cli_loads_no_single_backend_module():
-    # scipy.fft serves the box backend's long axes only, scipy.special the
-    # one-dimensional analysis, and scipy.integrate, scipy.optimize and
-    # scipy.sparse.linalg nothing at all
+    # scipy.fft serves the box backend's long axes only, and scipy.integrate,
+    # scipy.optimize, scipy.sparse.linalg and scipy.special nothing at all
     deferred = ("scipy.fft", "scipy.sparse.linalg", "scipy.integrate", "scipy.optimize",
                 "scipy.special")
     probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import concavelab.cli; "
@@ -475,12 +479,15 @@ def test_importing_the_cli_loads_no_single_backend_module():
 
 
 def test_one_dimensional_solves_load_neither_scipy_integrate_nor_optimize():
-    # the shooting pass holds DOP853's tableau as literals, so a profile and
-    # a tensor product of profiles load neither module
+    # the shooting pass holds DOP853's tableau as literals and W0 is a Newton
+    # iteration, so a profile, a tensor product of profiles, alpha* and its
+    # inverse load none of these modules
     probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
              "from concavelab import oned; oned.solve_interval(1.0); "
              "oned.tensor_solution([0.9, 1.1], 41); "
-             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+             "oned.alpha_star(1.0); oned.halfwidth_for_alpha(0.5); "
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') "
+             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"

@@ -69,6 +69,11 @@ FIXED_CASES["concavity-box-sqrt-log"] = {
                     "layer_k": 5},
                    {"kind": "log", "eps_floor": 0.05, "layer_k": 2, "negate": True}],
 }
+# alpha* at both ends of W0's range, beyond the decks' b in [0.35, 4]: 0.32
+# sits just inside the peak cap 1e6, 6.0 just inside MAX_HALFWIDTH
+FIXED_CASES["oned-table-wide"] = {
+    "experiment": "oned-table", "b_grid": [0.32, 5.0, 5.5, 6.0], "samples_per_unit": 100,
+}
 
 
 def _digests(directory: Path) -> dict:
