@@ -276,12 +276,16 @@ def _schedule_from(cfg: dict):
 
 
 def _b_grid(value) -> list[float]:
-    """Halfwidths: a list, or ``{lo, hi, count}`` spaced geometrically."""
-    if not isinstance(value, dict):
-        return _list(_float)(value)
-    g = _read(value, {"lo": (_float, REQUIRED), "hi": (_float, REQUIRED),
-                      "count": (_int, REQUIRED)}, "b_grid")
-    return [float(b) for b in np.geomspace(g["lo"], g["hi"], g["count"])]
+    """Halfwidths in strictly ascending order, the order in which the table
+    checks its rows: a list, or ``{lo, hi, count}`` spaced geometrically."""
+    if isinstance(value, dict):
+        g = _read(value, {"lo": (_float, REQUIRED), "hi": (_float, REQUIRED),
+                          "count": (_int, REQUIRED)}, "b_grid")
+        value = np.geomspace(g["lo"], g["hi"], g["count"]).tolist()
+    bs = _list(_float)(value)
+    if bs != sorted(set(bs)):
+        raise ValueError("halfwidths must be strictly ascending")
+    return bs
 
 
 def _box_halfwidths(value) -> tuple[float, ...]:

@@ -8,9 +8,10 @@ of every report.
 
 The Hessian of ``phi(u)`` is evaluated through the chain rule
 ``phi''(u) g g^T + phi'(u) H(u)`` on centrally differenced gradients
-``g`` and Hessians ``H``.  Each grid kind has one second-difference
-stencil, computed at every node at once and read by both the check set
-and :func:`hessian_at`: the full Hessian on interval and box grids, and
+``g`` and Hessians ``H``.  The check set lies in one region, a slice per
+axis, and each grid kind has one second-difference stencil, formed from
+shifted slices of ``u`` at the region's nodes only (at one node for
+:func:`hessian_at`): the full Hessian on interval and box grids, and
 ``u''`` with ``u'/r`` on radial grids.  The direct second differencing of
 the nodal values of ``phi(u)`` stays as the cross-check.  An increasing
 ``phi`` is checked for concavity of ``phi(u)``, a decreasing one for
@@ -18,9 +19,9 @@ convexity.
 
 The eigenvalues come as one array per eigenvalue (closed forms in one and
 two dimensions and on radial grids), and a verdict reduces across those
-columns elementwise.  The derivative arrays gathered on the check set do
-not depend on ``phi``: an :func:`alpha_sweep` gathers them once and shares
-them among its exponents.
+columns elementwise.  A check set and the derivative arrays gathered on it
+do not depend on ``phi``, whose report leaves out the nodes at its finite
+endpoints: an :func:`alpha_sweep` gathers once for all its exponents.
 """
 
 from __future__ import annotations
@@ -76,18 +77,18 @@ def hessian_at(field: ScalarField, node) -> np.ndarray:
     """
     grid = field.grid
     idx = (int(node),) if np.isscalar(node) else tuple(int(i) for i in node)
-    inside = len(idx) == grid.ndim and all(0 <= i < n for i, n in zip(idx, grid.shape))
-    if not (inside and _check_mask(grid, np.zeros(grid.shape), 0.0, 2)[idx]):
+    deep = _check_region(grid, 2)
+    if not (len(idx) == grid.ndim and all(s.start <= i < s.stop for i, s in zip(idx, deep))):
         raise ValueError(f"node {idx} is not in the check set two layers inside")
+    node_region = tuple(slice(i, i + 1) for i in idx)
     if grid.is_radial:
-        _, upp, tang = _radial_derivatives(field)
-        mat = np.eye(grid.ambient_dim) * tang[idx]
-        mat[0, 0] = upp[idx]
+        _, upp, tang = _radial_derivatives(field, node_region)
+        mat = np.eye(grid.ambient_dim) * tang[0]
+        mat[0, 0] = upp[0]
         return mat
-    comps = _hessian_component_arrays(grid, field.values)
     mat = np.empty((grid.ndim, grid.ndim))
-    for (a, b_ax), arr in comps.items():
-        mat[a, b_ax] = mat[b_ax, a] = arr[idx]
+    for (a, b_ax), arr in _hessian_component_arrays(grid, field.values, node_region).items():
+        mat[a, b_ax] = mat[b_ax, a] = arr.item()
     return mat
 
 
@@ -101,69 +102,57 @@ def check_layer_k(layer_k: int) -> None:
         raise ValueError("layer_k must be at least 2 for the Hessian stencils")
 
 
-def _check_mask(grid: Grid, values: np.ndarray, eps_floor: float, layer_k: int) -> np.ndarray:
+def _check_region(grid: Grid, layer_k: int) -> tuple:
+    """The nodes at least ``layer_k`` layers inside the grid, one slice per
+    axis (on radial grids: away from ``r = R``, the origin being interior)."""
     check_layer_k(layer_k)
-    mask = values >= eps_floor
     if grid.is_radial:
-        mask[grid.shape[0] - layer_k :] = False
-    else:
-        for axis, n in enumerate(grid.shape):
-            idx = np.arange(n)
-            deep = np.minimum(idx, n - 1 - idx) >= layer_k
-            shape = [1] * grid.ndim
-            shape[axis] = n
-            mask = mask & deep.reshape(shape)
+        return (slice(0, max(grid.shape[0] - layer_k, 0)),)
+    return tuple(slice(layer_k, n - layer_k) for n in grid.shape)
+
+
+def _check_mask(grid: Grid, values: np.ndarray, eps_floor: float, layer_k: int) -> np.ndarray:
+    """The check set as a full-grid mask: its region where ``values >= eps_floor``."""
+    region = _check_region(grid, layer_k)
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[region] = values[region] >= eps_floor
     return mask
 
 
-def _hessian_component_arrays(grid: Grid, u: np.ndarray) -> dict:
-    """Full-grid second-difference arrays (garbage within ``layer_k`` of the
-    boundary; callers mask)."""
+def _hessian_component_arrays(grid: Grid, u: np.ndarray, region: tuple) -> dict:
+    """Second-difference arrays at the nodes of ``region``, a box of slices
+    at least one layer inside the grid."""
+
+    def sh(*moves):
+        # the region moved by the given (axis, offset) pairs
+        moved = list(region)
+        for a, o in moves:
+            moved[a] = slice(region[a].start + o, region[a].stop + o)
+        return u[tuple(moved)]
+
+    h = grid.spacing
     comps = {}
-    pad = [(1, 1)] * grid.ndim
-    up = np.pad(u, pad, mode="edge")  # edge rows are masked away downstream
-
-    def sh(*offsets):
-        # full-shape view of the padded array shifted by the given offsets
-        return up[tuple(slice(1 + o, up.shape[a] - 1 + o) for a, o in enumerate(offsets))]
-
-    d = grid.ndim
-    for a in range(d):
-        off = [0] * d
-        off[a] = 1
-        plus = sh(*off)
-        off[a] = -1
-        minus = sh(*off)
-        comps[(a, a)] = (plus - 2.0 * u + minus) / grid.spacing[a] ** 2
-        for b_ax in range(a + 1, d):
-            off = [0] * d
-            off[a], off[b_ax] = 1, 1
-            pp = sh(*off)
-            off[a], off[b_ax] = 1, -1
-            pm = sh(*off)
-            off[a], off[b_ax] = -1, 1
-            mp = sh(*off)
-            off[a], off[b_ax] = -1, -1
-            mm = sh(*off)
-            comps[(a, b_ax)] = (pp - pm - mp + mm) / (
-                4.0 * grid.spacing[a] * grid.spacing[b_ax]
-            )
+    for a in range(grid.ndim):
+        comps[(a, a)] = (sh((a, 1)) - 2.0 * u[region] + sh((a, -1))) / h[a] ** 2
+        for b in range(a + 1, grid.ndim):
+            comps[(a, b)] = (sh((a, 1), (b, 1)) - sh((a, 1), (b, -1)) - sh((a, -1), (b, 1))
+                             + sh((a, -1), (b, -1))) / (4.0 * h[a] * h[b])
     return comps
 
 
-def _radial_derivatives(field: ScalarField):
-    """``u'``, ``u''`` and ``u'/r`` at every node of a radial grid; at the
-    origin both ``u''`` and ``u'/r`` are the symmetric limit ``2 (u_1 - u_0)/h^2``
-    (the last node is garbage; callers mask)."""
-    u = field.values
-    h = field.grid.spacing[0]
-    g = gradient_components(field)[0]
-    upp = np.zeros_like(u)
-    upp[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-    upp[0] = 2.0 * (u[1] - u[0]) / h**2
-    tang = np.empty_like(u)
-    tang[1:] = g[1:] / field.grid.axes[0][1:]
-    tang[0] = upp[0]
+def _radial_derivatives(field: ScalarField, region: tuple):
+    """``u'``, ``u''`` and ``u'/r`` at the nodes of a radial ``region`` short
+    of ``r = R``; at the origin both ``u''`` and ``u'/r`` are the symmetric
+    limit ``2 (u_1 - u_0)/h^2``."""
+    (nodes,) = region
+    u, r, h = field.values, field.grid.axes[0], field.grid.spacing[0]
+    k = np.arange(nodes.start, nodes.stop)
+    g = gradient_components(field)[0][nodes]
+    # the origin reads its mirror node u_1 and r_1 here, and takes the limit below
+    upp = (u[k + 1] - 2.0 * u[k] + u[np.abs(k - 1)]) / h**2
+    tang = g / r[np.maximum(k, 1)]
+    if nodes.start == 0 < nodes.stop:
+        upp[0] = tang[0] = 2.0 * (u[1] - u[0]) / h**2
     return g, upp, tang
 
 
@@ -185,17 +174,24 @@ def _sym_eig_columns(h_flat: dict, d: int) -> list:
     return list(np.linalg.eigvalsh(mats).T)
 
 
-def _chain_rule_data(field: ScalarField, mask: np.ndarray) -> tuple:
-    """What the chain rule takes from ``u`` at the masked nodes, the same for
-    every transform: the values, the gradient components and the second
-    differences (``u''`` and ``u'/r`` on radial grids)."""
+def _subset(data: tuple, keep: np.ndarray) -> tuple:
+    """The chain-rule ``data`` at the nodes where ``keep`` is true."""
+    t_vals, grads, comps = data
+    return t_vals[keep], [g[keep] for g in grads], {key: arr[keep] for key, arr in comps.items()}
+
+
+def _chain_rule_data(field: ScalarField, region: tuple, keep: np.ndarray) -> tuple:
+    """What the chain rule takes from ``u`` where ``keep`` holds in ``region``,
+    the same for every transform: the values, the gradient components and the
+    second differences (``u''`` and ``u'/r`` on radial grids)."""
     grid = field.grid
     if grid.is_radial:
-        g, upp, tang = _radial_derivatives(field)
-        return field.values[mask], [g[mask]], {"upp": upp[mask], "tang": tang[mask]}
-    comps = _hessian_component_arrays(grid, field.values)
-    return (field.values[mask], [g[mask] for g in gradient_components(field)],
-            {key: arr[mask] for key, arr in comps.items()})
+        g, upp, tang = _radial_derivatives(field, region)
+        data = field.values[region], [g], {"upp": upp, "tang": tang}
+    else:
+        data = (field.values[region], [g[region] for g in gradient_components(field)],
+                _hessian_component_arrays(grid, field.values, region))
+    return _subset(data, keep)
 
 
 def _eigen_columns(grid: Grid, transform: Transform, data: tuple) -> list:
@@ -238,31 +234,36 @@ def _resolve_floor(field: ScalarField, eps_floor) -> float:
     return 1e-3 * field.sup_norm() if eps_floor is None else float(eps_floor)
 
 
-def _check_set(
-    field: ScalarField, transform: Transform, eps_floor: float | None, layer_k: int
-) -> tuple:
-    """The floor, depth and mask of the transform's check set, and the
-    chain-rule data gathered on it."""
+def _check_set(field: ScalarField, eps_floor: float | None, layer_k: int) -> tuple:
+    """The floor, the depth and the region of a check set, the C-order
+    indices of its nodes within the region, and the chain-rule data
+    gathered at them; every transform's :func:`_report` reads it."""
     eps = _resolve_floor(field, eps_floor)
-    mask = _check_mask(field.grid, field.values, eps, layer_k)
-    # the transform is differentiable only on the open validity interval and
-    # phi' or phi'' may blow up at an endpoint (sqrt_log at t = m): nodes at
-    # or within rounding of one are excluded, so that a field maximum a few
-    # ulps below m is treated like one equal to m
-    for end in transform.validity:
-        if np.isfinite(end):
-            mask &= np.abs(field.values - end) > ENDPOINT_TOL * max(1.0, abs(end))
-    if not np.any(mask):
+    region = _check_region(field.grid, layer_k)
+    keep = field.values[region] >= eps
+    nodes = np.flatnonzero(keep)
+    if nodes.size == 0:
         raise EmptyCheckSetError("no interior nodes above eps_floor outside the layer")
-    return eps, layer_k, mask, _chain_rule_data(field, mask)
+    return eps, layer_k, region, nodes, _chain_rule_data(field, region, keep)
 
 
 def _report(field: ScalarField, transform: Transform, check_set: tuple) -> ConcavityReport:
     """The verdict of one transform on a :func:`_check_set`, left unmodified."""
-    eps, layer_k, mask, data = check_set
+    eps, layer_k, region, nodes, data = check_set
     grid = field.grid
+    # the transform is differentiable only on the open validity interval and
+    # phi' or phi'' may blow up at an endpoint (sqrt_log at t = m): nodes at
+    # or within rounding of one are excluded, so that a field maximum a few
+    # ulps below m is treated like one equal to m
+    away = np.ones(nodes.size, dtype=bool)
+    for end in transform.validity:
+        if np.isfinite(end):
+            away &= np.abs(data[0] - end) > ENDPOINT_TOL * max(1.0, abs(end))
+    if not np.all(away):
+        nodes, data = nodes[away], _subset(data, away)
+        if nodes.size == 0:
+            raise EmptyCheckSetError("no interior nodes above eps_floor outside the layer")
     cols = _eigen_columns(grid, transform, data)
-    nodes = np.flatnonzero(mask)
     # nodes whose eigen-data still overflow are excluded too
     finite = np.isfinite(cols[0])
     for col in cols[1:]:
@@ -287,12 +288,13 @@ def _report(field: ScalarField, transform: Transform, check_set: tuple) -> Conca
         verdict = "holds weakly"
     else:
         verdict = "fails"
+    local = np.unravel_index(nodes[pos], field.values[region].shape)
     return ConcavityReport(
         transform=transform.label,
         check_mode="concavity" if sign > 0 else "convexity",
         check_set_size=nodes.size,
         extreme_eigenvalue=sign * float(node_ext[pos]),
-        witness=grid.node_coordinates(np.unravel_index(nodes[pos], grid.shape)),
+        witness=grid.node_coordinates(tuple(s.start + i for s, i in zip(region, local))),
         eps_floor=eps,
         layer_k=layer_k,
         margin=margin,
@@ -314,14 +316,15 @@ def check_transform_concavity(
     weakly".  A decreasing ``phi`` is checked for convexity as the
     concavity of ``-phi(u)``: its eigenvalues enter with sign -1.
     """
-    return _report(field, transform, _check_set(field, transform, eps_floor, layer_k))
+    return _report(field, transform, _check_set(field, eps_floor, layer_k))
 
 
 def chain_rule_hessian_eigenvalues(
     field: ScalarField, transform: Transform, eps_floor: float, layer_k: int = LAYER_K
 ) -> np.ndarray:
-    mask = _check_mask(field.grid, field.values, eps_floor, layer_k)
-    return np.stack(_eigen_columns(field.grid, transform, _chain_rule_data(field, mask)), axis=1)
+    region = _check_region(field.grid, layer_k)
+    data = _chain_rule_data(field, region, field.values[region] >= eps_floor)
+    return np.stack(_eigen_columns(field.grid, transform, data), axis=1)
 
 
 def _transformed_values(transform: Transform, u: np.ndarray) -> np.ndarray:
@@ -341,9 +344,10 @@ def direct_hessian_eigenvalues(
     grid = field.grid
     if grid.is_radial:
         raise ValueError("direct differencing path is for interval/box grids")
-    mask = _check_mask(grid, field.values, eps_floor, layer_k)
-    comps = _hessian_component_arrays(grid, _transformed_values(transform, field.values))
-    h_flat = {key: arr[mask] for key, arr in comps.items()}
+    region = _check_region(grid, layer_k)
+    keep = field.values[region] >= eps_floor
+    comps = _hessian_component_arrays(grid, _transformed_values(transform, field.values), region)
+    h_flat = {key: arr[keep] for key, arr in comps.items()}
     return np.stack(_sym_eig_columns(h_flat, grid.ndim), axis=1)
 
 
@@ -400,28 +404,15 @@ def alpha_sweep(field: ScalarField, alphas) -> AlphaSweepResult:
     """
     alphas = tuple(float(a) for a in alphas)
     check_sweep_exponents(alphas)
-    transforms = [reactions.power(a) for a in alphas]
-    # every power shares the validity interval (0, inf), so one check set and
-    # one gathering of its chain-rule data serve the whole sweep
-    check_set = _check_set(field, transforms[0], None, LAYER_K) if transforms else None
-    reports = [_report(field, tr, check_set) for tr in transforms]
+    # one check set and one gathering of its chain-rule data serve every exponent
+    check_set = _check_set(field, None, LAYER_K) if alphas else None
+    reports = [_report(field, reactions.power(a), check_set) for a in alphas]
     passing = [r.passed for r in reports]
-    largest = None
-    for a, ok in zip(alphas, passing):
-        if ok:
-            largest = a
-    consistent = True
-    seen_fail = False
-    for ok in passing:
-        if not ok:
-            seen_fail = True
-        elif seen_fail:
-            consistent = False
     return AlphaSweepResult(
         alphas=alphas,
         verdicts=tuple(r.verdict for r in reports),
-        largest_passing=largest,
-        consistent=consistent,
+        largest_passing=max((a for a, ok in zip(alphas, passing) if ok), default=None),
+        consistent=passing == sorted(passing, reverse=True),  # no pass above a fail
     )
 
 

@@ -704,6 +704,16 @@ def test_node_cap_counts_the_grids_an_experiment_holds():
                      id="tensor-check-resolution-2"),
         pytest.param("oned-table", "b_grid: [1.0]\nsamples_per_unit: 50\n", [], 2, None,
                      id="samples-per-unit-50"),
+        # the table checks its rows for decrease in the order of b
+        pytest.param("oned-table", "b_grid: {lo: 1.2, hi: 0.8, count: 3}\n", [], 2, None,
+                     id="b-grid-descending"),
+        pytest.param("oned-table", "b_grid: [1.0, 1.0]\n", [], 2, None, id="b-grid-repeated"),
+        # a check set deeper than a 9-node ball is empty, not wrapped round from r = R
+        pytest.param("concavity",
+                     yaml.safe_dump({"domain": {"kind": "ball", "radius": 1.0, "ambient_dim": 2},
+                                     "resolution": 9, "reaction": {"kind": "log_schrodinger"},
+                                     "transforms": [{"kind": "log", "layer_k": 10}]}),
+                     [], 1, "failure.json", id="ball-layer-k-past-the-grid"),
         # the parse stage refuses it by arithmetic; a profile at the cap is never shot
         pytest.param("oned-table",
                      f"b_grid: [1.0]\nsamples_per_unit: {oned.MAX_SAMPLES_PER_UNIT + 1}\n", [],

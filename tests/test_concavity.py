@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -138,6 +139,22 @@ def test_empty_check_set_raises(box81):
         check_transform_concavity(tiny, reactions.log_transform(), eps_floor=1.0)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_check_sets_deeper_than_a_ball_are_empty(dim):
+    # the region stops layer_k nodes short of r = R and never wraps round past the origin
+    g = make_grid(ball(1.0, dim), 9)
+    reaction = log_schrodinger()
+    res = newton_solve(g, reaction, initial_guess(g, reaction), 1e-10)
+    assert res.converged
+    log = reactions.log_transform()
+    assert check_transform_concavity(res.field, log, layer_k=8).check_set_size == 1
+    for layer_k in (9, 10, 12, 18):
+        with pytest.raises(EmptyCheckSetError, match="no interior nodes"):
+            check_transform_concavity(res.field, log, layer_k=layer_k)
+        assert not concavity._check_mask(g, res.field.values, 0.0, layer_k).any()
+        assert chain_rule_hessian_eigenvalues(res.field, log, 0.0, layer_k).shape == (0, 2)
+
+
 def test_tensor_log_solution_in_3d_is_strictly_log_concave():
     # log of a tensor product is a sum of concave one-dimensional logs
     fld = oned.tensor_solution([0.9, 1.2, 1.5], 17)
@@ -253,20 +270,24 @@ def _reference_eigendata(field, transform, mask):
     t_vals = field.values[mask]
     d1 = np.atleast_1d(reactions.transform_d1(transform, t_vals))
     d2 = np.atleast_1d(reactions.transform_d2(transform, t_vals))
+    # the stencils are formed on the shallowest check region, which holds every mask
+    region = concavity._check_region(grid, 2)
+    inner = mask[region]
+    assert np.count_nonzero(inner) == t_vals.size
     if grid.is_radial:
-        g, upp, tang = concavity._radial_derivatives(field)
-        radial_eig = d2 * g[mask] ** 2 + d1 * upp[mask]
+        g, upp, tang = concavity._radial_derivatives(field, region)
+        radial_eig = d2 * g[inner] ** 2 + d1 * upp[inner]
         if grid.ambient_dim == 1:
             return radial_eig.reshape(-1, 1)
-        return np.stack([radial_eig, d1 * tang[mask]], axis=1)
+        return np.stack([radial_eig, d1 * tang[inner]], axis=1)
     grads = concavity.gradient_components(field)
-    comps = concavity._hessian_component_arrays(grid, field.values)
+    comps = concavity._hessian_component_arrays(grid, field.values, region)
     d = grid.ndim
     h = {}
     for a in range(d):
-        h[(a, a)] = d2 * grads[a][mask] ** 2 + d1 * comps[(a, a)][mask]
+        h[(a, a)] = d2 * grads[a][mask] ** 2 + d1 * comps[(a, a)][inner]
         for b in range(a + 1, d):
-            h[(a, b)] = d2 * grads[a][mask] * grads[b][mask] + d1 * comps[(a, b)][mask]
+            h[(a, b)] = d2 * grads[a][mask] * grads[b][mask] + d1 * comps[(a, b)][inner]
     if d == 1:
         return h[(0, 0)].reshape(-1, 1)
     if d == 2:
@@ -445,6 +466,62 @@ def test_verdicts_reduce_across_columns_not_along_an_axis(monkeypatch, dim, kind
     want = check_transform_concavity(fld, reactions.log_transform())
     monkeypatch.setattr(concavity, "np", _NumpyWithoutAxisReductions())
     _assert_same_bits(check_transform_concavity(fld, reactions.log_transform()), want)
+
+
+SWEEP = [0.1, 0.3, 0.5, 0.7, 0.9]
+
+
+@pytest.mark.parametrize("dim,kind", BUMPS, ids=[f"{k}{d}" for d, k in BUMPS])
+def test_one_check_set_serves_every_transform(dim, kind):
+    fld = _bump(dim, kind)
+    m = fld.sup_norm()
+    check_set = concavity._check_set(fld, None, concavity.LAYER_K)
+    transforms = [reactions.log_transform(), reactions.sqrt_log(m), reactions.atanh_poly(2.0),
+                  *(reactions.power(a) for a in SWEEP)]
+    for tr in transforms:
+        _assert_same_bits(concavity._report(fld, tr, check_set), check_transform_concavity(fld, tr))
+    # sqrt_log's endpoint m leaves the peak out of its report only
+    nodes = check_set[3].size
+    assert check_transform_concavity(fld, reactions.log_transform()).check_set_size == nodes
+    assert check_transform_concavity(fld, reactions.sqrt_log(m)).check_set_size == nodes - 1
+
+
+def _depth(grid):
+    """Each node's distance in layers to the boundary (on balls: to r = R)."""
+    if grid.is_radial:
+        return grid.shape[0] - 1 - np.arange(grid.shape[0])
+    return functools.reduce(np.minimum, np.ix_(*(np.minimum(np.arange(n), n - 1 - np.arange(n))
+                                                 for n in grid.shape)))
+
+
+@pytest.mark.parametrize("dim,kind", [(2, "box"), (3, "box"), (3, "ball")],
+                         ids=["box2", "box3", "ball3"])
+@pytest.mark.parametrize("poison", [np.nan, 1e300], ids=["nan", "1e300"])
+def test_check_sets_read_only_their_region_widened_by_one_node(monkeypatch, dim, kind, poison):
+    fld = _bump(dim, kind)
+    depth = _depth(fld.grid)
+
+    def poisoned(layer_k):
+        values = fld.values.copy()
+        values[depth < layer_k - 1] = poison
+        return ScalarField(fld.grid, values, validate=False)
+
+    log = reactions.log_transform()
+    eps = 1e-3 * fld.sup_norm()
+    # the default floor reads the sup norm of the whole field: it stays the clean one
+    monkeypatch.setattr(concavity, "_resolve_floor",
+                        lambda field, eps_floor: eps if eps_floor is None else float(eps_floor))
+    for layer_k in (concavity.LAYER_K, concavity.LAYER_K + 1):
+        bad = poisoned(layer_k)
+        _assert_same_bits(check_transform_concavity(bad, log, layer_k=layer_k),
+                          check_transform_concavity(fld, log, layer_k=layer_k))
+        got, want = (chain_rule_hessian_eigenvalues(f, log, eps, layer_k) for f in (bad, fld))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    _assert_same_bits(alpha_sweep(poisoned(concavity.LAYER_K), SWEEP), alpha_sweep(fld, SWEEP))
+    bad = poisoned(2)
+    for idx in zip(*np.nonzero(depth >= 2)):
+        assert np.array_equal(hessian_at(bad, idx).view(np.uint64),
+                              hessian_at(fld, idx).view(np.uint64)), idx
 
 
 @pytest.mark.parametrize("dim,kind", BUMPS, ids=[f"{k}{d}" for d, k in BUMPS])

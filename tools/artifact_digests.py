@@ -69,6 +69,14 @@ FIXED_CASES["concavity-box-sqrt-log"] = {
                     "layer_k": 5},
                    {"kind": "log", "eps_floor": 0.05, "layer_k": 2, "negate": True}],
 }
+# the 3D check region: an unequal box, sqrt_log with m the solution's peak (so
+# the peak leaves its check set at the finite endpoint) and a sweep
+FIXED_CASES["concavity-box3"] = {
+    "experiment": "concavity", "resolution": 21, "reaction": LOG,
+    "domain": {"kind": "box", "halfwidths": [1.0, 1.2, 0.9]},
+    "transforms": [{"kind": "log"}, {"kind": "sqrt_log", "m": 69.59506688347507}],
+    "alphas": SWEEP,
+}
 # alpha* at both ends of W0's range, beyond the decks' b in [0.35, 4]: 0.32
 # sits just inside the peak cap 1e6, 6.0 just inside MAX_HALFWIDTH
 FIXED_CASES["oned-table-wide"] = {
