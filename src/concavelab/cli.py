@@ -39,6 +39,7 @@ from .grid import Domain, ball, box, check_nodes, interval, make_grid
 from .linops import principal_eigenpair
 from .solver import (
     InitialGuessError,
+    box_log_guess,
     continuation_branch,
     energy_upper_bound,
     initial_guess,
@@ -369,9 +370,12 @@ def _strictly_decreasing(values) -> bool:
 
 
 def _solve(p, reaction):
-    """Newton solve of ``reaction`` on the experiment's grid from its Nehari guess."""
-    guess = initial_guess(p.grid, reaction)
-    return newton_solve(p.grid, reaction, guess, p.tolerances["newton"])
+    """Newton solve of ``reaction`` from its Nehari guess, or on a 2D or 3D box (a grid of
+    several axes) for the positive log reaction from the product of its axes' solutions."""
+    tol = p.tolerances["newton"]
+    separable = reaction.family is reactions.LOG and reaction.sign > 0 and p.grid.ndim > 1
+    guess = box_log_guess(p.grid, reaction, tol) if separable else initial_guess(p.grid, reaction)
+    return newton_solve(p.grid, reaction, guess, tol)
 
 
 # branch.csv columns any branch experiment may name: column -> its value at a BranchEntry

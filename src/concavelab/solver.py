@@ -16,8 +16,9 @@ reported residual is always the exact unclamped one.  Where the family's ``f'`` 
 (the log family), nodes at ``u = 0`` take the floor itself.
 
 Initial guesses scale the principal eigenfunction onto the Nehari set of
-the reaction.  Branches in the exponent ``q`` warm-start each solve from
-its predecessor, either at fixed ``sigma`` or along ``sigma = 2/(q-1)``.
+the reaction, or multiply the positive log reaction's solutions on a box's
+axes.  Branches in the exponent ``q`` warm-start each solve from its
+predecessor, either at fixed ``sigma`` or along ``sigma = 2/(q-1)``.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .grid import Domain, Grid
+from .grid import Domain, Grid, interval, make_grid
 from .linops import (
     FORCING_CAP,
     SHIFTED_RESIDUAL,
     Eigenpair,
+    EigenSolveError,
+    LinearSolveError,
     ScalarField,
     apply_laplacian,
     gradient_components,
@@ -50,6 +53,7 @@ __all__ = [
     "InitialGuessError",
     "EnergyBoundError",
     "initial_guess",
+    "box_log_guess",
     "nehari_rescale",
     "newton_solve",
     "energy",
@@ -317,6 +321,22 @@ def newton_solve(grid: Grid, reaction: Reaction, guess: ScalarField,
         nehari_residual=nehari_residual(grid, reaction, field),
         status=status,
     )
+
+
+def box_log_guess(grid: Grid, reaction: Reaction, tol: float = NEWTON_TOL) -> ScalarField:
+    """Product of the positive log reaction's discrete solutions, to ``tol``, on the axes of
+    a box (``-Delta_h`` and ``log u^2`` separate, so it solves the box's problem up to
+    rounding); :func:`initial_guess` if an axis solve does not converge or raises a solve error."""
+    factors = []
+    for axis in (make_grid(interval(b), n) for b, n in zip(grid.domain.halfwidths, grid.shape)):
+        try:
+            result = newton_solve(axis, reaction, initial_guess(axis, reaction), tol)
+        except (InitialGuessError, EigenSolveError, LinearSolveError):
+            return initial_guess(grid, reaction)
+        if not result.converged:
+            return initial_guess(grid, reaction)
+        factors.append(result.field.values)
+    return ScalarField(grid, math.prod(np.ix_(*factors)))
 
 
 # ---------------------------------------------------------------------------

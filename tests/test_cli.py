@@ -9,9 +9,9 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from concavelab import cli, concavity, grid, oned, reactions
+from concavelab import cli, concavity, grid, oned, reactions, solver
 from concavelab.cli import ConfigError, config_hash, load_config, main
-from concavelab.linops import EigenSolveError
+from concavelab.linops import EigenSolveError, LinearSolveError
 
 
 def _write_cfg(tmp_path, name, data):
@@ -605,6 +605,120 @@ def test_log_guess_beyond_its_scale_range_exits_1_with_failure_json(tmp_path, ca
     assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
     err = capsys.readouterr().err
     assert err.startswith("failure: ") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# which guess a solve starts from
+
+LOG = {"kind": "log_schrodinger"}
+BOX2_LOG = {"domain": {"kind": "box", "halfwidths": [0.8, 1.3]}, "resolution": 41, "reaction": LOG}
+
+
+def _record(monkeypatch, module, name, record):
+    """Call ``record`` with the arguments of each call of ``module.name``."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: record(*args) or real(*args))
+
+
+def _run_files(tmp_path, experiment, data, key):
+    """Exit code and the bytes of each file of one run, in its own directory ``key``."""
+    cfg = _write_cfg(tmp_path, f"{key}.yaml", data)
+    out = tmp_path / key
+    code = main([experiment, "--config", str(cfg), "--out", str(out)])
+    return code, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("experiment,data,artifact", [
+    ("solve", BOX2_LOG, "solve.json"),
+    ("solve", {**BOX2_LOG, "domain": {"kind": "box", "halfwidths": [1.0, 1.2, 0.9]},
+               "resolution": 15}, "solve.json"),
+    ("concavity", {**BOX2_LOG, "transforms": [{"kind": "log"}]}, "concavity.json"),
+    ("pohozaev", {key: BOX2_LOG[key] for key in ("domain", "resolution")}, "pohozaev.json"),
+], ids=["solve-box2", "solve-box3", "concavity-box2", "pohozaev-box2"])
+def test_box_log_solves_start_from_the_product_and_take_no_box_step(
+        tmp_path, monkeypatch, experiment, data, artifact):
+    stepped, results = [], []
+    _record(monkeypatch, solver, "solve_shifted", lambda grid, *args: stepped.append(grid))
+    _wrap(monkeypatch, cli, "newton_solve", lambda r: results.append(r) or r)
+    assert _exit_and_payload(tmp_path, experiment, data, artifact)[0] == 0
+    assert [r.newton_iters for r in results] == [1]
+    assert {g.domain.kind for g in stepped} == {"interval"}  # the axes' own solves
+
+
+@pytest.mark.parametrize("experiment,data,guesses", [
+    ("solve", {**BOX2_LOG, "reaction": {"kind": "lane_emden", "q": 2.0, "sigma": 6.0}}, 1),
+    ("dispersive", {key: BOX2_LOG[key] for key in ("domain", "resolution")}, 2),
+    ("solve", {**BOX2_LOG, "domain": {"kind": "box", "halfwidths": [1.0]}}, 1),
+    ("solve", BASE_SOLVE, 1),
+    ("solve", {**BASE_SOLVE, "domain": {"kind": "ball", "radius": 1.5, "ambient_dim": 2}}, 1),
+], ids=["lane-emden-box2", "dispersive-box2", "log-box1", "log-interval", "log-ball2"])
+def test_other_solves_start_from_the_nehari_guess(tmp_path, monkeypatch, experiment, data, guesses):
+    calls = []
+    for name in ("initial_guess", "box_log_guess"):
+        _record(monkeypatch, cli, name, lambda *args, name=name: calls.append(name))
+    main([experiment, "--config", str(_write_cfg(tmp_path, "c.yaml", data)),
+          "--out", str(tmp_path / "out")])
+    assert calls == ["initial_guess"] * guesses
+
+
+def _fail_with(exc):
+    def fail(real, *args):
+        raise exc
+    return fail
+
+
+AXIS_FAILURES = {
+    "unconverged": lambda real, *args: dataclasses.replace(real(*args), status="max_iterations"),
+    "initial-guess-error": _fail_with(solver.InitialGuessError("no Nehari scale")),
+    "eigen-solve-error": _fail_with(EigenSolveError("did not converge")),
+    "linear-solve-error": _fail_with(LinearSolveError("singular step matrix", float("inf"))),
+}
+
+
+def _nehari_guess_only(monkeypatch):
+    """Start every solve of ``cli._solve`` from ``initial_guess``, the product's fallback."""
+    monkeypatch.setattr(cli, "box_log_guess", lambda grid, reaction, tol: solver.initial_guess(
+        grid, reaction))
+
+
+@pytest.mark.parametrize("failure", AXIS_FAILURES)
+@pytest.mark.parametrize("axis", [0, 1])
+def test_a_failed_axis_solve_falls_back_to_the_nehari_guess(tmp_path, monkeypatch, failure, axis):
+    real, axes = solver.newton_solve, []
+
+    def axis_solve(*args):  # the box's own solve is cli's binding, left alone
+        axes.append(args[0].domain.kind)
+        return AXIS_FAILURES[failure](real, *args) if len(axes) == axis + 1 else real(*args)
+
+    monkeypatch.setattr(solver, "newton_solve", axis_solve)
+    data = {**BOX2_LOG, "transforms": [{"kind": "log"}], "alphas": [0.3, 0.6]}
+    got = _run_files(tmp_path, "concavity", data, "product")
+    assert axes == ["interval"] * (axis + 1)
+    _nehari_guess_only(monkeypatch)
+    assert got == _run_files(tmp_path, "concavity", data, "nehari")
+    assert got[0] == 0 and json.loads(got[1]["concavity.json"])["solve"]["newton_iters"] > 1
+
+
+def test_a_box_with_no_guess_at_all_fails_like_the_nehari_path(tmp_path, monkeypatch):
+    def no_eigenpair(grid):
+        raise EigenSolveError("inverse power iteration did not converge")
+
+    monkeypatch.setattr(solver, "principal_eigenpair", no_eigenpair)
+    got = _run_files(tmp_path, "solve", BOX2_LOG, "product")
+    _nehari_guess_only(monkeypatch)
+    assert got == _run_files(tmp_path, "solve", BOX2_LOG, "nehari")
+    assert got[0] == 1 and list(got[1]) == ["failure.json"]
+
+
+def test_a_box_too_small_for_a_nehari_scale_is_solved_from_the_product(tmp_path):
+    # each axis's guess has a Nehari scale inside [1e-8, 1e8]; the square's, their
+    # product, does not, so the eigenfunction guess is refused on the square
+    data = {**BOX2_LOG, "domain": {"kind": "box", "halfwidths": [0.35, 0.35]}, "resolution": 21}
+    square = grid.make_grid(grid.box(0.35, 0.35), 21)
+    with pytest.raises(solver.InitialGuessError, match="Nehari scale"):
+        solver.initial_guess(square, reactions.log_schrodinger())
+    code, payload = _exit_and_payload(tmp_path, "solve", data, "solve.json")
+    assert code == 0 and payload["newton_iters"] == 1 and payload["sup_norm"] > 1e8
 
 
 INTERVAL_41 = {"domain": {"kind": "interval", "halfwidth": 1.0}, "resolution": 41}

@@ -486,6 +486,27 @@ def test_one_check_set_serves_every_transform(dim, kind):
     assert check_transform_concavity(fld, reactions.sqrt_log(m)).check_set_size == nodes - 1
 
 
+@pytest.mark.parametrize("dim,kind", BUMPS, ids=[f"{k}{d}" for d, k in BUMPS])
+@pytest.mark.parametrize("below_floor", [0, 1], ids=["every-node-kept", "one-node-dropped"])
+def test_check_sets_keeping_every_region_node_match_the_reference(dim, kind, below_floor):
+    fld = _bump(dim, kind)
+    region = concavity._check_region(fld.grid, concavity.LAYER_K)
+    eps = 1e-3 * fld.sup_norm()
+    assert np.all(fld.values[region] >= eps)
+    if below_floor:  # the region's last node in C order, away from the peak
+        values = fld.values.copy()
+        values[tuple(s.stop - 1 for s in region)] = 0.5 * eps
+        fld = ScalarField(fld.grid, values, validate=False)
+    check_set = concavity._check_set(fld, None, concavity.LAYER_K)
+    assert check_set[3].size == fld.values[region].size - below_floor
+    m = fld.sup_norm()
+    for tr in (reactions.log_transform(), reactions.sqrt_log(m),
+               *(reactions.power(a) for a in SWEEP)):
+        _assert_same_bits(concavity._report(fld, tr, check_set), _reference_report(fld, tr))
+    assert alpha_sweep(fld, SWEEP).verdicts == tuple(
+        _reference_report(fld, reactions.power(a)).verdict for a in SWEEP)
+
+
 def _depth(grid):
     """Each node's distance in layers to the boundary (on balls: to r = R)."""
     if grid.is_radial:

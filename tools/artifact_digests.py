@@ -77,6 +77,11 @@ FIXED_CASES["concavity-box3"] = {
     "transforms": [{"kind": "log"}, {"kind": "sqrt_log", "m": 69.59506688347507}],
     "alphas": SWEEP,
 }
+# the 3D product guess of a box log solve at a useful size, on an unequal box
+FIXED_CASES["solve-box3"] = {
+    "experiment": "solve", "resolution": 41, "reaction": LOG,
+    "domain": {"kind": "box", "halfwidths": [1.0, 1.2, 0.9]},
+}
 # alpha* at both ends of W0's range, beyond the decks' b in [0.35, 4]: 0.32
 # sits just inside the peak cap 1e6, 6.0 just inside MAX_HALFWIDTH
 FIXED_CASES["oned-table-wide"] = {
