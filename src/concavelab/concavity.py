@@ -175,10 +175,9 @@ def _sym_eig_columns(h_flat: dict, d: int) -> list:
 
 
 def _subset(data: tuple, keep: np.ndarray) -> tuple:
-    """The chain-rule ``data`` at the nodes where ``keep`` is true, in C order."""
-    pick = np.ravel if np.all(keep) else lambda arr: arr[keep]  # ravel is no gather
+    """The chain-rule ``data`` at the nodes where ``keep`` is true."""
     t_vals, grads, comps = data
-    return pick(t_vals), [pick(g) for g in grads], {key: pick(arr) for key, arr in comps.items()}
+    return t_vals[keep], [g[keep] for g in grads], {key: arr[keep] for key, arr in comps.items()}
 
 
 def _chain_rule_data(field: ScalarField, region: tuple, keep: np.ndarray) -> tuple:

@@ -324,9 +324,10 @@ def newton_solve(grid: Grid, reaction: Reaction, guess: ScalarField,
 
 
 def box_log_guess(grid: Grid, reaction: Reaction, tol: float = NEWTON_TOL) -> ScalarField:
-    """Product of the positive log reaction's discrete solutions, to ``tol``, on the axes of
-    a box (``-Delta_h`` and ``log u^2`` separate, so it solves the box's problem up to
-    rounding); :func:`initial_guess` if an axis solve does not converge or raises a solve error."""
+    """Product of the positive log reaction's discrete solutions, to ``tol``, on a box's axes
+    (``-Delta_h`` and ``log u^2`` separate; each axis peak exceeds 1, so its box residual is at most
+    ``d * tol * sup u``); :func:`initial_guess` if an axis solve does not converge or raises a
+    solve error."""
     factors = []
     for axis in (make_grid(interval(b), n) for b, n in zip(grid.domain.halfwidths, grid.shape)):
         try:
