@@ -39,11 +39,10 @@ from .grid import Domain, ball, box, check_nodes, interval, make_grid
 from .linops import principal_eigenpair
 from .solver import (
     InitialGuessError,
-    box_log_guess,
     continuation_branch,
     energy_upper_bound,
-    initial_guess,
     log_residual_sup,
+    newton_guess,
     newton_solve,
     pohozaev_check,
 )
@@ -370,12 +369,9 @@ def _strictly_decreasing(values) -> bool:
 
 
 def _solve(p, reaction):
-    """Newton solve of ``reaction`` from its Nehari guess, or on a 2D or 3D box (a grid of
-    several axes) for the positive log reaction from the product of its axes' solutions."""
+    """Newton solve of ``reaction`` from the solver's cold start (:func:`solver.newton_guess`)."""
     tol = p.tolerances["newton"]
-    separable = reaction.family is reactions.LOG and reaction.sign > 0 and p.grid.ndim > 1
-    guess = box_log_guess(p.grid, reaction, tol) if separable else initial_guess(p.grid, reaction)
-    return newton_solve(p.grid, reaction, guess, tol)
+    return newton_solve(p.grid, reaction, newton_guess(p.grid, reaction, tol), tol)
 
 
 # branch.csv columns any branch experiment may name: column -> its value at a BranchEntry

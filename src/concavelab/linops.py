@@ -42,7 +42,6 @@ from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .grid import Grid
@@ -555,10 +554,11 @@ class SineOperator(GridOperator):
         return float(self.symbol.flat[0]), self._phi.copy(), 0
 
 
-def neg_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
-    """Sparse matrix of ``-Laplacian_h`` on interior unknowns (C-order
-    flattening), built from the grid's stencil rows on each call.  No solve
-    uses it; its products equal ``grid.operator.apply`` bit for bit."""
+def neg_laplacian_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
+    """Sparse matrix of ``-Laplacian_h`` on interior unknowns (C-order flattening), built from the
+    grid's stencil rows on each call.  No solve uses it, and only it imports ``scipy.sparse``; its
+    products equal ``grid.operator.apply`` bit for bit."""
+    import scipy.sparse
     shape = _interior_shape(grid)
     size = math.prod(shape)
     column = np.full(tuple(n + 2 for n in shape), -1)  # -1: a boundary or ghost node
@@ -568,7 +568,7 @@ def neg_laplacian_matrix(grid: Grid) -> sp.csr_matrix:
     vals = np.concatenate([np.broadcast_to(c, shape).ravel() for c in coefficients])
     rows = np.tile(np.arange(size), len(coefficients))
     keep = (cols >= 0) & (vals != 0.0)
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(size, size))
+    return scipy.sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(size, size))
 
 
 def solve_poisson(rhs: ScalarField, tol: float = 1e-12) -> ScalarField:

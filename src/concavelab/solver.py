@@ -15,10 +15,9 @@ is ``f'(u)`` clamped below at ``JAC_FLOOR``, in the step only; the
 reported residual is always the exact unclamped one.  Where the family's ``f'`` is singular at 0
 (the log family), nodes at ``u = 0`` take the floor itself.
 
-Initial guesses scale the principal eigenfunction onto the Nehari set of
-the reaction, or multiply the positive log reaction's solutions on a box's
-axes.  Branches in the exponent ``q`` warm-start each solve from its
-predecessor, either at fixed ``sigma`` or along ``sigma = 2/(q-1)``.
+A cold start (:func:`newton_guess`) multiplies the log reaction's axis solutions on a 2D or 3D box
+and elsewhere scales the principal eigenfunction onto the reaction's Nehari set.  Branches in ``q``
+warm-start each solve from its predecessor, at fixed ``sigma`` or along ``sigma = 2/(q-1)``.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ __all__ = [
     "InitialGuessError",
     "EnergyBoundError",
     "initial_guess",
-    "box_log_guess",
+    "newton_guess",
     "nehari_rescale",
     "newton_solve",
     "energy",
@@ -323,11 +322,14 @@ def newton_solve(grid: Grid, reaction: Reaction, guess: ScalarField,
     )
 
 
-def box_log_guess(grid: Grid, reaction: Reaction, tol: float = NEWTON_TOL) -> ScalarField:
-    """Product of the positive log reaction's discrete solutions, to ``tol``, on a box's axes
-    (``-Delta_h`` and ``log u^2`` separate; each axis peak exceeds 1, so its box residual is at most
-    ``d * tol * sup u``); :func:`initial_guess` if an axis solve does not converge or raises a
-    solve error."""
+def newton_guess(grid: Grid, reaction: Reaction, tol: float = NEWTON_TOL) -> ScalarField:
+    """Newton's cold start.  On a 2D or 3D box, for the log family of either sign, the product of
+    its discrete axis solutions to ``tol`` (``-Delta_h`` and ``log u^2`` separate; axis peaks exceed
+    ``sqrt(e)`` for the positive sign and lie below 1 for the dispersive one, so the box residual
+    ``sum_i G_i prod_{j != i} u_j`` is at most ``d * tol * max(1, sup u)``); elsewhere, or if an
+    axis solve does not converge or raises a solve error, :func:`initial_guess`."""
+    if reaction.family is not reactions.LOG or grid.ndim == 1:
+        return initial_guess(grid, reaction)
     factors = []
     for axis in (make_grid(interval(b), n) for b, n in zip(grid.domain.halfwidths, grid.shape)):
         try:
@@ -406,10 +408,10 @@ def continuation_branch(
     """Warm-started solves along the monotone exponents ``qs``
     (:func:`geometric_q_schedule` builds a geometric one).
 
-    The first solve starts from the Nehari scaling of the eigenfunction;
-    each later solve starts from its predecessor's field.  The branch is
-    cut at the first failed solve and marked incomplete, with the partial
-    entries retained.
+    The first solve starts from :func:`newton_guess`, for these Lane-Emden
+    reactions the Nehari scaling of the eigenfunction; each later solve
+    starts from its predecessor's field.  The branch is cut at the first
+    failed solve and marked incomplete, with the partial entries retained.
     """
     qs = [float(q) for q in qs]
     check_q_schedule(qs, sigma_rule, sigma)
@@ -420,7 +422,7 @@ def continuation_branch(
         sig = _sigma_for(sigma_rule, sigma, q)
         reaction = reactions.lane_emden(q, sig)
         if guess is None:
-            guess = initial_guess(grid, reaction)
+            guess = newton_guess(grid, reaction, tol)
         else:
             guess = nehari_rescale(grid, reaction, guess)
         result = newton_solve(grid, reaction, guess, tol=tol)

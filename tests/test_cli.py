@@ -628,37 +628,53 @@ def _run_files(tmp_path, experiment, data, key):
     return code, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("experiment,data,artifact", [
-    ("solve", BOX2_LOG, "solve.json"),
+@pytest.mark.parametrize("experiment,data,artifact,first_check", [
+    ("solve", BOX2_LOG, "solve.json", [True]),
     ("solve", {**BOX2_LOG, "domain": {"kind": "box", "halfwidths": [1.0, 1.2, 0.9]},
-               "resolution": 15}, "solve.json"),
-    ("concavity", {**BOX2_LOG, "transforms": [{"kind": "log"}]}, "concavity.json"),
-    ("pohozaev", {key: BOX2_LOG[key] for key in ("domain", "resolution")}, "pohozaev.json"),
-], ids=["solve-box2", "solve-box3", "concavity-box2", "pohozaev-box2"])
+               "resolution": 15}, "solve.json", [True]),
+    ("concavity", {**BOX2_LOG, "transforms": [{"kind": "log"}]}, "concavity.json", [True]),
+    ("pohozaev", {key: BOX2_LOG[key] for key in ("domain", "resolution")}, "pohozaev.json",
+     [True]),
+    ("dispersive", {"domain": BOX2_LOG["domain"], "resolution": 41, "sigma": 6.0},
+     "dispersive.json", [False, True]),
+], ids=["solve-box2", "solve-box3", "concavity-box2", "pohozaev-box2", "dispersive-box2"])
 def test_box_log_solves_start_from_the_product_and_take_no_box_step(
-        tmp_path, monkeypatch, experiment, data, artifact):
-    stepped, results = [], []
-    _record(monkeypatch, solver, "solve_shifted", lambda grid, *args: stepped.append(grid))
-    _wrap(monkeypatch, cli, "newton_solve", lambda r: results.append(r) or r)
+        tmp_path, monkeypatch, experiment, data, artifact, first_check):
+    # per box solve, whether it stops at its first check and steps only on the
+    # axes' own solves; the dispersive polynomial half steps on the box
+    stepped, solves = [], []
+    _record(monkeypatch, solver, "solve_shifted", lambda grid, *args: stepped.append(
+        grid.domain.kind))
+
+    def box_solve(result):  # with the grids stepped on since the previous box solve
+        solves.append((result.newton_iters, set(stepped)))
+        stepped.clear()
+        return result
+
+    _wrap(monkeypatch, cli, "newton_solve", box_solve)
     assert _exit_and_payload(tmp_path, experiment, data, artifact)[0] == 0
-    assert [r.newton_iters for r in results] == [1]
-    assert {g.domain.kind for g in stepped} == {"interval"}  # the axes' own solves
+    assert [iters == 1 for iters, _ in solves] == first_check
+    assert [kinds == {"interval"} for _, kinds in solves] == first_check
 
 
-@pytest.mark.parametrize("experiment,data,guesses", [
-    ("solve", {**BOX2_LOG, "reaction": {"kind": "lane_emden", "q": 2.0, "sigma": 6.0}}, 1),
-    ("dispersive", {key: BOX2_LOG[key] for key in ("domain", "resolution")}, 2),
-    ("solve", {**BOX2_LOG, "domain": {"kind": "box", "halfwidths": [1.0]}}, 1),
-    ("solve", BASE_SOLVE, 1),
-    ("solve", {**BASE_SOLVE, "domain": {"kind": "ball", "radius": 1.5, "ambient_dim": 2}}, 1),
+@pytest.mark.parametrize("experiment,data,kinds", [
+    ("solve", {**BOX2_LOG, "reaction": {"kind": "lane_emden", "q": 2.0, "sigma": 6.0}}, ["box"]),
+    ("dispersive", {key: BOX2_LOG[key] for key in ("domain", "resolution")},
+     ["box", "interval", "interval"]),
+    ("solve", {**BOX2_LOG, "domain": {"kind": "box", "halfwidths": [1.0]}}, ["box"]),
+    ("solve", BASE_SOLVE, ["interval"]),
+    ("solve", {**BASE_SOLVE, "domain": {"kind": "ball", "radius": 1.5, "ambient_dim": 2}},
+     ["ball"]),
 ], ids=["lane-emden-box2", "dispersive-box2", "log-box1", "log-interval", "log-ball2"])
-def test_other_solves_start_from_the_nehari_guess(tmp_path, monkeypatch, experiment, data, guesses):
+def test_other_solves_start_from_the_nehari_guess(tmp_path, monkeypatch, experiment, data, kinds):
+    # the grid of each Nehari guess: the dispersive polynomial half's on the box,
+    # then its log half's on the two axes whose solutions it multiplies
     calls = []
-    for name in ("initial_guess", "box_log_guess"):
-        _record(monkeypatch, cli, name, lambda *args, name=name: calls.append(name))
+    _record(monkeypatch, solver, "initial_guess", lambda grid, reaction: calls.append(
+        grid.domain.kind))
     main([experiment, "--config", str(_write_cfg(tmp_path, "c.yaml", data)),
           "--out", str(tmp_path / "out")])
-    assert calls == ["initial_guess"] * guesses
+    assert calls == kinds
 
 
 def _fail_with(exc):
@@ -677,7 +693,7 @@ AXIS_FAILURES = {
 
 def _nehari_guess_only(monkeypatch):
     """Start every solve of ``cli._solve`` from ``initial_guess``, the product's fallback."""
-    monkeypatch.setattr(cli, "box_log_guess", lambda grid, reaction, tol: solver.initial_guess(
+    monkeypatch.setattr(cli, "newton_guess", lambda grid, reaction, tol: solver.initial_guess(
         grid, reaction))
 
 

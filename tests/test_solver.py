@@ -238,17 +238,21 @@ def test_three_dimensional_solve_matches_tensor_oracle():
     assert rel_gap < 0.01  # O(h^2) at h = 0.1
 
 
-@pytest.mark.parametrize("halfwidths,n", [((0.8, 1.3), 81), ((1.0, 1.2, 0.9), 25)],
-                         ids=["box2", "box3"])
-def test_box_log_solve_matches_the_product_of_axis_solves(halfwidths, n):
-    # the discrete problem separates, so the box's own Newton solve (MINRES
-    # steps from the Nehari guess) lands on the product to rounding
+@pytest.mark.parametrize("halfwidths,n,reaction", [
+    ((0.8, 1.3), 81, log_schrodinger()),
+    ((1.0, 1.2, 0.9), 25, log_schrodinger()),
+    ((0.8, 1.3), 81, reactions.dispersive_log()),
+    ((1.0, 1.2, 0.9), 25, reactions.dispersive_log()),
+], ids=["box2", "box3", "dispersive-box2", "dispersive-box3"])
+def test_box_log_solve_matches_the_product_of_axis_solves(halfwidths, n, reaction):
+    # the discrete problem separates for either sign, so the box's own Newton
+    # solve (MINRES steps from the Nehari guess) lands on the product to rounding
     g = make_grid(box(*halfwidths), n)
-    res = newton_solve(g, log_schrodinger(), initial_guess(g, log_schrodinger()))
-    product = solver.box_log_guess(g, log_schrodinger())
+    res = newton_solve(g, reaction, initial_guess(g, reaction))
+    product = solver.newton_guess(g, reaction)
     assert res.converged and res.newton_iters > 1
     assert np.max(np.abs(res.field.values - product.values)) <= 1e-10 * res.sup_norm
-    assert newton_solve(g, log_schrodinger(), product).newton_iters == 1
+    assert newton_solve(g, reaction, product).newton_iters == 1
 
 
 def test_radial_solve_on_disk():

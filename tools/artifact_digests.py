@@ -82,6 +82,12 @@ FIXED_CASES["solve-box3"] = {
     "experiment": "solve", "resolution": 41, "reaction": LOG,
     "domain": {"kind": "box", "halfwidths": [1.0, 1.2, 0.9]},
 }
+# the dispersive sign's product guess: no deck template runs a plain
+# dispersive log solve, nor one on an unequal 3D box
+FIXED_CASES["solve-dispersive-log-box3"] = {
+    "experiment": "solve", "resolution": 21, "reaction": {"kind": "dispersive_log"},
+    "domain": {"kind": "box", "halfwidths": [1.0, 1.2, 0.9]},
+}
 # alpha* at both ends of W0's range, beyond the decks' b in [0.35, 4]: 0.32
 # sits just inside the peak cap 1e6, 6.0 just inside MAX_HALFWIDTH
 FIXED_CASES["oned-table-wide"] = {
