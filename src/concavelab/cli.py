@@ -530,18 +530,17 @@ def _run_dispersive(p):
     for half, reaction, transform, transform_name in halves:
         try:
             result = _solve(p, reaction)
-            rep = concavity.check_transform_concavity(result.field, transform)
         except InitialGuessError as exc:
             payload[half] = {"error": str(exc)}
             failures.append(f"{half}: {exc}")
             continue
-        payload[half] = {
-            "solve": _fields(result, *SOLVE_FIELDS),
-            "transform": _concavity_report_payload(rep),
-        }
-        if not result.converged:
+        payload[half] = {"solve": _fields(result, *SOLVE_FIELDS)}
+        if not result.converged:  # a trivial or stalled field has no transform to check
             failures.append(f"{half} solve: {result.status}")
-        elif result.sup_norm >= 1.0 - 1e-3:
+            continue
+        rep = concavity.check_transform_concavity(result.field, transform)
+        payload[half]["transform"] = _concavity_report_payload(rep)
+        if result.sup_norm >= 1.0 - 1e-3:
             failures.append(f"{half} sup norm not below 1 - 1e-3")
         elif rep.verdict != "holds strictly":
             failures.append(f"{transform_name}: {rep.verdict}")

@@ -18,6 +18,8 @@ built once and immutable.  The grid alone picks its backend
   ``(dl, d - shift, du)``: a Newton step at the Jacobian's shift, a Poisson
   solve and each step of inverse power iteration at shift 0.  Radial rows
   are not symmetric, and the pivoted routine does not need them to be.
+  ``scipy.linalg`` is imported where ``dgtsv`` is called, so a run that
+  solves no tridiagonal system never loads it.
 * 2D and 3D box grids (:class:`SineOperator`): the type-I discrete sine
   transform diagonalizes the 5- and 7-point Laplacian exactly (Buzbee,
   Golub & Nielsen 1970).  Poisson solves are a forward and an inverse
@@ -42,7 +44,6 @@ from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .grid import Grid
 
@@ -332,7 +333,8 @@ class GridOperator:
 
 class TridiagonalOperator(GridOperator):
     """Intervals, 1-D boxes and radial grids: the rows as three diagonals,
-    which every solve hands to LAPACK ``dgtsv``."""
+    which every solve hands to LAPACK ``dgtsv``, imported from ``scipy.linalg``
+    at the first solve."""
 
     def _build(self):
         lower, centre, upper = (np.broadcast_to(c, self._shape).copy() for c in
@@ -351,6 +353,8 @@ class TridiagonalOperator(GridOperator):
         order 1, where ``dgtsv`` is the one division ``b / d``."""
         d = self.d - shift
         if d.size > 1:
+            from scipy.linalg import lapack
+
             *_, x, info = lapack.dgtsv(self.dl, d, self.du, rhs, overwrite_d=1)
         else:
             x, info = (None, 1) if d[0] == 0.0 else (rhs / d, 0)

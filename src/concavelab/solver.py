@@ -330,16 +330,18 @@ def newton_guess(grid: Grid, reaction: Reaction, tol: float = NEWTON_TOL) -> Sca
     axis solve does not converge or raises a solve error, :func:`initial_guess`."""
     if reaction.family is not reactions.LOG or grid.ndim == 1:
         return initial_guess(grid, reaction)
-    factors = []
-    for axis in (make_grid(interval(b), n) for b, n in zip(grid.domain.halfwidths, grid.shape)):
+    axes = list(zip(grid.domain.halfwidths, grid.shape))
+    solved = {}  # (halfwidth, n) -> its axis solution; equal axes are solved once
+    for b, n in dict.fromkeys(axes):
+        axis = make_grid(interval(b), n)
         try:
             result = newton_solve(axis, reaction, initial_guess(axis, reaction), tol)
         except (InitialGuessError, EigenSolveError, LinearSolveError):
             return initial_guess(grid, reaction)
         if not result.converged:
             return initial_guess(grid, reaction)
-        factors.append(result.field.values)
-    return ScalarField(grid, math.prod(np.ix_(*factors)))
+        solved[b, n] = result.field.values
+    return ScalarField(grid, math.prod(np.ix_(*(solved[key] for key in axes))))
 
 
 # ---------------------------------------------------------------------------

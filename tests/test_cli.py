@@ -586,6 +586,20 @@ def test_dispersive_failure_reasons_exit_1(tmp_path, monkeypatch, module, name, 
     assert payload["failures"] == failures
 
 
+def test_dispersive_trivial_half_keeps_the_other_halfs_report(tmp_path):
+    # on this small square the log half falls to u = 0, whose transform has no
+    # nodes to check; the polynomial half's report must survive it
+    data = {"domain": {"kind": "box", "halfwidths": [0.3, 0.3]}, "resolution": 21,
+            "q": 2.0, "sigma": 60.0}
+    code, payload = _exit_and_payload(tmp_path, "dispersive", data, "dispersive.json")
+    assert code == 1
+    assert payload["failures"] == ["logarithmic solve: trivial"]
+    assert payload["logarithmic"]["solve"]["status"] == "trivial"
+    assert "transform" not in payload["logarithmic"]
+    assert payload["polynomial"]["solve"]["converged"] is True
+    assert payload["polynomial"]["transform"]["verdict"] == "holds strictly"
+
+
 def test_tensor_check_sup_mismatch_exits_1(tmp_path, monkeypatch):
     # a peak off by 1e-3 moves the expected sup but not the field
     _wrap(monkeypatch, oned, "solve_interval", lambda s: dataclasses.replace(s, m=s.m * 1.001))

@@ -462,15 +462,45 @@ def test_minres_failure_names_the_goal_it_used(rtol, monkeypatch):
 
 
 def test_importing_the_cli_loads_no_single_backend_module():
-    # scipy.fft serves the box backend's long axes only, and scipy.integrate,
-    # scipy.optimize, scipy.sparse.linalg and scipy.special nothing at all
-    deferred = ("scipy.fft", "scipy.sparse", "scipy.sparse.linalg", "scipy.integrate",
-                "scipy.optimize", "scipy.special")
+    # each scipy module is imported where the one backend that needs it is
+    # called: scipy.linalg by the tridiagonal solve, scipy.fft by long box axes
     probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import concavelab.cli; "
-             f"print(sorted(m for m in {deferred!r} if m in sys.modules))")
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_scipy_linalg_loads_with_the_first_tridiagonal_solve(tmp_path):
+    # the exact 1-D experiments and a Lane-Emden solve on a box (MINRES in
+    # DST-I coefficients) never reach dgtsv; an interval solve does
+    configs = {
+        "oned-table": {"b_grid": {"lo": 0.5, "hi": 1.5, "count": 3}, "samples_per_unit": 200},
+        "tensor-check": {"halfwidths": [1.0, 1.0], "resolution": 21},
+        "gausson-residual": {"domain": {"kind": "box", "halfwidths": [1.0, 1.0]},
+                             "resolutions": [21, 41]},
+    }
+    runs = []
+    for experiment, data in configs.items():
+        cfg = tmp_path / f"{experiment}.yaml"
+        cfg.write_text(yaml.safe_dump(data))
+        runs.append(f"assert main([{experiment!r}, '--config', {str(cfg)!r}, "
+                    f"'--out', {str(tmp_path / experiment)!r}]) == 0")
+    probe = "; ".join([
+        f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r})",
+        "from concavelab import box, interval, lane_emden, make_grid, solver",
+        "from concavelab.cli import main",
+        *runs,
+        "g = make_grid(box(1.0, 1.0), 21); r = lane_emden(2.0, 1.0)",
+        "assert solver.newton_solve(g, r, solver.initial_guess(g, r)).converged",
+        "print('scipy.linalg' in sys.modules)",
+        "g = make_grid(interval(1.0), 21)",
+        "assert solver.newton_solve(g, r, solver.initial_guess(g, r)).converged",
+        "print('scipy.linalg' in sys.modules)",
+    ])
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.split()[-2:] == ["False", "True"]
 
 
 def test_one_dimensional_solves_load_neither_scipy_integrate_nor_optimize():

@@ -255,6 +255,25 @@ def test_box_log_solve_matches_the_product_of_axis_solves(halfwidths, n, reactio
     assert newton_solve(g, reaction, product).newton_iters == 1
 
 
+@pytest.mark.parametrize("halfwidths,solves", [((1.0, 1.0), 1), ((0.8, 1.3), 2)],
+                         ids=["square", "box2"])
+def test_box_log_guess_solves_each_distinct_axis_once(halfwidths, solves, monkeypatch):
+    g = make_grid(box(*halfwidths), 41)
+    reaction = log_schrodinger()
+    axes = [newton_solve(a, reaction, initial_guess(a, reaction)).field.values
+            for a in (make_grid(interval(b), 41) for b in halfwidths)]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", counted)
+    guess = solver.newton_guess(g, reaction)
+    assert len(calls) == solves
+    assert np.array_equal(guess.values, np.multiply.outer(*axes))
+
+
 def test_radial_solve_on_disk():
     g = make_grid(ball(2.0, 2), 401)
     res = newton_solve(g, log_schrodinger(), initial_guess(g, log_schrodinger()), 1e-10)

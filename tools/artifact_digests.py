@@ -93,6 +93,12 @@ FIXED_CASES["solve-dispersive-log-box3"] = {
 FIXED_CASES["oned-table-wide"] = {
     "experiment": "oned-table", "b_grid": [0.32, 5.0, 5.5, 6.0], "samples_per_unit": 100,
 }
+# a dispersive run whose log half is trivial on this small square while its
+# polynomial half converges: no deck template reaches an unconverged half
+FIXED_CASES["dispersive-trivial-log-half"] = {
+    "experiment": "dispersive", "resolution": 21, "q": 2.0, "sigma": 60.0,
+    "domain": {"kind": "box", "halfwidths": [0.3, 0.3]},
+}
 
 
 def _digests(directory: Path) -> dict:
