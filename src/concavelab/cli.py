@@ -283,6 +283,8 @@ def _b_grid(value) -> list[float]:
                           "count": (_int, REQUIRED)}, "b_grid")
         value = np.geomspace(g["lo"], g["hi"], g["count"]).tolist()
     bs = _list(_float)(value)
+    if not bs:
+        raise ValueError("at least one halfwidth is needed")
     if bs != sorted(set(bs)):
         raise ValueError("halfwidths must be strictly ascending")
     return bs
@@ -690,6 +692,11 @@ def _parse(experiment: str, cfg) -> SimpleNamespace:
         if experiment in FLAT_REACTION:
             p["reaction"] = reactions.Reaction(FLAT_REACTION[experiment], q=p["q"],
                                                sigma=p["sigma"])
+        if "grid" in p:  # q's upper bound depends on the dimension
+            qs = p["schedule"][0] if "schedule" in p else []
+            for reaction in [p.get("reaction"), *(reactions.lane_emden(q, 1.0) for q in qs)]:
+                if reaction is not None:
+                    reactions.validate_exponent(reaction, p["domain"].dim)
     except PARSE_ERRORS as exc:
         raise ConfigError(f"{experiment} config: {exc}") from exc
     return SimpleNamespace(**p)

@@ -103,12 +103,9 @@ def check_layer_k(layer_k: int) -> None:
 
 
 def _check_region(grid: Grid, layer_k: int) -> tuple:
-    """The nodes at least ``layer_k`` layers inside the grid, one slice per
-    axis (on radial grids: away from ``r = R``, the origin being interior)."""
+    """The nodes at least ``layer_k`` layers inside the grid (:meth:`Grid.layer_region`)."""
     check_layer_k(layer_k)
-    if grid.is_radial:
-        return (slice(0, max(grid.shape[0] - layer_k, 0)),)
-    return tuple(slice(layer_k, n - layer_k) for n in grid.shape)
+    return grid.layer_region(layer_k)
 
 
 def _check_mask(grid: Grid, values: np.ndarray, eps_floor: float, layer_k: int) -> np.ndarray:
@@ -431,7 +428,9 @@ class QuasiconcavityReport:
 
 
 def check_levels(levels, sup: float) -> None:
-    """Raise ``ValueError`` unless every level lies strictly between 0 and ``sup``."""
+    """Raise ``ValueError`` unless there are levels and each lies strictly between 0 and ``sup``."""
+    if len(levels) == 0:
+        raise ValueError("at least one level is needed")
     if any(not 0.0 < t < sup for t in levels):
         raise ValueError("levels must lie strictly between 0 and the sup norm")
 

@@ -4,9 +4,11 @@ Three domain families are supported: symmetric intervals ``(-b, b)``,
 plurirectangles ``prod (-b_i, b_i)`` up to dimension three, and balls of
 radius ``R`` in ambient dimension ``N``.  Balls are discretized radially
 (one coordinate ``r``), relying on the radial symmetry of the positive
-solutions computed on them.  Grids are immutable after construction and
-may be shared freely between concurrent solves; each carries one operator
-(:class:`concavelab.linops.GridOperator`) built on first use.
+solutions computed on them.  A grid's one rule for its inside is
+:meth:`Grid.layer_region`: the nodes ``k`` layers in, one slice per axis,
+the unknowns of every solve at ``k = 1`` and a check set at ``k = layer_k``.
+Grids are immutable and may be shared freely between concurrent solves;
+each carries one operator (:class:`concavelab.linops.GridOperator`), built on first use.
 """
 
 from __future__ import annotations
@@ -134,12 +136,8 @@ class Grid:
             self.spacing = tuple(
                 2.0 * b / (n - 1) for b, n in zip(domain.halfwidths, ns)
             )
-        mask = np.zeros(ns, dtype=bool)
-        if domain.kind == "ball":
-            mask[:-1] = True
-        else:
-            mask[(slice(1, -1),) * len(ns)] = True
-        self.interior_mask = mask
+        self.interior_mask = mask = np.zeros(ns, dtype=bool)
+        mask[self.layer_region(1)] = True
         for array in (*self.axes, mask):
             array.setflags(write=False)
         self._operator = None
@@ -165,8 +163,12 @@ class Grid:
         return int(np.prod(self.shape))
 
     @property
+    def interior_shape(self) -> tuple[int, ...]:
+        return tuple(s.stop - s.start for s in self.layer_region(1))
+
+    @property
     def num_interior(self) -> int:
-        return int(np.count_nonzero(self.interior_mask))
+        return math.prod(self.interior_shape)
 
     @property
     def operator(self):
@@ -202,6 +204,13 @@ class Grid:
             np.minimum(dist, axis_dist.reshape(shape), out=dist)
         return dist
 
+    def layer_region(self, k: int) -> tuple[slice, ...]:
+        """The nodes at least ``k`` layers inside, one slice per axis: ``k .. n-1-k`` on interval
+        and box axes, ``0 .. n-1-k`` on the radial one, whose origin is interior.  ``k = 1`` is
+        the interior; past the centre a slice is empty, its stop never below its start."""
+        start = 0 if self.is_radial else k
+        return tuple(slice(start, max(n - k, start)) for n in self.shape)
+
     def interior_region(self, margin: float = 0.0) -> tuple[slice, ...]:
         """The interior nodes at :meth:`boundary_distance` ``>= margin`` (all
         of them unless ``margin > 0``), as one slice of node indices per axis.
@@ -209,7 +218,7 @@ class Grid:
         A node is kept when every axis distance is ``>= margin``, and along
         an axis that distance rises to the centre and falls after it, so each
         axis keeps one range of indices.  An empty region has an empty slice."""
-        region = [slice(0 if self.is_radial else 1, n - 1) for n in self.shape]
+        region = list(self.layer_region(1))
         if not margin > 0.0:
             return tuple(region)
         for axis, (inner, dist) in enumerate(zip(region, self._axis_distances())):

@@ -4,13 +4,15 @@ Second-order central stencils throughout: 3/5/7-point Laplacians on
 interval/box grids and ``u'' + (N-1)/r u'`` on radial grids, with the
 origin handled through the symmetric limit ``N u''(0)``.  Their rows are
 written once per grid kind (:func:`_stencil_rows`) and applied by one
-routine (:func:`_apply_rows`); no solve assembles a matrix.
+routine (:func:`_apply_rows`): by solves to interior vectors, and by
+:func:`apply_laplacian` to whole fields, boundary values included, for
+fields with a nonzero trace and the references; no solve assembles a matrix.
 
 Each grid carries one :class:`GridOperator` (``grid.operator``): the
-negated Laplacian on interior unknowns with its Poisson and shifted
-solves, its principal eigenpair and the trapezoidal quadrature weights,
-built once and immutable.  The grid alone picks its backend
-(:meth:`GridOperator.for_grid`):
+negated Laplacian on the interior unknowns, ``grid.layer_region(1)`` in C
+order, with its Poisson and shifted solves, its principal eigenpair and
+the trapezoidal quadrature weights, built once and immutable.  The grid
+alone picks its backend (:meth:`GridOperator.for_grid`):
 
 * intervals, 1-D boxes and radial grids (:class:`TridiagonalOperator`):
   the rows as three diagonals.  Every solve is one LAPACK ``dgtsv``, LU
@@ -131,11 +133,11 @@ class ScalarField:
     @classmethod
     def from_interior(cls, grid: Grid, interior_values) -> "ScalarField":
         values = np.zeros(grid.shape)
-        values[grid.interior_mask] = interior_values
+        values[grid.layer_region(1)] = np.reshape(interior_values, grid.interior_shape)
         return cls(grid, values)
 
     def interior(self) -> np.ndarray:
-        return self.values[self.grid.interior_mask]
+        return self.values[self.grid.layer_region(1)].flatten()  # a copy; ravel may alias
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -200,10 +202,6 @@ def _stencil_rows(grid: Grid) -> StencilRows:
     for array in (lower, centre, upper):
         array.setflags(write=False)
     return StencilRows((lower,), centre, (upper,))
-
-
-def _interior_shape(grid: Grid) -> tuple[int, ...]:
-    return (grid.shape[0] - 1,) if grid.is_radial else tuple(n - 2 for n in grid.shape)
 
 
 def _along(ndim: int, axis: int, index, rest=slice(None)) -> tuple:
@@ -300,7 +298,7 @@ class GridOperator:
     def __init__(self, grid: Grid):
         self.grid = grid
         self.rows = _stencil_rows(grid)
-        self._shape = _interior_shape(grid)
+        self._shape = grid.interior_shape
         self._padded_shape = tuple(n + 2 for n in self._shape)
         self._inner = (slice(1, -1),) * len(self._shape)
         self.weights = _trapezoid_weights(grid)
@@ -563,7 +561,7 @@ def neg_laplacian_matrix(grid: Grid) -> scipy.sparse.csr_matrix:
     grid's stencil rows on each call.  No solve uses it, and only it imports ``scipy.sparse``; its
     products equal ``grid.operator.apply`` bit for bit."""
     import scipy.sparse
-    shape = _interior_shape(grid)
+    shape = grid.interior_shape
     size = math.prod(shape)
     column = np.full(tuple(n + 2 for n in shape), -1)  # -1: a boundary or ghost node
     column[(slice(1, -1),) * len(shape)] = np.arange(size).reshape(shape)

@@ -766,6 +766,7 @@ def _first_past_cap(nodes) -> int:
 
 BOX_3D = {"domain": {"kind": "box", "halfwidths": [1.0, 1.0, 1.0]},
           "reaction": {"kind": "log_schrodinger"}}
+BALL_3D = {"domain": {"kind": "ball", "radius": 1.0, "ambient_dim": 3}, "resolution": 41}
 # the tensor check holds its grids at n and 2n - 1, gausson-residual both of its grids
 N_BOX_3D = _first_past_cap(lambda n: n**3)
 N_TENSOR_2D = _first_past_cap(lambda n: n**2 + (2 * n - 1) ** 2)
@@ -852,6 +853,30 @@ def test_node_cap_counts_the_grids_an_experiment_holds():
         pytest.param("oned-table", "b_grid: {lo: 1.2, hi: 0.8, count: 3}\n", [], 2, None,
                      id="b-grid-descending"),
         pytest.param("oned-table", "b_grid: [1.0, 1.0]\n", [], 2, None, id="b-grid-repeated"),
+        # an empty check list is refused, not passed vacuously
+        pytest.param("oned-table", "b_grid: []\n", [], 2, None, id="b-grid-empty"),
+        pytest.param("oned-table", "b_grid: {lo: 0.4, hi: 4.0, count: 0}\n", [], 2, None,
+                     id="b-grid-count-0"),
+        pytest.param("quasiconcavity",
+                     yaml.safe_dump({**BASE_SOLVE, "seed": 1, "level_fractions": []}), [], 2,
+                     None, id="level-fractions-empty"),
+        # 2* - 1 = 5 in dimension 3: a supercritical q is refused before any solve
+        pytest.param("solve",
+                     yaml.safe_dump({**BALL_3D, "reaction": {"kind": "lane_emden", "q": 6.0,
+                                                             "sigma": 1.0}}),
+                     [], 2, None, id="solve-supercritical-q"),
+        pytest.param("dispersive",
+                     yaml.safe_dump({"domain": BOX_3D["domain"], "resolution": 9, "q": 6.0,
+                                     "sigma": 40.0}), [],
+                     2, None, id="dispersive-supercritical-q"),
+        pytest.param("branch",
+                     yaml.safe_dump({**BALL_3D, "schedule": {"sigma_rule": "fixed", "sigma": 1.0,
+                                                             "qs": [2.0, 4.0, 6.0]}}),
+                     [], 2, None, id="branch-supercritical-q"),
+        pytest.param("converge-log",
+                     yaml.safe_dump({**BALL_3D, "schedule": {"sigma_rule": "log_path",
+                                                             "qs": [5.0, 3.0]}}),
+                     [], 2, None, id="converge-log-critical-q"),
         # a check set deeper than a 9-node ball is empty, not wrapped round from r = R
         pytest.param("concavity",
                      yaml.safe_dump({"domain": {"kind": "ball", "radius": 1.0, "ambient_dim": 2},

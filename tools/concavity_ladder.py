@@ -17,36 +17,17 @@ imported::
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import statistics
 import sys
-import time
-from pathlib import Path
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+from _ladder import median_ms, report, setup
+
 SWEEP = (0.1, 0.2, 0.3, 0.4, 0.5)
-
-
-def _median_ms(call, repeats: int) -> float:
-    """The median of ``repeats`` timed calls of ``call``, in milliseconds."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times) * 1e3
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=30, help="timed calls per grid")
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-    for var in THREAD_VARS:
-        os.environ[var] = "1"
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    args = setup(parser, argv)
     from concavelab import ball, box, initial_guess, log_schrodinger, make_grid, newton_solve
     from concavelab.concavity import alpha_sweep, check_transform_concavity
     from concavelab.reactions import log_transform
@@ -54,7 +35,7 @@ def main(argv=None) -> int:
     grids = {"2d-81": (box(1.0, 1.0), 81), "2d-121": (box(1.0, 1.0), 121),
              "2d-161": (box(1.0, 1.0), 161), "3d-17": (box(1.0, 1.0, 1.0), 17),
              "ball3-401": (ball(1.0, 3), 401)}
-    report = {"repeats": args.repeats, "grids": {}}
+    out = {"repeats": args.repeats, "grids": {}}
     for name, (domain, n) in grids.items():
         grid = make_grid(domain, n)
         reaction = log_schrodinger()
@@ -62,16 +43,14 @@ def main(argv=None) -> int:
         if not result.converged:
             raise RuntimeError(f"{name}: the log solve ended {result.status}")
         field = result.field
-        report["grids"][name] = {
+        out["grids"][name] = {
             "check_set_size": check_transform_concavity(field, log_transform()).check_set_size,
-            "check_log_ms": round(_median_ms(
+            "check_log_ms": round(median_ms(
                 lambda: check_transform_concavity(field, log_transform()), args.repeats), 3),
-            "alpha_sweep_ms": round(_median_ms(
+            "alpha_sweep_ms": round(median_ms(
                 lambda: alpha_sweep(field, SWEEP), args.repeats), 3),
         }
-    json.dump(report, sys.stdout, indent=1, sort_keys=True)
-    print()
-    return 0
+    return report(out)
 
 
 if __name__ == "__main__":

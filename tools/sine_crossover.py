@@ -22,14 +22,12 @@ form is still the faster one.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import statistics
 import sys
 import time
-from pathlib import Path
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+from _ladder import report, setup
+
 # interior shapes: box-verify at 81, 101, 121, 141, 161, 201 (2D) and
 # 17, 21, 25 (3D) nodes per axis, and the 3D ladder at 41 and 81
 SHAPES = ("79x79", "99x99", "119x119", "139x139", "159x159", "199x199",
@@ -57,16 +55,13 @@ def main(argv=None) -> int:
     parser.add_argument("shapes", nargs="*", help="interior shapes such as 129x129")
     parser.add_argument("--seconds", type=float, default=0.5,
                         help="timing budget per shape and path")
-    args = parser.parse_args(argv)
-    for var in THREAD_VARS:
-        os.environ[var] = "1"
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    args = setup(parser, argv)
     import numpy as np
 
     from concavelab import linops
 
     rng = np.random.default_rng(0)
-    report = {"dense_sine_max": linops.DENSE_SINE_MAX, "shapes": {}}
+    out = {"dense_sine_max": linops.DENSE_SINE_MAX, "shapes": {}}
     for name in (*SHAPES, *args.shapes):
         shape = tuple(int(n) for n in name.split("x"))
         if len(shape) not in (2, 3):
@@ -75,15 +70,13 @@ def main(argv=None) -> int:
         sines = tuple(linops._sine_matrix(n) for n in shape)
         dstn_us = _median_us(lambda: linops._dst(x), args.seconds)
         dense_us = _median_us(lambda: linops._dst(x, sines), args.seconds)
-        report["shapes"][name] = {
+        out["shapes"][name] = {
             "dstn_us": round(dstn_us, 1),
             "dense_us": round(dense_us, 1),
             "dense_over_dstn": round(dense_us / dstn_us, 3),
             "path": "dense" if max(shape) <= linops.DENSE_SINE_MAX else "dstn",
         }
-    json.dump(report, sys.stdout, indent=1, sort_keys=True)
-    print()
-    return 0
+    return report(out)
 
 
 if __name__ == "__main__":
